@@ -3,7 +3,8 @@
 A univariate Taylor series f is applied to a rational combination of the
 h-generators by summing c_k times the k-th quantum power of the class.
 The sum terminates because high powers of a nilpotent-mod-Novikov class
-pick up more Novikov degree than the truncation order keeps.
+pick up more Novikov degree than the truncation order keeps; a class
+that is not nilpotent mod Novikov is rejected with ValueError.
 """
 
 from __future__ import annotations
@@ -111,10 +112,13 @@ def eval_deg2(f: UnivariateSeries, alpha, ring: PresentedAlgebra,
               trunc: int) -> AlgebraElement:
     """Sum c_k times the k-th quantum power of the linear class alpha.
 
-    The loop stops once the power itself reduces to zero (powers of a
-    dead class stay dead), or after K consecutive zero increments with
-    K = classical dimension; custom coefficient lists are finite, so for
-    them the list length is the bound.
+    The loop stops once the power itself reduces to zero; custom
+    coefficient lists are finite, so for them the list length is the
+    bound.  For the infinite named series alpha must be nilpotent mod
+    Novikov: with dim = classical dimension, the classical part of
+    alpha^dim vanishes exactly then (Cayley-Hamilton), so alpha^dim lies
+    in the Novikov ideal and the power is zero by k = dim * (trunc + 1).
+    Otherwise the sum never terminates and ValueError is raised.
     """
     if trunc != ring.trunc:
         raise ValueError("truncation %d does not match the ring's %d"
@@ -122,9 +126,8 @@ def eval_deg2(f: UnivariateSeries, alpha, ring: PresentedAlgebra,
     a = _linear_class(ring, alpha)
     acc = ring.one().scale(f.coeff(0))
     power = ring.one()
-    zero_run = 0
     cap = f.length()
-    bound = ring.classical_dim()
+    dim = ring.classical_dim()
     k = 0
     while True:
         k += 1
@@ -133,15 +136,11 @@ def eval_deg2(f: UnivariateSeries, alpha, ring: PresentedAlgebra,
         power = power * a
         if power.is_zero():
             break
-        c = f.coeff(k)
-        term = power.scale(c)
-        if term.is_zero():
-            zero_run += 1
-            if cap is None and zero_run >= bound:
-                break
-        else:
-            zero_run = 0
-            acc = acc + term
+        if cap is None and k == dim and not power.classical_part().is_zero():
+            raise ValueError("class %s is not nilpotent modulo the Novikov "
+                             "variables, so the series does not terminate"
+                             % a.render())
+        acc = acc + power.scale(f.coeff(k))
     return acc
 
 

@@ -34,6 +34,8 @@ def _emit(entries: List[Dict[str, str]]):
     failed = sum(1 for e in entries if e["status"] == "fail")
     if failed:
         print("%d check(s) failed" % failed)
+    elif not entries:
+        print("no checks were run")
     else:
         print("all checks passed")
 

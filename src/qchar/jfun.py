@@ -440,6 +440,8 @@ def verify_theorem56(n: int, m: int, max_deg: int,
                      operators: Optional[List[DifferenceExpression]] = None,
                      J: Optional[JSeries] = None) -> List[CheckItem]:
     """Apply both annihilating operators; every coefficient must vanish."""
+    if max_deg < 0:
+        raise ValueError("max_deg must be at least 0, got %d" % max_deg)
     if J is None:
         J = j_milnor(n, m, max_deg)
     if operators is None:
@@ -466,6 +468,8 @@ def hbar_infinity_check(n: int, m: int, max_deg: int) -> List[CheckItem]:
     to vanish; the numerator is multiplied by a unit times hbar^{d_i},
     which cannot drop its degree.
     """
+    if max_deg < 1:  # degree (0, 0) is skipped, so nothing would be checked
+        raise ValueError("max_deg must be at least 1, got %d" % max_deg)
     J = j_milnor(n, m, max_deg)
     out = []
     for d1, d2 in _degree_range(max_deg):
@@ -488,6 +492,8 @@ def hbar_infinity_check(n: int, m: int, max_deg: int) -> List[CheckItem]:
 
 def binomial_identity_check(n_max: int) -> List[CheckItem]:
     """Alternating binomial sum collapses to a single coefficient."""
+    if n_max < 1:  # n = 0 has no (t, b) cases
+        raise ValueError("max_n must be at least 1, got %d" % n_max)
     checked = 0
     failures = []
     for n in range(0, n_max + 1):

@@ -10,10 +10,23 @@ so that modulo the relations g_i acts as h_i, and normal-form reduction
 rewrites a term through  lm(g_i) == h_i - (g_i - lm(g_i)).  Every
 rewrite strictly drops the (classical monomial, q-degree) measure, so
 reduction terminates at any truncation order.
+
+Reduction keeps its working terms in a dict and their order in a heap
+with lazy deletion: a key is pushed when its term enters the working
+set, and a popped key whose term has since cancelled is skipped.  The
+default strategy rewrites the largest classical monomial first (grevlex),
+ties by lowest q-degree, with the first matching rule.  The alternate
+strategy rewrites the smallest reducible classical monomial first, ties
+by highest q-degree, with the last matching rule; it emits irreducible
+terms at once, since they never become reducible.  The matching rule of
+each classical monomial is looked up once per reduction.  The two
+strategies share no order or rule choice, so comparing their normal
+forms (confluence_check) is an independent check of the rules.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -185,6 +198,17 @@ class AlgebraElement:
         return "AlgebraElement(%s)" % self.render()
 
 
+def _default_key(mm: Mono, qm: Mono):
+    # largest classical monomial first, ties by lowest q-degree: the
+    # negation of (grevlex_key(mm), (-deg qm, reversed qm))
+    return (-sum(mm), tuple(reversed(mm)), sum(qm), tuple(-e for e in reversed(qm)))
+
+
+def _alternate_key(mm: Mono, qm: Mono):
+    # smallest classical monomial first, ties by highest q-degree
+    return (grevlex_key(mm), (-sum(qm), tuple(reversed(qm))))
+
+
 class PresentedAlgebra:
     """Quotient of the truncated series ring by a quantum presentation."""
 
@@ -281,53 +305,60 @@ class PresentedAlgebra:
 
     def _reduce_terms(self, terms: Dict[Tuple[Mono, Mono], Fraction],
                       strategy: str = "default") -> Dict[int, QPoly]:
-        work = {k: Fraction(c) for k, c in terms.items() if c != 0}
+        alternate = strategy != "default"
+        heap_key = _alternate_key if alternate else _default_key
+        zero = Fraction(0)
+        work: Dict[Tuple[Mono, Mono], Fraction] = {}
+        heap: list = []
         out: Dict[int, QPoly] = {}
+        # matching rule per classical monomial, looked up once per call
+        rules: Dict[Mono, Optional[tuple]] = {}
+
+        def rule_for(mm):
+            if mm not in rules:
+                rules[mm] = self._find_rule(mm, last=alternate)
+            return rules[mm]
 
         def emit(mm, qm, coeff):
             i = self._basis_index[mm]
             qp = out.setdefault(i, {})
-            v = qp.get(qm, Fraction(0)) + coeff
+            v = qp.get(qm, zero) + coeff
             if v:
                 qp[qm] = v
             else:
                 qp.pop(qm, None)
 
-        while work:
-            if strategy == "default":
-                # largest classical monomial first, ties by lowest q-degree
-                key = max(work, key=lambda k: (grevlex_key(k[0]),
-                                               (-sum(k[1]), tuple(e for e in reversed(k[1])))))
-                mm, qm = key
-                rule = self._find_rule(mm)
+        def bump(key, delta):
+            # an irreducible term never becomes reducible, so the
+            # alternate strategy emits it at once and keeps it off the heap
+            if alternate and rule_for(key[0]) is None:
+                emit(key[0], key[1], delta)
+                return
+            old = work.get(key, zero)
+            v = old + delta
+            if v:
+                if not old:
+                    heapq.heappush(heap, (heap_key(*key), key))
+                work[key] = v
             else:
-                # smallest reducible classical monomial, ties by highest
-                # q-degree, and the last matching rule
-                reducible = [(k, self._find_rule(k[0], last=True)) for k in work]
-                reducible = [(k, r) for k, r in reducible if r is not None]
-                if not reducible:
-                    for (mm, qm), c in work.items():
-                        emit(mm, qm, c)
-                    break
-                key, rule = min(reducible,
-                                key=lambda kr: (grevlex_key(kr[0][0]),
-                                                (-sum(kr[0][1]),
-                                                 tuple(e for e in reversed(kr[0][1])))))
-                mm, qm = key
-            coeff = work.pop(key)
+                work.pop(key, None)
+
+        for key, c in terms.items():
+            if c != 0:
+                bump(key, Fraction(c))
+
+        while heap:
+            key = heapq.heappop(heap)[1]
+            coeff = work.pop(key, None)
+            if coeff is None:  # cancelled after it was pushed
+                continue
+            mm, qm = key
+            rule = rule_for(mm)
             if rule is None:
                 emit(mm, qm, coeff)
                 continue
             lm, rest, correction = rule
             quot = mono_div(mm, lm)
-
-            def bump(k, delta):
-                v = work.get(k, Fraction(0)) + delta
-                if v:
-                    work[k] = v
-                else:
-                    work.pop(k, None)
-
             for m, c in rest.terms.items():
                 bump((mono_mul(m, quot), qm), -coeff * c)
             for (m2, q2), c2 in correction.terms.items():

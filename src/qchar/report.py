@@ -38,7 +38,8 @@ def entries_from(items) -> List[Dict[str, str]]:
 
 
 def all_checks_pass(entries: List[Dict[str, str]]) -> bool:
-    return not any(e["status"] == "fail" for e in entries)
+    """True when no check failed; an empty list checked nothing, so False."""
+    return bool(entries) and not any(e["status"] == "fail" for e in entries)
 
 
 def make_certificate(command: str, params: Dict, truncation,

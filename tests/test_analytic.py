@@ -46,8 +46,8 @@ def test_inverse_pair_product_is_one():
 
 
 def test_no_adjacent_zero_coeffs_in_named_tags():
-    # the dynamic stopping rule leans on this: zero coefficients of the
-    # named series are isolated
+    # zero coefficients of the named series are isolated, so dropping the
+    # old stop after a run of zero coefficients changed no sum
     for tag in ("exp_neg", "one_minus_exp_over_x", "x_over_one_minus_exp"):
         c = series_coeffs(tag, 20)
         for k in range(20):
@@ -112,6 +112,13 @@ def test_eval_rejects_truncation_mismatch():
     R = ring("qh_pn", 1, trunc=1)
     with pytest.raises(ValueError):
         eval_deg2(EXP_NEG, R.generator("h"), R, 2)
+
+
+def test_eval_rejects_class_not_nilpotent_mod_novikov():
+    # x^2 = 2x - 1 + Q: x is a unit, so e^{-x} never terminates
+    R = ring("qk_pn", 1, trunc=1)
+    with pytest.raises(ValueError, match="not nilpotent"):
+        eval_deg2(EXP_NEG, R.generator("x"), R, 1)
 
 
 def test_dynamic_stop_matches_static_bound():

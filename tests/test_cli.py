@@ -97,6 +97,30 @@ def test_identity_binomial(capsys):
     assert "all checks passed" in out
 
 
+def test_jfun_verify_negative_degree_is_usage_error(capsys):
+    code, out, err = run(capsys, "jfun", "verify", "--n", "3", "--m", "3",
+                         "--max-deg", "-1")
+    assert code == 2
+    assert "all checks passed" not in out
+    assert "max_deg" in err
+
+
+def test_jfun_infinity_degree_zero_is_usage_error(capsys):
+    # degree (0, 0) is skipped, so --max-deg 0 would check nothing
+    code, out, err = run(capsys, "jfun", "infinity", "--n", "3", "--m", "3",
+                         "--max-deg", "0")
+    assert code == 2
+    assert "all checks passed" not in out
+    assert "max_deg" in err
+
+
+def test_identity_binomial_negative_bound_is_usage_error(capsys):
+    code, out, err = run(capsys, "identity", "binomial", "--max-n", "-5")
+    assert code == 2
+    assert "all checks passed" not in out
+    assert "max_n" in err
+
+
 def test_identity_lemma52_prints_a(capsys):
     code, out, _ = run(capsys, "identity", "lemma52", "--n", "3", "--m", "3")
     assert code == 0

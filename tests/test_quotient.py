@@ -9,8 +9,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qchar.core import NovikovSeries, Polynomial, VariableSet
+from qchar.catalog import ring as catalog_ring
+from qchar.core import NovikovSeries, Polynomial, VariableSet, grevlex_key, mono_div, mono_mul
 from qchar.quotient import (
     AlgebraElement,
     PresentedAlgebra,
@@ -131,6 +134,88 @@ def test_confluence_of_reduction_strategies():
     assert ok, details
     ok, details = two_var_ring(2).confluence_check(trials=20, seed=5)
     assert ok, details
+
+
+def scan_reduce_terms(ring, terms, strategy="default"):
+    """Frozen scan-based normal form: the reference for the heap version.
+
+    Each step scans the whole working set: the default strategy takes
+    the largest term by (grevlex classical monomial, lowest q-degree) and
+    its first matching rule; the alternate one takes the smallest
+    reducible term by the same key and its last matching rule.
+    """
+    work = {k: Fraction(c) for k, c in terms.items() if c != 0}
+    out = {}
+
+    def emit(mm, qm, coeff):
+        i = ring._basis_index[mm]
+        qp = out.setdefault(i, {})
+        v = qp.get(qm, Fraction(0)) + coeff
+        if v:
+            qp[qm] = v
+        else:
+            qp.pop(qm, None)
+
+    while work:
+        if strategy == "default":
+            key = max(work, key=lambda k: (grevlex_key(k[0]),
+                                           (-sum(k[1]), tuple(e for e in reversed(k[1])))))
+            mm, qm = key
+            rule = ring._find_rule(mm)
+        else:
+            reducible = [(k, ring._find_rule(k[0], last=True)) for k in work]
+            reducible = [(k, r) for k, r in reducible if r is not None]
+            if not reducible:
+                for (mm, qm), c in work.items():
+                    emit(mm, qm, c)
+                break
+            key, rule = min(reducible,
+                            key=lambda kr: (grevlex_key(kr[0][0]),
+                                            (-sum(kr[0][1]),
+                                             tuple(e for e in reversed(kr[0][1])))))
+            mm, qm = key
+        coeff = work.pop(key)
+        if rule is None:
+            emit(mm, qm, coeff)
+            continue
+        lm, rest, correction = rule
+        quot = mono_div(mm, lm)
+
+        def bump(k, delta):
+            v = work.get(k, Fraction(0)) + delta
+            if v:
+                work[k] = v
+            else:
+                work.pop(k, None)
+
+        for m, c in rest.terms.items():
+            bump((mono_mul(m, quot), qm), -coeff * c)
+        for (m2, q2), c2 in correction.terms.items():
+            qnew = mono_mul(qm, q2)
+            if sum(qnew) > ring.trunc:
+                continue
+            bump((mono_mul(m2, quot), qnew), coeff * c2)
+    return {i: qp for i, qp in out.items() if qp}
+
+
+HEAP_CHECK_RINGS = [("qh_fl", 4, None), ("qk_milnor", 4, 3), ("qk_pn", 2, None)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(which=st.sampled_from(HEAP_CHECK_RINGS),
+       strategy=st.sampled_from(["default", "alternate"]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_heap_reduction_matches_scan_reference(which, strategy, seed):
+    family, n, m = which
+    ring = catalog_ring(family, n, m, trunc=3)
+    s = ring.random_series(random.Random(seed))
+    expected = scan_reduce_terms(ring, s.terms, strategy)
+    got = ring.reduce(s, strategy).coords
+    assert got == expected
+    if strategy == "default":
+        # same pick order, so terms are emitted in the same order
+        assert [(i, list(qp)) for i, qp in got.items()] == \
+            [(i, list(qp)) for i, qp in expected.items()]
 
 
 def test_presentation_rejects_zero_classical_part():

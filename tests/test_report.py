@@ -33,6 +33,10 @@ def test_skipped_does_not_fail():
     assert not report.all_checks_pass(entries)
 
 
+def test_empty_check_list_does_not_pass():
+    assert not report.all_checks_pass([])
+
+
 def test_certificate_envelope():
     cert = report.make_certificate("qch verify", {"n": 1}, 2, [], 7,
                                    extra={"space": "pn"})
