@@ -17,18 +17,12 @@ from .analytic import EXP_NEG, OMEOX, XOME, eval_deg2
 from .catalog import RingId, make_presentation, ring
 from .core import NovikovSeries, Polynomial
 from .quotient import AlgebraElement, Presentation, PresentedAlgebra
+from .report import Check
 
 SPACES = ("pn", "fl", "milnor")
 
 _SOURCE_FAMILY = {"pn": "qk_pn", "fl": "qk_fl", "milnor": "qk_milnor"}
 _TARGET_FAMILY = {"pn": "qh_pn", "fl": "qh_fl", "milnor": "qh_milnor"}
-
-
-@dataclass
-class RelationCheck:
-    name: str
-    residual_is_zero: bool
-    residual_rendering: str
 
 
 @dataclass
@@ -118,22 +112,27 @@ def qch_apply(qmap: QuantumChernMap, expr) -> AlgebraElement:
     return out
 
 
-def verify_relations(qmap: QuantumChernMap) -> List[RelationCheck]:
-    """Substitute images into each source relation; the residuals must vanish."""
+def verify_relations(qmap: QuantumChernMap) -> List[Check]:
+    """Substitute images into each source relation; the residuals must vanish.
+
+    One check per relation, in presentation order; the detail is the residual.
+    """
     pres = qmap.source_presentation
     out = []
     for j, name in enumerate(pres.relation_names):
         residual = qch_apply(qmap, pres.relation_at(j, qmap.trunc))
-        out.append(RelationCheck(name, residual.is_zero(), residual.render()))
+        out.append(Check.verdict("relation %s" % name, residual.is_zero(),
+                                 residual.render()))
     return out
 
 
-def verify_classical_limit(qmap: QuantumChernMap) -> Tuple[bool, List[str]]:
+def verify_classical_limit(qmap: QuantumChernMap) -> Check:
     """Compare the q=0 limit against the nilpotent-exponential character.
 
-    For every monomial in the source classical basis: route one pushes it
-    through the map and drops Novikov terms; route two exponentiates the
-    matching negative h-combination in the Novikov-free target ring.
+    One check over every monomial in the source classical basis: route one
+    pushes it through the map and drops Novikov terms; route two
+    exponentiates the matching negative h-combination in the Novikov-free
+    target ring.
     """
     source0 = qmap.source_ring(0)
     target0 = ring(_TARGET_FAMILY[qmap.space], qmap.source.n, qmap.source.m, 0)
@@ -156,7 +155,8 @@ def verify_classical_limit(qmap: QuantumChernMap) -> Tuple[bool, List[str]]:
             ok = False
             details.append("%s: map limit %s, character %s"
                            % (name, via_map.render(), direct.render()))
-    return ok, details
+    return Check.verdict("classical limit", ok,
+                         "; ".join(details) or "matches nilpotent exponential")
 
 
 def solve_unique_novikov_image(n: int, trunc: int,
@@ -204,7 +204,7 @@ def solve_unique_novikov_image(n: int, trunc: int,
     return AlgebraElement(R0, shifted), unique
 
 
-def verify_lemma_todd_simplify(n: int, trunc: int) -> List[RelationCheck]:
+def verify_lemma_todd_simplify(n: int, trunc: int) -> List[Check]:
     """(1 - e^{-(h1+h2)}) * image(Q_a) must equal (1 - e^{-h_a})^n, a = 1, 2."""
     qmap = build_qch("fl", n, trunc=trunc)
     R = qmap.target
@@ -216,5 +216,5 @@ def verify_lemma_todd_simplify(n: int, trunc: int) -> List[RelationCheck]:
         lhs = front * qmap.novikov_images["Q%d" % a]
         rhs = (R.one() - eval_deg2(EXP_NEG, ha, R, trunc)) ** n
         residual = lhs - rhs
-        out.append(RelationCheck("a=%d" % a, residual.is_zero(), residual.render()))
+        out.append(Check.verdict("a=%d" % a, residual.is_zero(), residual.render()))
     return out

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 from . import analytic, chern, jfun, mirror, report
 from .catalog import FAMILIES, ring
 from .parse import ParseError, parse_element
+from .report import Check
 
 
 def _write(path: Optional[str], text: str):
@@ -26,29 +27,29 @@ def _write(path: Optional[str], text: str):
             fh.write(text)
 
 
-def _emit(entries: List[Dict[str, str]]):
-    width = max((len(e["name"]) for e in entries), default=0)
-    for e in entries:
-        tag = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[e["status"]]
-        print("%s  %-*s  %s" % (tag, width, e["name"], e["detail"]))
-    failed = sum(1 for e in entries if e["status"] == "fail")
+def _emit(checks: List[Check]):
+    width = max((len(c.name) for c in checks), default=0)
+    for c in checks:
+        tag = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[c.status]
+        print("%s  %-*s  %s" % (tag, width, c.name, c.detail))
+    failed = sum(1 for c in checks if c.status == "fail")
     if failed:
         print("%d check(s) failed" % failed)
-    elif not entries:
+    elif not checks:
         print("no checks were run")
     else:
         print("all checks passed")
 
 
-def _finish(args, command: str, params: Dict, truncation, entries,
+def _finish(args, command: str, params: Dict, truncation, checks: List[Check],
             t0: float, extra: Optional[Dict] = None) -> int:
-    _emit(entries)
+    _emit(checks)
     if getattr(args, "out", None):
         wall = int((time.monotonic() - t0) * 1000)
-        cert = report.make_certificate(command, params, truncation, entries,
+        cert = report.make_certificate(command, params, truncation, checks,
                                        wall, extra)
         _write(args.out, report.certificate_json(cert))
-    return 0 if report.all_checks_pass(entries) else 1
+    return 0 if report.all_checks_pass(checks) else 1
 
 
 # ----------------------------------------------------------------- ring
@@ -116,25 +117,18 @@ def _cmd_qch_verify(args) -> int:
     t0 = time.monotonic()
     qmap = chern.build_qch(args.space, args.n, args.m, args.trunc)
     relations = chern.verify_relations(qmap)
-    entries = [report.check_entry("relation %s" % rc.name,
-                                  "pass" if rc.residual_is_zero else "fail",
-                                  rc.residual_rendering)
-               for rc in relations]
-    limit_ok, limit_details = chern.verify_classical_limit(qmap)
-    entries.append(report.check_entry("classical limit",
-                                      "pass" if limit_ok else "fail",
-                                      "; ".join(limit_details) if limit_details
-                                      else "matches nilpotent exponential"))
+    limit = chern.verify_classical_limit(qmap)
     extra = {
         "space": args.space,
-        "relations": [{"name": rc.name,
-                       "residual_is_zero": rc.residual_is_zero,
-                       "residual_rendering": rc.residual_rendering}
-                      for rc in relations],
-        "classical_limit": "pass" if limit_ok else "fail",
+        "relations": [{"name": name, "residual_is_zero": c.passed,
+                       "residual_rendering": c.detail}
+                      for name, c in zip(qmap.source_presentation.relation_names,
+                                         relations)],
+        "classical_limit": limit.status,
     }
     params = {"space": args.space, "n": args.n, "m": args.m}
-    return _finish(args, "qch verify", params, args.trunc, entries, t0, extra)
+    return _finish(args, "qch verify", params, args.trunc, relations + [limit],
+                   t0, extra)
 
 
 def _cmd_qch_unique(args) -> int:
@@ -142,17 +136,15 @@ def _cmd_qch_unique(args) -> int:
     elt, unique = chern.solve_unique_novikov_image(args.n, args.trunc)
     qmap = chern.build_qch("pn", args.n, None, args.trunc)
     built = qmap.novikov_images["Q"]
-    entries = [
-        report.check_entry("solution unique on the guard ring",
-                           "pass" if unique else "fail",
-                           "power of the hyperplane class acts as q times "
-                           "the identity" if unique else "guard failed"),
-        report.check_entry("matches the constructed image",
-                           "pass" if elt == built else "fail",
-                           elt.render()),
+    checks = [
+        Check.verdict("solution unique on the guard ring", unique,
+                      "power of the hyperplane class acts as q times "
+                      "the identity" if unique else "guard failed"),
+        Check.verdict("matches the constructed image", elt == built,
+                      elt.render()),
     ]
     print("Q -> %s" % elt.render())
-    return _finish(args, "qch unique", {"n": args.n}, args.trunc, entries, t0)
+    return _finish(args, "qch unique", {"n": args.n}, args.trunc, checks, t0)
 
 
 # ----------------------------------------------------------------- todd
@@ -184,18 +176,16 @@ def _cmd_jfun_coeff(args) -> int:
 
 def _cmd_jfun_verify(args) -> int:
     t0 = time.monotonic()
-    items = jfun.verify_theorem56(args.n, args.m, args.max_deg)
-    entries = report.entries_from(items)
+    checks = jfun.verify_theorem56(args.n, args.m, args.max_deg)
     params = {"n": args.n, "m": args.m, "max_deg": args.max_deg}
-    return _finish(args, "jfun verify", params, args.max_deg, entries, t0)
+    return _finish(args, "jfun verify", params, args.max_deg, checks, t0)
 
 
 def _cmd_jfun_infinity(args) -> int:
     t0 = time.monotonic()
-    items = jfun.hbar_infinity_check(args.n, args.m, args.max_deg)
-    entries = report.entries_from(items)
+    checks = jfun.hbar_infinity_check(args.n, args.m, args.max_deg)
     params = {"n": args.n, "m": args.m, "max_deg": args.max_deg}
-    return _finish(args, "jfun infinity", params, args.max_deg, entries, t0)
+    return _finish(args, "jfun infinity", params, args.max_deg, checks, t0)
 
 
 # ------------------------------------------------------------- identity
@@ -203,18 +193,17 @@ def _cmd_jfun_infinity(args) -> int:
 
 def _cmd_identity_binomial(args) -> int:
     t0 = time.monotonic()
-    entries = report.entries_from(jfun.binomial_identity_check(args.max_n))
+    checks = jfun.binomial_identity_check(args.max_n)
     return _finish(args, "identity binomial", {"max_n": args.max_n}, 0,
-                   entries, t0)
+                   checks, t0)
 
 
 def _cmd_identity_lemma52(args) -> int:
     t0 = time.monotonic()
-    a, items = jfun.lemma52_construct_and_check(args.n, args.m)
+    a, checks = jfun.lemma52_construct_and_check(args.n, args.m)
     print("a = %s" % a.render())
-    entries = report.entries_from(items)
     params = {"n": args.n, "m": args.m}
-    return _finish(args, "identity lemma52", params, 0, entries, t0)
+    return _finish(args, "identity lemma52", params, 0, checks, t0)
 
 
 # --------------------------------------------------------------- mirror
@@ -222,24 +211,22 @@ def _cmd_identity_lemma52(args) -> int:
 
 def _cmd_mirror_verify(args) -> int:
     t0 = time.monotonic()
-    items = (mirror.verify_phi(args.n, args.step_cap)
-             + mirror.verify_phi_sum_invertible(args.n, args.step_cap)
-             + mirror.elimination_chain_checks(args.n)
-             + mirror.ideal_equality_attempt(args.n, args.step_cap)
-             + mirror.direct_nzd_check(args.n, args.trunc))
-    entries = report.entries_from(items)
-    entries.append(report.check_entry(
-        "homomorphism injectivity", "skipped",
-        "not decided mechanically; memberships certify well-definedness "
-        "and the invertibility consequence only"))
+    checks = (mirror.verify_phi(args.n, args.step_cap)
+              + mirror.verify_phi_sum_invertible(args.n, args.step_cap)
+              + mirror.elimination_chain_checks(args.n)
+              + mirror.ideal_equality_attempt(args.n, args.step_cap)
+              + mirror.direct_nzd_check(args.n, args.trunc)
+              + [Check("homomorphism injectivity", "skipped",
+                       "not decided mechanically; memberships certify "
+                       "well-definedness and the invertibility consequence only")])
     params = {"n": args.n, "step_cap": args.step_cap}
-    return _finish(args, "mirror verify", params, args.trunc, entries, t0)
+    return _finish(args, "mirror verify", params, args.trunc, checks, t0)
 
 
 def _cmd_mirror_nzd(args) -> int:
     t0 = time.monotonic()
-    entries = report.entries_from(mirror.direct_nzd_check(args.n, args.trunc))
-    return _finish(args, "mirror nzd", {"n": args.n}, args.trunc, entries, t0)
+    checks = mirror.direct_nzd_check(args.n, args.trunc)
+    return _finish(args, "mirror nzd", {"n": args.n}, args.trunc, checks, t0)
 
 
 # ------------------------------------------------------------ classical

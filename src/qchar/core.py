@@ -45,6 +45,20 @@ def grevlex_key(mono: Mono):
     return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
+def power_by_squaring(base, e: int, one):
+    """base**e by repeated squaring, starting from the given one."""
+    if not isinstance(e, int) or e < 0:
+        raise ValueError("power must be a nonnegative integer, got %r" % (e,))
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
 def mono_mul(a: Mono, b: Mono) -> Mono:
     # Multiply monomials by adding exponents component-wise.
     return tuple(x + y for x, y in zip(a, b))
@@ -266,15 +280,7 @@ class Polynomial:
             raise TypeError("polynomial power must be an integer")
         if e < 0:
             return self.inverse_monomial(-e)
-        result = Polynomial.const(self.vars, 1)
-        base = self
-        k = e
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power_by_squaring(self, e, Polynomial.const(self.vars, 1))
 
     def inverse_monomial(self, e: int = 1) -> "Polynomial":
         """(c*m)^-e for a single-term unit; error otherwise."""
@@ -344,23 +350,6 @@ class Polynomial:
 
     def __repr__(self):
         return "Polynomial(%s)" % self.render()
-
-
-def poly_arith(a: Polynomial, b, op: str):
-    """Dispatch helper: op in {"add", "sub", "mul", "pow"}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "pow":
-        return a ** b
-    raise ValueError("unknown operation %r" % op)
-
-
-def poly_substitute(p: Polynomial, bindings: Dict[str, Polynomial]) -> Polynomial:
-    return p.substitute(bindings)
 
 
 class NovikovSeries:
@@ -519,17 +508,8 @@ class NovikovSeries:
         return NotImplemented
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("series power must be a nonnegative integer")
-        result = NovikovSeries.const(self.main_vars, self.q_vars, self.trunc, 1)
-        base = self
-        k = e
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        one = NovikovSeries.const(self.main_vars, self.q_vars, self.trunc, 1)
+        return power_by_squaring(self, e, one)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -570,7 +550,3 @@ class NovikovSeries:
 
     def __repr__(self):
         return "NovikovSeries(%s ; trunc=%d)" % (self.render(), self.trunc)
-
-
-def series_truncate(s: NovikovSeries, new_trunc: int) -> NovikovSeries:
-    return s.truncate(new_trunc)

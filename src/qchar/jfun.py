@@ -19,8 +19,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .catalog import milnor_f2_poly, ring
-from .core import Polynomial, VariableSet, binomial
+from .core import Polynomial, VariableSet, binomial, power_by_squaring
 from .quotient import AlgebraElement, PresentedAlgebra
+from .report import Check
 
 ATOM_KINDS = ("L1", "L2", "L1L2")
 
@@ -122,10 +123,7 @@ class HbarPoly:
         return HbarPoly(self.ring, [self.ring.zero()] * p + self.coeffs)
 
     def __pow__(self, e: int) -> "HbarPoly":
-        out = HbarPoly.one(self.ring)
-        for _ in range(e):
-            out = out * self
-        return out
+        return power_by_squaring(self, e, HbarPoly.one(self.ring))
 
     def __eq__(self, other):
         if not isinstance(other, HbarPoly):
@@ -369,9 +367,16 @@ def _theta_multiplier(R: PresentedAlgebra, theta_poly: Polynomial,
         HbarPoly(R, [R.one() - atom_unit(R, "L1")])
     m2 = HbarPoly.atom(R, "L2", d2) if d2 > 0 else \
         HbarPoly(R, [R.one() - atom_unit(R, "L2")])
+    # powers by repeated multiplication: a product with the sparse
+    # multiplier costs less than squaring a dense power
+    pow1, pow2 = [HbarPoly.one(R)], [HbarPoly.one(R)]
     out = HbarPoly.zero(R)
     for (e1, e2), c in theta_poly.terms.items():
-        out = out + (m1 ** e1 * m2 ** e2).scale(c)
+        while len(pow1) <= e1:
+            pow1.append(pow1[-1] * m1)
+        while len(pow2) <= e2:
+            pow2.append(pow2[-1] * m2)
+        out = out + (pow1[e1] * pow2[e2]).scale(c)
     return out
 
 
@@ -429,16 +434,9 @@ def hypersurface_operator(index: int, n: int, m: int) -> DifferenceExpression:
 # ------------------------------------------------------------ verifications
 
 
-@dataclass
-class CheckItem:
-    name: str
-    passed: bool
-    detail: str
-
-
 def verify_theorem56(n: int, m: int, max_deg: int,
                      operators: Optional[List[DifferenceExpression]] = None,
-                     J: Optional[JSeries] = None) -> List[CheckItem]:
+                     J: Optional[JSeries] = None) -> List[Check]:
     """Apply both annihilating operators; every coefficient must vanish."""
     if max_deg < 0:
         raise ValueError("max_deg must be at least 0, got %d" % max_deg)
@@ -453,14 +451,13 @@ def verify_theorem56(n: int, m: int, max_deg: int,
         for d in res.degrees():
             f = res.coeffs[d]
             zero = f.is_zero()
-            out.append(CheckItem("operator %d at Q^(%d,%d)" % (idx, d[0], d[1]),
-                                 zero,
-                                 "residual 0" if zero else
-                                 "residual %s" % f.render()))
+            out.append(Check.verdict(
+                "operator %d at Q^(%d,%d)" % (idx, d[0], d[1]), zero,
+                "residual 0" if zero else "residual %s" % f.render()))
     return out
 
 
-def hbar_infinity_check(n: int, m: int, max_deg: int) -> List[CheckItem]:
+def hbar_infinity_check(n: int, m: int, max_deg: int) -> List[Check]:
     """Degree count certifying the large-hbar limit of each shifted coefficient.
 
     The denominator expands to degree sum(level*mult) with unit leading
@@ -482,7 +479,7 @@ def hbar_infinity_check(n: int, m: int, max_deg: int) -> List[CheckItem]:
             shifted = f.numer.scale_elt(u).shift(di)
             num_deg = shifted.degree()
             passed = num_deg is None or num_deg < den_deg
-            out.append(CheckItem(
+            out.append(Check.verdict(
                 "i=%d at Q^(%d,%d)" % (i, d1, d2), passed,
                 "numerator degree %s < denominator degree %d"
                 % (num_deg, den_deg) if passed else
@@ -490,7 +487,7 @@ def hbar_infinity_check(n: int, m: int, max_deg: int) -> List[CheckItem]:
     return out
 
 
-def binomial_identity_check(n_max: int) -> List[CheckItem]:
+def binomial_identity_check(n_max: int) -> List[Check]:
     """Alternating binomial sum collapses to a single coefficient."""
     if n_max < 1:  # n = 0 has no (t, b) cases
         raise ValueError("max_n must be at least 1, got %d" % n_max)
@@ -509,10 +506,10 @@ def binomial_identity_check(n_max: int) -> List[CheckItem]:
     passed = not failures
     detail = "%d cases up to n=%d" % (checked, n_max) if passed \
         else "; ".join(failures[:5])
-    return [CheckItem("alternating binomial sum", passed, detail)]
+    return [Check.verdict("alternating binomial sum", passed, detail)]
 
 
-def lemma52_construct_and_check(n: int, m: int) -> Tuple[Polynomial, List[CheckItem]]:
+def lemma52_construct_and_check(n: int, m: int) -> Tuple[Polynomial, List[Check]]:
     """Build the cofactor a(x, y) and check the exact polynomial identity.
 
     F2 - a*F1 must equal the double sum
@@ -551,14 +548,14 @@ def lemma52_construct_and_check(n: int, m: int) -> Tuple[Polynomial, List[CheckI
         rhs2 = rhs2 + ((-1) ** (n - 1 - l)) * x ** l * inner
 
     checks = [
-        CheckItem("identity", lhs == rhs,
-                  "F2 - a*F1 matches the double sum" if lhs == rhs
-                  else "difference %s" % (lhs - rhs).render()),
-        CheckItem("resigned rendering", rhs == rhs2,
-                  "both sign arrangements agree" if rhs == rhs2
-                  else "difference %s" % (rhs - rhs2).render()),
-        CheckItem("y-degree bound", _y_degree(lhs) <= n,
-                  "deg_y = %d <= n" % _y_degree(lhs)),
+        Check.verdict("identity", lhs == rhs,
+                      "F2 - a*F1 matches the double sum" if lhs == rhs
+                      else "difference %s" % (lhs - rhs).render()),
+        Check.verdict("resigned rendering", rhs == rhs2,
+                      "both sign arrangements agree" if rhs == rhs2
+                      else "difference %s" % (rhs - rhs2).render()),
+        Check.verdict("y-degree bound", _y_degree(lhs) <= n,
+                      "deg_y = %d <= n" % _y_degree(lhs)),
     ]
     return a, checks
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .core import Mono, Polynomial, VariableSet
 from .catalog import ring
@@ -26,15 +26,9 @@ from .quotient import (
     poly_to_qpoly,
     qpoly_to_poly,
 )
+from .report import Check
 
 DEFAULT_STEP_CAP = 10 ** 6
-
-
-@dataclass
-class CheckItem:
-    name: str
-    passed: bool
-    detail: str
 
 
 def laurent_vars(n: int) -> VariableSet:
@@ -177,50 +171,42 @@ def flag_relation_images(n: int) -> Dict[str, Polynomial]:
     return {"f1_q": f1, "f2_q": f2}
 
 
-def verify_phi(n: int, step_cap: int = DEFAULT_STEP_CAP) -> List[CheckItem]:
+def _membership(name: str, p: Polynomial,
+                context: Callable[[], MembershipContext]) -> Check:
+    """Decide p against the ideal of context(); a step cap hit fails."""
+    try:
+        member, nf = context().contains(p)
+    except StepCapExceeded as e:
+        return Check(name, "fail", "step cap %d exceeded" % e.cap)
+    return Check.verdict(name, member, "normal form 0" if member
+                         else "normal form %s" % nf.render())
+
+
+def verify_phi(n: int, step_cap: int = DEFAULT_STEP_CAP) -> List[Check]:
     """Well-definedness: both relation images lie in the Jacobi ideal.
 
     Injectivity is a module-theoretic statement and is not decided here;
     the certificate covers the membership half only.
     """
-    out = []
     try:
         ctx = jacobi_context(n, step_cap)
     except StepCapExceeded as e:
-        return [CheckItem("groebner basis", False,
-                          "step cap %d exceeded" % e.cap)]
-    for name, p in flag_relation_images(n).items():
-        try:
-            member, nf = ctx.contains(p)
-            out.append(CheckItem("%s image membership" % name, member,
-                                 "normal form 0" if member
-                                 else "normal form %s" % nf.render()))
-        except StepCapExceeded as e:
-            out.append(CheckItem("%s image membership" % name, False,
-                                 "step cap %d exceeded" % e.cap))
-    return out
+        return [Check("groebner basis", "fail", "step cap %d exceeded" % e.cap)]
+    return [_membership("%s image membership" % name, p, lambda: ctx)
+            for name, p in flag_relation_images(n).items()]
 
 
 def verify_phi_sum_invertible(n: int,
-                              step_cap: int = DEFAULT_STEP_CAP) -> List[CheckItem]:
+                              step_cap: int = DEFAULT_STEP_CAP) -> List[Check]:
     """Image of the power law for h1, making h1+h2 invertible mod the ideal."""
     img = phi_images(n)
     h1, h2 = img["h1"], img["h2"]
     q1 = Polynomial.var(laurent_vars(n), "q1")
-    unit_ok = len(h1.terms) == 1
-    out = [CheckItem("h1 image is a unit monomial", unit_ok,
-                     h1.render())]
     target = h1 ** n - q1 * (h1 + h2)
-    try:
-        ctx = jacobi_context(n, step_cap)
-        member, nf = ctx.contains(target)
-        out.append(CheckItem("power-law image membership", member,
-                             "normal form 0" if member
-                             else "normal form %s" % nf.render()))
-    except StepCapExceeded as e:
-        out.append(CheckItem("power-law image membership", False,
-                             "step cap %d exceeded" % e.cap))
-    return out
+    return [Check.verdict("h1 image is a unit monomial", len(h1.terms) == 1,
+                          h1.render()),
+            _membership("power-law image membership", target,
+                        lambda: jacobi_context(n, step_cap))]
 
 
 # -------------------------------------------------------- elimination chain
@@ -248,33 +234,29 @@ def elimination_bindings(n: int) -> Dict[str, Polynomial]:
     return bindings
 
 
-def elimination_chain_checks(n: int) -> List[CheckItem]:
+def elimination_chain_checks(n: int) -> List[Check]:
     """The proof's substitutions kill the outer relations and solve x_{n-1}."""
     vars = laurent_vars(n)
     rels = jacobi_relations(n)
     bindings = elimination_bindings(n)
     out = []
-    for k in range(1, n - 2):
+    for k in list(range(1, n - 2)) + list(range(n + 1, 2 * n - 2)):
         r = rels[k - 1].substitute(bindings)
-        out.append(CheckItem("R_%d vanishes under substitution" % k, r.is_zero(),
-                             "0" if r.is_zero() else r.render()))
-    for k in range(n + 1, 2 * n - 2):
-        r = rels[k - 1].substitute(bindings)
-        out.append(CheckItem("R_%d vanishes under substitution" % k, r.is_zero(),
-                             "0" if r.is_zero() else r.render()))
+        out.append(Check.verdict("R_%d vanishes under substitution" % k,
+                                 r.is_zero(), r.render()))
     mid = rels[n - 3].substitute(bindings) * Polynomial.var(vars, "x1") ** (n - 2)
     x1 = Polynomial.var(vars, "x1")
     expected = x1 ** (n - 1) - Polynomial.var(vars, "x%d" % (n - 1)) \
         - Polynomial.var(vars, "q2")
     ok = mid == expected
-    out.append(CheckItem("middle relation solves x_%d" % (n - 1), ok,
-                         "x1^%d - x%d - q2" % (n - 1, n - 1) if ok
-                         else (mid - expected).render()))
+    out.append(Check.verdict("middle relation solves x_%d" % (n - 1), ok,
+                             "x1^%d - x%d - q2" % (n - 1, n - 1) if ok
+                             else (mid - expected).render()))
     return out
 
 
 def ideal_equality_attempt(n: int,
-                           step_cap: int = DEFAULT_STEP_CAP) -> List[CheckItem]:
+                           step_cap: int = DEFAULT_STEP_CAP) -> List[Check]:
     """Two-sided membership for the three survivors of the elimination.
 
     Side A: the middle Jacobi relations after substitution; side B: the
@@ -299,25 +281,17 @@ def ideal_equality_attempt(n: int,
         try:
             ctx = MembershipContext(vars, gens, step_cap)
         except StepCapExceeded as e:
-            out.append(CheckItem(label, False,
-                                 "basis step cap %d exceeded" % e.cap))
+            out.append(Check(label, "fail", "basis step cap %d exceeded" % e.cap))
             continue
-        for i, p in enumerate(probes):
-            try:
-                member, nf = ctx.contains(p)
-                out.append(CheckItem("%s generator %d" % (label, i + 1), member,
-                                     "normal form 0" if member
-                                     else "normal form %s" % nf.render()))
-            except StepCapExceeded as e:
-                out.append(CheckItem("%s generator %d" % (label, i + 1), False,
-                                     "step cap %d exceeded" % e.cap))
+        out.extend(_membership("%s generator %d" % (label, i + 1), p, lambda: ctx)
+                   for i, p in enumerate(probes))
     return out
 
 
 # ------------------------------------------------------ determinant route
 
 
-def direct_nzd_check(n: int, trunc: int) -> List[CheckItem]:
+def direct_nzd_check(n: int, trunc: int) -> List[Check]:
     """Multiplication by h1+h2 is injective on the truncated flag module.
 
     Certified by: stabilized multiplication matrices, the operator power
@@ -336,16 +310,16 @@ def direct_nzd_check(n: int, trunc: int) -> List[CheckItem]:
     M1_D, Msum_D = matrices(R)
     M1_G, Msum_G = matrices(R1)
     stable = M1_D == M1_G and Msum_D == Msum_G
-    out.append(CheckItem("matrix entries stabilized", stable,
-                         "truncations %d and %d agree" % (trunc, trunc + 1)
-                         if stable else "entries change with the truncation; "
-                         "raise the truncation order"))
+    out.append(Check.verdict("matrix entries stabilized", stable,
+                             "truncations %d and %d agree" % (trunc, trunc + 1)
+                             if stable else "entries change with the truncation; "
+                             "raise the truncation order"))
 
     q1 = {R.q_vars.unit_mono("q1"): Fraction(1)}
     ident = mat_pow(M1_D, n, trunc) == mat_scale(Msum_D, q1, trunc)
-    out.append(CheckItem("operator power law", ident,
-                         "M(h1)^%d = q1*M(h1+h2) at truncation %d" % (n, trunc)
-                         if ident else "operator identity fails"))
+    out.append(Check.verdict("operator power law", ident,
+                             "M(h1)^%d = q1*M(h1+h2) at truncation %d" % (n, trunc)
+                             if ident else "operator identity fails"))
 
     if stable:
         exact_sum = [[qpoly_to_poly(e, R.q_vars) for e in row] for row in Msum_D]
@@ -353,29 +327,29 @@ def direct_nzd_check(n: int, trunc: int) -> List[CheckItem]:
         det_sum = det_bareiss(exact_sum)
         det_alt = det_expansion(Msum_D, R.q_vars, trunc)
         agree = poly_to_qpoly(det_sum, trunc) == det_alt
-        out.append(CheckItem("determinant routes agree", agree,
-                             "elimination and expansion match to order %d" % trunc
-                             if agree else "algorithms disagree"))
+        out.append(Check.verdict("determinant routes agree", agree,
+                                 "elimination and expansion match to order %d" % trunc
+                                 if agree else "algorithms disagree"))
 
         det_h1 = det_bareiss(exact_h1)
         N = n * (n - 1)
         q1_poly = Polynomial.var(R.q_vars, "q1")
         det_ident = det_h1 ** n == q1_poly ** N * det_sum
-        out.append(CheckItem("determinant identity", det_ident,
-                             "det(M(h1))^%d = q1^%d * det(M(h1+h2))" % (n, N)
-                             if det_ident else "exact determinant identity fails"))
+        out.append(Check.verdict("determinant identity", det_ident,
+                                 "det(M(h1))^%d = q1^%d * det(M(h1+h2))" % (n, N)
+                                 if det_ident else "exact determinant identity fails"))
 
         if det_sum.is_zero():
-            out.append(CheckItem("lowest-order term nonzero", False,
-                                 "determinant is identically zero"))
+            out.append(Check("lowest-order term nonzero", "fail",
+                             "determinant is identically zero"))
         else:
             low = min(sum(m) for m in det_sum.terms)
             witness = {m: c for m, c in det_sum.terms.items() if sum(m) == low}
-            out.append(CheckItem(
-                "lowest-order term nonzero", True,
+            out.append(Check(
+                "lowest-order term nonzero", "pass",
                 "order %d witness %s" % (low, Polynomial(R.q_vars, witness).render())))
 
     zero_det = det_expansion(R.mult_matrix(R.zero()), R.q_vars, trunc)
-    out.append(CheckItem("zero-element control", not zero_det,
-                         "det(M(0)) = 0"))
+    out.append(Check.verdict("zero-element control", not zero_det,
+                             "det(M(0)) = 0"))
     return out

@@ -42,6 +42,7 @@ from .core import (
     mono_div,
     mono_divides,
     mono_mul,
+    power_by_squaring,
 )
 from .groebner import GroebnerData, groebner, is_zero_dimensional, standard_monomials
 
@@ -106,8 +107,11 @@ class AlgebraElement:
         return self.as_series().classical_part()
 
     def _same_ring(self, other: "AlgebraElement"):
+        # equal presentation data and truncation give equal bases, whatever the label
+        a, b = self.ring.presentation, other.ring.presentation
         if self.ring is not other.ring and (
-                self.ring.label != other.ring.label or self.ring.trunc != other.ring.trunc):
+                self.ring.trunc != other.ring.trunc or a.gens != b.gens
+                or a.q_vars != b.q_vars or a.relation_terms != b.relation_terms):
             raise ValueError("elements of different rings")
 
     def _coerce(self, other):
@@ -172,17 +176,7 @@ class AlgebraElement:
         return other * self
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("element power must be a nonnegative integer")
-        result = self.ring.one()
-        base = self
-        k = e
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power_by_squaring(self, e, self.ring.one())
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -1,14 +1,17 @@
-"""Certificate and table serialization.
+"""Check records, certificates and table serialization.
 
-Certificates are JSON objects with sorted keys, so two runs with the
-same flags produce identical bytes except for "wall_time_ms".  A check
-gets status "pass" only when its residual or normal form was exactly
-zero; "skipped" marks facts the tool does not decide.
+`Check` is the only check record: every verifier returns a list of
+them, the CLI prints them, and a certificate stores them as its
+"checks" entries.  A check gets status "pass" only when its residual or
+normal form was exactly zero; "skipped" marks facts the tool does not
+decide.  Certificates are JSON objects with sorted keys, so two runs
+with the same flags produce identical bytes except for "wall_time_ms".
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 from . import __version__
@@ -18,32 +21,34 @@ SCHEMA = "qchar-cert/1"
 _STATUSES = ("pass", "fail", "skipped")
 
 
-def check_entry(name: str, status: str, detail: str) -> Dict[str, str]:
-    if status not in _STATUSES:
-        raise ValueError("status must be one of %s" % (_STATUSES,))
-    return {"name": name, "status": status, "detail": detail}
+@dataclass(frozen=True)
+class Check:
+    """One certified fact: pass, fail or skipped, with a readable detail."""
+
+    name: str
+    status: str
+    detail: str
+
+    def __post_init__(self):
+        if self.status not in _STATUSES:
+            raise ValueError("status must be one of %s" % (_STATUSES,))
+
+    @classmethod
+    def verdict(cls, name: str, ok: bool, detail: str) -> "Check":
+        return cls(name, "pass" if ok else "fail", detail)
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
 
 
-def entries_from(items) -> List[Dict[str, str]]:
-    """Normalize module check objects (.name/.passed/.detail) to entries."""
-    out = []
-    for item in items:
-        if isinstance(item, dict):
-            out.append(check_entry(item["name"], item["status"], item["detail"]))
-        else:
-            out.append(check_entry(item.name,
-                                   "pass" if item.passed else "fail",
-                                   item.detail))
-    return out
-
-
-def all_checks_pass(entries: List[Dict[str, str]]) -> bool:
+def all_checks_pass(checks: List[Check]) -> bool:
     """True when no check failed; an empty list checked nothing, so False."""
-    return bool(entries) and not any(e["status"] == "fail" for e in entries)
+    return bool(checks) and not any(c.status == "fail" for c in checks)
 
 
 def make_certificate(command: str, params: Dict, truncation,
-                     checks: List[Dict[str, str]], wall_time_ms: int,
+                     checks: List[Check], wall_time_ms: int,
                      extra: Optional[Dict] = None) -> Dict:
     cert = {
         "schema": SCHEMA,
@@ -51,7 +56,7 @@ def make_certificate(command: str, params: Dict, truncation,
         "command": command,
         "params": params,
         "truncation": truncation,
-        "checks": checks,
+        "checks": [asdict(c) for c in checks],
         "wall_time_ms": wall_time_ms,
     }
     if extra:

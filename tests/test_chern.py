@@ -59,18 +59,18 @@ def test_identity_class_maps_to_one():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_projective_relations_vanish(n):
     checks = verify_relations(build_qch("pn", n, trunc=2))
-    assert all(c.residual_is_zero for c in checks)
+    assert all(c.passed for c in checks)
 
 
 def test_flag_relations_vanish():
     checks = verify_relations(build_qch("fl", 3, trunc=2))
-    assert [c.name for c in checks] == ["F1_Q", "F2_Q"]
-    assert all(c.residual_is_zero for c in checks)
+    assert [c.name for c in checks] == ["relation F1_Q", "relation F2_Q"]
+    assert all(c.passed for c in checks)
 
 
 def test_hypersurface_relations_vanish():
     checks = verify_relations(build_qch("milnor", 4, 3, trunc=2))
-    assert all(c.residual_is_zero for c in checks)
+    assert all(c.passed for c in checks)
 
 
 def test_corrupted_map_fails():
@@ -78,8 +78,8 @@ def test_corrupted_map_fails():
     bad = QuantumChernMap(qmap.space, qmap.source, qmap.target, qmap.gen_images,
                           {"Q": qmap.target.q_element("q")}, qmap.trunc)
     checks = verify_relations(bad)
-    assert not checks[0].residual_is_zero
-    assert checks[0].residual_rendering != "0"
+    assert not checks[0].passed
+    assert checks[0].detail != "0"
 
 
 def test_power_identity_on_line():
@@ -97,8 +97,9 @@ def test_power_identity_on_line():
 @pytest.mark.parametrize("space,n,m", [("pn", 2, None), ("fl", 3, None),
                                        ("milnor", 4, 3)])
 def test_classical_limit(space, n, m):
-    ok, details = verify_classical_limit(build_qch(space, n, m, trunc=1))
-    assert ok, details
+    check = verify_classical_limit(build_qch(space, n, m, trunc=1))
+    assert check.name == "classical limit"
+    assert check.passed, check.detail
 
 
 def test_classical_square_of_generator():
@@ -141,7 +142,7 @@ def test_unique_solution_rejects_novikov_free_rhs():
 def test_todd_simplification_lemma(n, D):
     checks = verify_lemma_todd_simplify(n, D)
     assert [c.name for c in checks] == ["a=1", "a=2"]
-    assert all(c.residual_is_zero for c in checks)
+    assert all(c.passed for c in checks)
 
 
 def test_second_relation_proof_identity():

@@ -9,7 +9,6 @@ from qchar.catalog import ring
 from qchar.core import Polynomial, binomial
 from qchar.jfun import (
     THETA_VARS,
-    CheckItem,
     DenominatorAtom,
     DifferenceExpression,
     HbarFraction,
@@ -52,6 +51,15 @@ def test_atom_validation():
         DenominatorAtom("L3", 1, 1)
     with pytest.raises(ValueError):
         DenominatorAtom("L1", 0, 1)
+
+
+def test_hbar_poly_power():
+    R = _kring()
+    p = HbarPoly.atom(R, "L1", 1)
+    assert p ** 0 == HbarPoly.one(R)
+    assert p ** 3 == p * p * p
+    with pytest.raises(ValueError):
+        p ** -1
 
 
 def test_fraction_add_sub_roundtrip():

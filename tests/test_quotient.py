@@ -218,6 +218,22 @@ def test_heap_reduction_matches_scan_reference(which, strategy, seed):
             [(i, list(qp)) for i, qp in expected.items()]
 
 
+def test_same_label_different_rings_rejected():
+    # a shared label must not let elements of different rings mix
+    def line(exponent, trunc=2):
+        x = NovikovSeries.gen(X, Q, trunc, "x")
+        q = NovikovSeries.q_gen(X, Q, trunc, "Q")
+        rel = x ** exponent - q
+        return PresentedAlgebra(Presentation("same", X, Q, [("rel", rel)]), trunc)
+
+    A, B = line(2), line(3)
+    with pytest.raises(ValueError):
+        A.generator("x") * B.generator("x") ** 2
+    # equal presentation data under another label is the same ring
+    C = PresentedAlgebra(Presentation("other", X, Q, [("rel", A.relations[0])]), 2)
+    assert A.generator("x") * C.generator("x") == A.q_element("Q")
+
+
 def test_presentation_rejects_zero_classical_part():
     x = NovikovSeries.gen(X, Q, 2, "x")
     q = NovikovSeries.q_gen(X, Q, 2, "Q")

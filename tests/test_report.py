@@ -8,29 +8,19 @@ from qchar import report
 from qchar.catalog import ring
 
 
-def test_check_entry_validates_status():
+def test_check_validates_status():
     with pytest.raises(ValueError):
-        report.check_entry("x", "maybe", "")
-
-
-def test_entries_from_mixed():
-    class Item:
-        name = "a"
-        passed = True
-        detail = "ok"
-
-    entries = report.entries_from([Item(), {"name": "b", "status": "skipped",
-                                            "detail": "not decided"}])
-    assert entries[0] == {"name": "a", "status": "pass", "detail": "ok"}
-    assert entries[1]["status"] == "skipped"
+        report.Check("x", "maybe", "")
+    assert report.Check.verdict("a", True, "ok") == report.Check("a", "pass", "ok")
+    assert report.Check.verdict("a", False, "").status == "fail"
+    assert not report.Check("b", "skipped", "").passed
 
 
 def test_skipped_does_not_fail():
-    entries = [report.check_entry("a", "pass", ""),
-               report.check_entry("b", "skipped", "")]
-    assert report.all_checks_pass(entries)
-    entries.append(report.check_entry("c", "fail", "residual x"))
-    assert not report.all_checks_pass(entries)
+    checks = [report.Check("a", "pass", ""), report.Check("b", "skipped", "")]
+    assert report.all_checks_pass(checks)
+    checks.append(report.Check("c", "fail", "residual x"))
+    assert not report.all_checks_pass(checks)
 
 
 def test_empty_check_list_does_not_pass():
@@ -38,10 +28,12 @@ def test_empty_check_list_does_not_pass():
 
 
 def test_certificate_envelope():
-    cert = report.make_certificate("qch verify", {"n": 1}, 2, [], 7,
+    cert = report.make_certificate("qch verify", {"n": 1}, 2,
+                                   [report.Check("r", "pass", "0")], 7,
                                    extra={"space": "pn"})
     assert cert["schema"] == "qchar-cert/1"
     assert cert["space"] == "pn"
+    assert cert["checks"] == [{"name": "r", "status": "pass", "detail": "0"}]
     text = report.certificate_json(cert)
     parsed = json.loads(text)
     assert parsed == cert
