@@ -20,10 +20,11 @@ coefficients at construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .core import NovikovSeries, Polynomial, VariableSet
-from .quotient import AlgebraElement, Presentation, PresentedAlgebra
+from .quotient import Presentation, PresentedAlgebra
+from .report import Check
 
 FAMILIES = ("qh_pn", "qk_pn", "qh_fl", "qk_fl", "k_milnor", "qk_milnor",
             "qh_milnor", "k_pnxpm")
@@ -179,7 +180,7 @@ def ring(family: str, n: int, m: Optional[int] = None, trunc: int = 0) -> Presen
     return make_ring(RingId(family, n, m, trunc))
 
 
-def verify_corollary_power(n: int, a: int, trunc: int) -> Tuple[bool, AlgebraElement]:
+def verify_corollary_power(n: int, a: int, trunc: int) -> Check:
     """reduce(h_a^n - q_a*(h1+h2)) in the flag ring; zero iff the power law holds."""
     if a not in (1, 2):
         raise ValueError("a must be 1 or 2")
@@ -188,22 +189,21 @@ def verify_corollary_power(n: int, a: int, trunc: int) -> Tuple[bool, AlgebraEle
     qa = R.q_element("q%d" % a)
     h1, h2 = R.generator("h1"), R.generator("h2")
     residual = ha ** n - qa * (h1 + h2)
-    return residual.is_zero(), residual
+    return Check.verdict("power law h%d" % a, residual.is_zero(),
+                         "h%d^%d - q%d*(h1 + h2) reduces to %s" % (a, n, a, residual.render()))
 
 
-def fl_specialization_check(n: int) -> Tuple[bool, List[str]]:
+def fl_specialization_check(n: int) -> List[Check]:
     """Flag relations must coincide termwise with the m=n hypersurface ones."""
     fl = make_presentation("qk_fl", n)
     mi = make_presentation("qk_milnor", n, n)
-    details = []
-    ok = True
     if fl.gens != mi.gens or fl.q_vars != mi.q_vars:
-        return False, ["variable sets differ"]
+        return [Check("variable sets agree", "fail", "variable sets differ")]
+    checks = []
     for name_f, terms_f, name_m, terms_m in zip(fl.relation_names, fl.relation_terms,
                                                 mi.relation_names, mi.relation_terms):
-        if terms_f == terms_m:
-            details.append("%s == %s termwise" % (name_f, name_m))
-        else:
-            ok = False
-            details.append("%s and %s differ" % (name_f, name_m))
-    return ok, details
+        same = terms_f == terms_m
+        checks.append(Check.verdict("%s specialization" % name_f, same,
+                                    "%s == %s termwise" % (name_f, name_m) if same
+                                    else "%s and %s differ" % (name_f, name_m)))
+    return checks

@@ -79,17 +79,19 @@ def _cmd_ring_mul(args) -> int:
 
 
 def _cmd_ring_table(args) -> int:
+    if args.selfcheck_trials < 0:
+        raise ValueError("selfcheck_trials must be at least 0, got %d"
+                         % args.selfcheck_trials)
     R = ring(args.family, args.n, args.m, args.trunc)
     table = report.structure_table(R, R.label)
     import json
     _write(args.out, json.dumps(table, sort_keys=True, indent=2) + "\n")
     if args.selfcheck_trials:
-        ok, details = R.confluence_check(args.selfcheck_trials, args.seed)
+        check = R.confluence_check(args.selfcheck_trials, args.seed)
         print("confluence selfcheck: %s (%d trials, seed %d)"
-              % ("pass" if ok else "FAIL", args.selfcheck_trials, args.seed))
-        if not ok:
-            for line in details:
-                print("  " + line)
+              % ("pass" if check.passed else "FAIL", args.selfcheck_trials, args.seed))
+        if not check.passed:
+            print("  " + check.detail)
             return 1
     return 0
 

@@ -188,11 +188,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
-
     def leading(self):
         """(monomial, coefficient) maximal in grevlex; error on zero."""
         if not self.terms:
@@ -281,6 +276,10 @@ class Polynomial:
         if e < 0:
             return self.inverse_monomial(-e)
         return power_by_squaring(self, e, Polynomial.const(self.vars, 1))
+
+    def truncate(self, deg: int) -> "Polynomial":
+        """Drop the terms of total degree above deg."""
+        return Polynomial(self.vars, {m: c for m, c in self.terms.items() if sum(m) <= deg})
 
     def inverse_monomial(self, e: int = 1) -> "Polynomial":
         """(c*m)^-e for a single-term unit; error otherwise."""
@@ -429,11 +428,6 @@ class NovikovSeries:
         if not self.terms:
             return None
         return min(sum(qm) for _, qm in self.terms)
-
-    def max_q_degree(self):
-        if not self.terms:
-            return None
-        return max(sum(qm) for _, qm in self.terms)
 
     # arithmetic
 

@@ -125,6 +125,21 @@ def _reduce(p: Polynomial, lead: List[Tuple[Mono, List[Tuple[Mono, Fraction]], i
     return Polynomial(vars, out)
 
 
+def divide(p: Polynomial, d: Polynomial) -> Tuple[Polynomial, Polynomial]:
+    """(quotient, remainder) with p == quotient * d + remainder.
+
+    The remainder is the full normal form of p against d alone, so it is
+    zero exactly when d divides p.
+    """
+    if d.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    lm, lc = d.leading()
+    inv = 1 / lc
+    usage: Dict[int, Dict[Mono, Fraction]] = {}
+    rem = _reduce(p, [(lm, list(d.scale(inv).terms.items()), 0)], _Budget(None), usage)
+    return Polynomial(p.vars, usage.get(0, {})).scale(inv), rem
+
+
 def _lead_rows(gens: List[Polynomial]) -> List[Tuple[Mono, List[Tuple[Mono, Fraction]], int]]:
     return [(g.leading()[0], list(g.terms.items()), i) for i, g in enumerate(gens)]
 

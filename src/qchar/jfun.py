@@ -23,23 +23,8 @@ from .core import Polynomial, VariableSet, binomial, power_by_squaring
 from .quotient import AlgebraElement, PresentedAlgebra
 from .report import Check
 
-ATOM_KINDS = ("L1", "L2", "L1L2")
-
-# denominator multiset: (kind, level) -> multiplicity
+# denominator multiset: (kind, level) -> multiplicity, kind one of L1, L2, L1L2
 AtomSet = Dict[Tuple[str, int], int]
-
-
-@dataclass(frozen=True)
-class DenominatorAtom:
-    kind: str
-    level: int
-    multiplicity: int
-
-    def __post_init__(self):
-        if self.kind not in ATOM_KINDS:
-            raise ValueError("unknown atom kind %r" % self.kind)
-        if self.level < 1 or self.multiplicity < 1:
-            raise ValueError("atom level and multiplicity must be positive")
 
 
 def atom_unit(ring_: PresentedAlgebra, kind: str) -> AlgebraElement:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -44,7 +43,8 @@ from .core import (
     mono_mul,
     power_by_squaring,
 )
-from .groebner import GroebnerData, groebner, is_zero_dimensional, standard_monomials
+from .groebner import GroebnerData, divide, groebner, is_zero_dimensional, standard_monomials
+from .report import Check
 
 QPoly = Dict[Mono, Fraction]  # truncated polynomial in the q variables
 
@@ -376,14 +376,12 @@ class PresentedAlgebra:
         qz = self.q_vars.zero_mono()
         return AlgebraElement(self, {i: {qz: Fraction(1)}})
 
-    def mult_matrix(self, a: AlgebraElement) -> List[List[QPoly]]:
-        """M[i][j] = coefficient of basis i in a * basis j."""
+    def mult_matrix(self, a: AlgebraElement) -> List[List[Polynomial]]:
+        """M[i][j] = coefficient of basis i in a * basis j, over q_vars."""
         n = len(self.basis_monos)
-        cols = []
-        for j in range(n):
-            prod = a * self.basis_element(j)
-            cols.append(prod.coords)
-        return [[dict(cols[j].get(i, {})) for j in range(n)] for i in range(n)]
+        cols = [(a * self.basis_element(j)).coords for j in range(n)]
+        return [[Polynomial(self.q_vars, cols[j].get(i, {})) for j in range(n)]
+                for i in range(n)]
 
     def structure_constants(self) -> Dict[Tuple[int, int], Dict[int, QPoly]]:
         n = len(self.basis_monos)
@@ -423,91 +421,31 @@ class PresentedAlgebra:
             terms[key] = terms.get(key, Fraction(0)) + coeff
         return NovikovSeries(self.gens, self.q_vars, self.trunc, terms)
 
-    def confluence_check(self, trials: int, seed: int) -> Tuple[bool, List[str]]:
+    def confluence_check(self, trials: int, seed: int) -> Check:
         """Reduce random inputs under two admissible strategies; compare."""
+        if trials < 1:
+            raise ValueError("trials must be at least 1, got %d" % trials)
         rng = random.Random(seed)
         details = []
-        ok = True
         for t in range(trials):
             s = self.random_series(rng)
             a = self.reduce(s, strategy="default")
             b = self.reduce(s, strategy="alternate")
             if a.coords != b.coords:
-                ok = False
                 details.append("trial %d: strategies disagree on %s" % (t, s.render()))
-        return ok, details
-
-
-def classical_dim(presentation: Presentation) -> int:
-    classical = [Polynomial(presentation.gens,
-                            {mm: c for (mm, qm), c in terms.items() if sum(qm) == 0})
-                 for terms in presentation.relation_terms]
-    g = groebner(classical)
-    if not is_zero_dimensional(g):
-        raise ValueError("classical ideal of %r is not zero-dimensional"
-                         % presentation.label)
-    return len(standard_monomials(g))
+        return Check.verdict("confluence selfcheck", not details,
+                             "; ".join(details) or "%d trials, seed %d" % (trials, seed))
 
 
 # ------------------------------------------------------------------
-# truncated q-polynomial helpers and the two determinant algorithms
-
-def qp_add(a: QPoly, b: QPoly) -> QPoly:
-    out = dict(a)
-    for qm, c in b.items():
-        v = out.get(qm, Fraction(0)) + c
-        if v:
-            out[qm] = v
-        else:
-            out.pop(qm, None)
-    return out
-
-
-def qp_scale(a: QPoly, c: Fraction) -> QPoly:
-    if c == 0:
-        return {}
-    return {qm: v * c for qm, v in a.items()}
-
-
-def qp_mul(a: QPoly, b: QPoly, trunc: Optional[int]) -> QPoly:
-    out: QPoly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = mono_mul(m1, m2)
-            if trunc is not None and sum(m) > trunc:
-                continue
-            v = out.get(m, Fraction(0)) + c1 * c2
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-    return out
-
+# the two determinant algorithms over polynomials in the q variables
 
 def poly_div_exact(num: Polynomial, den: Polynomial) -> Polynomial:
     """Exact quotient in the polynomial ring; error if division leaves a rest."""
-    if den.is_zero():
-        raise ZeroDivisionError("exact division by zero polynomial")
-    vars = num.vars
-    quot_terms = {}
-    work = dict(num.terms)
-    dm, dc = den.leading()
-    while work:
-        mono = max(work, key=grevlex_key)
-        coeff = work[mono]
-        if not mono_divides(dm, mono):
-            raise ValueError("inexact polynomial division")
-        q_mono = mono_div(mono, dm)
-        q_coeff = coeff / dc
-        quot_terms[q_mono] = quot_terms.get(q_mono, Fraction(0)) + q_coeff
-        for m, c in den.terms.items():
-            m2 = mono_mul(m, q_mono)
-            v = work.get(m2, Fraction(0)) - q_coeff * c
-            if v:
-                work[m2] = v
-            else:
-                work.pop(m2, None)
-    return Polynomial(vars, quot_terms)
+    quot, rem = divide(num, den)
+    if not rem.is_zero():
+        raise ValueError("inexact polynomial division")
+    return quot
 
 
 def det_bareiss(entries: List[List[Polynomial]]) -> Polynomial:
@@ -538,8 +476,7 @@ def det_bareiss(entries: List[List[Polynomial]]) -> Polynomial:
     return M[n - 1][n - 1].scale(sign)
 
 
-def det_expansion(entries: List[List[QPoly]], q_vars: VariableSet,
-                  trunc: Optional[int]) -> QPoly:
+def det_expansion(entries: List[List[Polynomial]], trunc: int) -> Polynomial:
     """Division-free determinant by column-subset expansion.
 
     Safe directly in truncated arithmetic; used as the independent
@@ -548,67 +485,35 @@ def det_expansion(entries: List[List[QPoly]], q_vars: VariableSet,
     n = len(entries)
     if n == 0:
         raise ValueError("empty matrix")
-    unit: QPoly = {q_vars.zero_mono(): Fraction(1)}
-    dp = {0: unit}
+    zero = Polynomial.zero(entries[0][0].vars)
+    dp = {0: Polynomial.const(zero.vars, 1)}
     for r in range(n):
-        new_dp: Dict[int, QPoly] = {}
+        new_dp: Dict[int, Polynomial] = {}
         for mask, sub in dp.items():
             cols = [j for j in range(n) if mask & (1 << j)]
             for j in range(n):
-                if mask & (1 << j):
+                if mask & (1 << j) or entries[r][j].is_zero():
                     continue
-                entry = entries[r][j]
-                if not entry:
-                    continue
-                contrib = qp_mul(entry, sub, trunc)
+                contrib = (entries[r][j] * sub).truncate(trunc)
                 # parity of the number of used columns to the right of j
-                below = sum(1 for c in cols if c > j)
-                if below % 2:
-                    contrib = qp_scale(contrib, Fraction(-1))
+                if sum(1 for c in cols if c > j) % 2:
+                    contrib = -contrib
                 m2 = mask | (1 << j)
-                new_dp[m2] = qp_add(new_dp.get(m2, {}), contrib)
-        dp = {m: v for m, v in new_dp.items() if v}
+                new_dp[m2] = new_dp.get(m2, zero) + contrib
+        dp = {m: v for m, v in new_dp.items() if not v.is_zero()}
         if not dp:
-            return {}
-    return dp.get((1 << n) - 1, {})
+            return zero
+    return dp.get((1 << n) - 1, zero)
 
 
-def mat_mul(A: List[List[QPoly]], B: List[List[QPoly]], trunc: Optional[int]) -> List[List[QPoly]]:
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc: QPoly = {}
-            for k in range(n):
-                if A[i][k] and B[k][j]:
-                    acc = qp_add(acc, qp_mul(A[i][k], B[k][j], trunc))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_pow(A: List[List[QPoly]], e: int, trunc: Optional[int]) -> List[List[QPoly]]:
+def mat_pow(A: List[List[Polynomial]], e: int, trunc: int) -> List[List[Polynomial]]:
+    """A**e for e >= 1, entries truncated above total degree trunc."""
     if e < 1:
         raise ValueError("matrix power wants a positive exponent")
+    n = len(A)
+    zero = Polynomial.zero(A[0][0].vars)
     out = A
     for _ in range(e - 1):
-        out = mat_mul(out, A, trunc)
+        out = [[sum((out[i][k] * A[k][j] for k in range(n)), zero).truncate(trunc)
+                for j in range(n)] for i in range(n)]
     return out
-
-
-def mat_scale(A: List[List[QPoly]], factor: QPoly, trunc: Optional[int]) -> List[List[QPoly]]:
-    return [[qp_mul(entry, factor, trunc) for entry in row] for row in A]
-
-
-def poly_to_qpoly(p: Polynomial, trunc: Optional[int]) -> QPoly:
-    out = {}
-    for m, c in p.terms.items():
-        if trunc is not None and sum(m) > trunc:
-            continue
-        out[m] = c
-    return out
-
-
-def qpoly_to_poly(qp: QPoly, q_vars: VariableSet) -> Polynomial:
-    return Polynomial(q_vars, dict(qp))

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from . import __version__
-from .quotient import PresentedAlgebra
+
+if TYPE_CHECKING:  # quotient imports Check from here
+    from .quotient import PresentedAlgebra
 
 SCHEMA = "qchar-cert/1"
 _STATUSES = ("pass", "fail", "skipped")

@@ -133,8 +133,8 @@ def test_A11_structure_constants_and_confluence():
         assert x * x == R.constant(2) * x - R.one() + R.q_element("Q")
         assert (x * x).render() == "2*x - 1 + Q"
         for family, n, m in (("qh_fl", 3, None), ("qk_milnor", 4, 3)):
-            ok, details = ring(family, n, m, 3).confluence_check(50, seed=2026)
-            assert ok, "; ".join(details)
+            check = ring(family, n, m, 3).confluence_check(50, seed=2026)
+            assert check.passed, check.detail
 
 
 def test_A12_negative_controls():

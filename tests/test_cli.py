@@ -121,6 +121,18 @@ def test_identity_binomial_negative_bound_is_usage_error(capsys):
     assert "max_n" in err
 
 
+def test_ring_table_negative_selfcheck_trials_is_usage_error(capsys, tmp_path):
+    # rejected before the table is built or written
+    path = tmp_path / "table.json"
+    code, out, err = run(capsys, "ring", "table", "--family", "qk_pn", "--n", "1",
+                         "--trunc", "1", "--out", str(path),
+                         "--selfcheck-trials", "-5")
+    assert code == 2
+    assert out == ""
+    assert "selfcheck_trials" in err
+    assert not path.exists()
+
+
 def test_identity_lemma52_prints_a(capsys):
     code, out, _ = run(capsys, "identity", "lemma52", "--n", "3", "--m", "3")
     assert code == 0

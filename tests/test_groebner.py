@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qchar.core import Polynomial, VariableSet
 from qchar.groebner import (
     StepCapExceeded,
+    divide,
     groebner,
     is_zero_dimensional,
     normal_form,
@@ -20,6 +21,18 @@ XY = VariableSet(["x", "y"])
 
 def gens2(vars):
     return Polynomial.var(vars, vars.names[0]), Polynomial.var(vars, vars.names[1])
+
+
+def test_divide_leaves_the_normal_form_as_remainder():
+    x, y = gens2(XY)
+    p = x ** 3 + 2 * x * y + 5
+    d = 3 * x - y
+    quot, rem = divide(p, d)
+    assert quot * d + rem == p
+    # the leading monomial x divides no term of the remainder
+    assert rem == Polynomial.const(XY, 5) + Fraction(1, 27) * y ** 3 + Fraction(2, 3) * y ** 2
+    with pytest.raises(ZeroDivisionError):
+        divide(x, Polynomial.zero(XY))
 
 
 def test_single_relation_is_its_own_basis():

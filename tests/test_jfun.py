@@ -9,7 +9,6 @@ from qchar.catalog import ring
 from qchar.core import Polynomial, binomial
 from qchar.jfun import (
     THETA_VARS,
-    DenominatorAtom,
     DifferenceExpression,
     HbarFraction,
     HbarPoly,
@@ -43,14 +42,6 @@ def _random_fraction(R, rng):
 
 
 # ----------------------------------------------------------- fraction algebra
-
-
-def test_atom_validation():
-    DenominatorAtom("L1", 1, 2)
-    with pytest.raises(ValueError):
-        DenominatorAtom("L3", 1, 1)
-    with pytest.raises(ValueError):
-        DenominatorAtom("L1", 0, 1)
 
 
 def test_hbar_poly_power():

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from qchar import mirror
 from qchar.core import Polynomial
+from qchar.groebner import groebner
 from qchar.mirror import (
     MembershipContext,
     build_superpotential,
@@ -22,6 +24,7 @@ from qchar.mirror import (
     verify_phi,
     verify_phi_sum_invertible,
 )
+from qchar.report import Check
 
 
 def mono(vars, **exps):
@@ -148,6 +151,24 @@ def test_verify_phi_sum_invertible_n3():
     assert checks[0].name == "h1 image is a unit monomial"
     assert checks[0].passed
     assert checks[1].passed
+
+
+def test_capped_basis_is_built_once(monkeypatch):
+    # a basis that hits its step cap is not rebuilt by the next verifier
+    calls = []
+
+    def counting_groebner(*args, **kwargs):
+        calls.append(kwargs.get("step_cap"))
+        return groebner(*args, **kwargs)
+
+    monkeypatch.setattr(mirror, "groebner", counting_groebner)
+    monkeypatch.setattr(mirror, "_CONTEXT_CACHE", {})
+    first = verify_phi(3, 20)
+    second = verify_phi_sum_invertible(3, 20)
+    assert calls == [20]
+    assert first == [Check("groebner basis", "fail", "step cap 20 exceeded")]
+    assert second[1] == Check("power-law image membership", "fail",
+                              "step cap 20 exceeded")
 
 
 def test_membership_respects_unit_scaling():
