@@ -10,12 +10,12 @@ that is not nilpotent mod Novikov is rejected with ValueError.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Union
+from typing import List
 
 from .core import NovikovSeries, Polynomial
 from .quotient import AlgebraElement, PresentedAlgebra
 
-TAGS = ("exp_neg", "one_minus_exp_over_x", "x_over_one_minus_exp", "custom")
+TAGS = ("exp_neg", "one_minus_exp_over_x", "x_over_one_minus_exp")
 
 
 class UnivariateSeries:
@@ -24,20 +24,12 @@ class UnivariateSeries:
     exp_neg               e^{-x}:        c_k = (-1)^k / k!
     one_minus_exp_over_x  (1-e^{-x})/x:  c_k = (-1)^k / (k+1)!
     x_over_one_minus_exp  x/(1-e^{-x}):  inverse of the previous one
-    custom                an explicit finite coefficient list
     """
 
-    def __init__(self, tag: str, coefficients: Optional[Sequence] = None):
+    def __init__(self, tag: str):
         if tag not in TAGS:
             raise ValueError("unknown series tag %r" % tag)
-        if tag == "custom":
-            if coefficients is None:
-                raise ValueError("custom series needs an explicit coefficient list")
-            self._cache: List[Fraction] = [Fraction(c) for c in coefficients]
-        else:
-            if coefficients is not None:
-                raise ValueError("named series do not take coefficient lists")
-            self._cache = []
+        self._cache: List[Fraction] = []
         self.tag = tag
 
     def _extend(self, upto: int) -> None:
@@ -59,19 +51,11 @@ class UnivariateSeries:
     def coeff(self, k: int) -> Fraction:
         if k < 0:
             raise ValueError("coefficient index must be nonnegative")
-        if self.tag == "custom":
-            return self._cache[k] if k < len(self._cache) else Fraction(0)
         self._extend(k)
         return self._cache[k]
 
     def coeffs(self, upto: int) -> List[Fraction]:
         return [self.coeff(k) for k in range(upto + 1)]
-
-    def is_finite(self) -> bool:
-        return self.tag == "custom"
-
-    def length(self) -> Optional[int]:
-        return len(self._cache) if self.tag == "custom" else None
 
 
 def _factorial(k: int) -> int:
@@ -112,13 +96,12 @@ def eval_deg2(f: UnivariateSeries, alpha, ring: PresentedAlgebra,
               trunc: int) -> AlgebraElement:
     """Sum c_k times the k-th quantum power of the linear class alpha.
 
-    The loop stops once the power itself reduces to zero; custom
-    coefficient lists are finite, so for them the list length is the
-    bound.  For the infinite named series alpha must be nilpotent mod
-    Novikov: with dim = classical dimension, the classical part of
-    alpha^dim vanishes exactly then (Cayley-Hamilton), so alpha^dim lies
-    in the Novikov ideal and the power is zero by k = dim * (trunc + 1).
-    Otherwise the sum never terminates and ValueError is raised.
+    The loop stops once the power itself reduces to zero, so alpha must
+    be nilpotent mod Novikov: with dim = classical dimension, the
+    classical part of alpha^dim vanishes exactly then (Cayley-Hamilton),
+    so alpha^dim lies in the Novikov ideal and the power is zero by
+    k = dim * (trunc + 1).  Otherwise the sum never terminates and
+    ValueError is raised.
     """
     if trunc != ring.trunc:
         raise ValueError("truncation %d does not match the ring's %d"
@@ -126,17 +109,14 @@ def eval_deg2(f: UnivariateSeries, alpha, ring: PresentedAlgebra,
     a = _linear_class(ring, alpha)
     acc = ring.one().scale(f.coeff(0))
     power = ring.one()
-    cap = f.length()
     dim = ring.classical_dim()
     k = 0
     while True:
         k += 1
-        if cap is not None and k >= cap:
-            break
         power = power * a
         if power.is_zero():
             break
-        if cap is None and k == dim and not power.classical_part().is_zero():
+        if k == dim and not power.classical_part().is_zero():
             raise ValueError("class %s is not nilpotent modulo the Novikov "
                              "variables, so the series does not terminate"
                              % a.render())

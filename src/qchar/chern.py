@@ -190,18 +190,15 @@ def solve_unique_novikov_image(n: int, trunc: int,
         raise ValueError("right-hand side must live at the guard truncation")
 
     R0 = ring("qh_pn", n, trunc=trunc)
-    shifted: Dict[int, Dict] = {}
-    for i, qp in rhs.coords.items():
-        out = {}
-        for qm, c in qp.items():
-            if qm[0] < 1:
-                raise ValueError("system is inconsistent: residual term "
-                                 "without a Novikov factor")
-            down = (qm[0] - 1,)
-            if down[0] <= trunc:
-                out[down] = c
-        shifted[i] = out
-    return AlgebraElement(R0, shifted), unique
+    shifted = {}
+    for (mm, qm), c in rhs.as_series().terms.items():
+        if qm[0] < 1:
+            raise ValueError("system is inconsistent: residual term "
+                             "without a Novikov factor")
+        shifted[(mm, (qm[0] - 1,))] = c
+    # the series drops the terms above the requested truncation
+    nf = NovikovSeries(R0.gens, R0.q_vars, trunc, shifted)
+    return AlgebraElement(R0, nf), unique
 
 
 def verify_lemma_todd_simplify(n: int, trunc: int) -> List[Check]:

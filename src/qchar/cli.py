@@ -14,7 +14,7 @@ import time
 from typing import Dict, List, Optional
 
 from . import analytic, chern, jfun, mirror, report
-from .catalog import FAMILIES, ring
+from .catalog import FAMILIES, RingId, ring
 from .parse import ParseError, parse_element
 from .report import Check
 
@@ -212,6 +212,9 @@ def _cmd_identity_lemma52(args) -> int:
 
 
 def _cmd_mirror_verify(args) -> int:
+    if args.step_cap < 0:
+        raise ValueError("step_cap must be at least 0, got %d" % args.step_cap)
+    RingId("qh_fl", args.n, trunc=args.trunc)  # n and trunc, before any work
     t0 = time.monotonic()
     checks = (mirror.verify_phi(args.n, args.step_cap)
               + mirror.verify_phi_sum_invertible(args.n, args.step_cap)

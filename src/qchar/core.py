@@ -154,7 +154,44 @@ def _render_terms(items) -> str:
     return " ".join(out)
 
 
-class Polynomial:
+class Arithmetic:
+    """Derived operators shared by the exact term-map types.
+
+    A subclass defines _coerce (None for an operand it cannot take),
+    __add__, __neg__, __mul__, scale and _one; the reflected and derived
+    operators below follow from those.
+    """
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self
+
+    def __pow__(self, e: int):
+        return power_by_squaring(self, e, self._one())
+
+
+class Polynomial(Arithmetic):
     """Sparse exact multivariate (optionally Laurent) polynomial."""
 
     __slots__ = ("vars", "terms")
@@ -198,10 +235,6 @@ class Polynomial:
     def coeff(self, mono: Mono) -> Fraction:
         return self.terms.get(mono, ZERO)
 
-    def monic(self) -> "Polynomial":
-        _, c = self.leading()
-        return self.scale(Fraction(1, 1) / c)
-
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
         if c == 0:
@@ -225,6 +258,9 @@ class Polynomial:
             return Polynomial.const(self.vars, other)
         return None
 
+    def _one(self) -> "Polynomial":
+        return Polynomial.const(self.vars, 1)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -235,22 +271,8 @@ class Polynomial:
             terms[m] = terms.get(m, ZERO) + c
         return Polynomial(self.vars, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Polynomial(self.vars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -265,17 +287,12 @@ class Polynomial:
                 terms[m] = terms.get(m, ZERO) + c1 * c2
         return Polynomial(self.vars, terms)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     def __pow__(self, e: int):
         if not isinstance(e, int):
             raise TypeError("polynomial power must be an integer")
         if e < 0:
             return self.inverse_monomial(-e)
-        return power_by_squaring(self, e, Polynomial.const(self.vars, 1))
+        return super().__pow__(e)
 
     def truncate(self, deg: int) -> "Polynomial":
         """Drop the terms of total degree above deg."""
@@ -351,7 +368,7 @@ class Polynomial:
         return "Polynomial(%s)" % self.render()
 
 
-class NovikovSeries:
+class NovikovSeries(Arithmetic):
     """Polynomial in main variables, total-degree-truncated in q variables.
 
     Terms are keyed by (main monomial, q monomial).  All arithmetic
@@ -445,6 +462,9 @@ class NovikovSeries:
             return NovikovSeries.from_polynomial(other, self.q_vars, self.trunc)
         return None
 
+    def _one(self) -> "NovikovSeries":
+        return NovikovSeries.const(self.main_vars, self.q_vars, self.trunc, 1)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -455,29 +475,18 @@ class NovikovSeries:
             terms[k] = terms.get(k, ZERO) + c
         return NovikovSeries(self.main_vars, self.q_vars, self.trunc, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return NovikovSeries(self.main_vars, self.q_vars, self.trunc,
                              {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+    def scale(self, c) -> "NovikovSeries":
+        c = Fraction(c)
+        return NovikovSeries(self.main_vars, self.q_vars, self.trunc,
+                             {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return NovikovSeries(self.main_vars, self.q_vars, self.trunc,
-                                 {k: v * c for k, v in self.terms.items()})
+            return self.scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -491,19 +500,6 @@ class NovikovSeries:
                 k = (mono_mul(mm1, mm2), qm)
                 terms[k] = terms.get(k, ZERO) + c1 * c2
         return NovikovSeries(self.main_vars, self.q_vars, self.trunc, terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            coerced = self._coerce(other)
-            if coerced is not None:
-                return coerced * self
-            if isinstance(other, (int, Fraction)):
-                return self * other
-        return NotImplemented
-
-    def __pow__(self, e: int):
-        one = NovikovSeries.const(self.main_vars, self.q_vars, self.trunc, 1)
-        return power_by_squaring(self, e, one)
 
     def __eq__(self, other):
         other = self._coerce(other)

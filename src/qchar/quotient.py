@@ -22,6 +22,12 @@ terms at once, since they never become reducible.  The matching rule of
 each classical monomial is looked up once per reduction.  The two
 strategies share no order or rule choice, so comparing their normal
 forms (confluence_check) is an independent check of the rules.
+
+An element is held as its normal form: a NovikovSeries at the ring's
+truncation whose classical monomials are standard monomials.  Reduction
+emits its irreducible terms straight into that series' term map, sums
+and scalar multiples of normal forms are normal forms, and a product
+multiplies the two series and reduces once.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
+    Arithmetic,
     Mono,
     NovikovSeries,
     Polynomial,
@@ -41,7 +48,6 @@ from .core import (
     mono_div,
     mono_divides,
     mono_mul,
-    power_by_squaring,
 )
 from .groebner import GroebnerData, divide, groebner, is_zero_dimensional, standard_monomials
 from .report import Check
@@ -74,37 +80,37 @@ class Presentation:
         return [self.relation_at(j, trunc) for j in range(len(self.relation_terms))]
 
 
-class AlgebraElement:
-    """Element of a PresentedAlgebra in normal form.
+class AlgebraElement(Arithmetic):
+    """Element of a PresentedAlgebra, held as its normal-form series.
 
-    coords maps a basis index to the truncated q-polynomial coefficient
-    of that basis monomial; absent indices are zero.
+    nf is a NovikovSeries at the ring's truncation whose classical
+    monomials are all standard monomials, so it is the element's unique
+    representative.  Elements share their series: nothing mutates one.
+    coords is the derived view basis index -> q-polynomial coefficient.
     """
 
-    __slots__ = ("ring", "coords")
+    __slots__ = ("ring", "nf")
 
-    def __init__(self, ring: "PresentedAlgebra", coords: Dict[int, QPoly]):
+    def __init__(self, ring: "PresentedAlgebra", nf: NovikovSeries):
         self.ring = ring
-        clean: Dict[int, QPoly] = {}
-        for i, qp in coords.items():
-            qp2 = {qm: Fraction(c) for qm, c in qp.items() if c != 0}
-            if qp2:
-                clean[i] = qp2
-        self.coords = clean
+        self.nf = nf
+
+    @property
+    def coords(self) -> Dict[int, QPoly]:
+        index = self.ring._basis_index
+        out: Dict[int, QPoly] = {}
+        for (mm, qm), c in self.nf.terms.items():
+            out.setdefault(index[mm], {})[qm] = c
+        return out
 
     def is_zero(self) -> bool:
-        return not self.coords
+        return self.nf.is_zero()
 
     def as_series(self) -> NovikovSeries:
-        terms = {}
-        for i, qp in self.coords.items():
-            mm = self.ring.basis_monos[i]
-            for qm, c in qp.items():
-                terms[(mm, qm)] = c
-        return NovikovSeries(self.ring.gens, self.ring.q_vars, self.ring.trunc, terms)
+        return self.nf
 
     def classical_part(self) -> Polynomial:
-        return self.as_series().classical_part()
+        return self.nf.classical_part()
 
     def _same_ring(self, other: "AlgebraElement"):
         # equal presentation data and truncation give equal bases, whatever the label
@@ -116,6 +122,7 @@ class AlgebraElement:
 
     def _coerce(self, other):
         if isinstance(other, AlgebraElement):
+            self._same_ring(other)
             return other
         if isinstance(other, (int, Fraction)):
             return self.ring.constant(other)
@@ -123,40 +130,20 @@ class AlgebraElement:
             return self.ring.reduce(other)
         return None
 
+    def _one(self) -> "AlgebraElement":
+        return self.ring.one()
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        self._same_ring(other)
-        coords = {i: dict(qp) for i, qp in self.coords.items()}
-        for i, qp in other.coords.items():
-            tgt = coords.setdefault(i, {})
-            for qm, c in qp.items():
-                tgt[qm] = tgt.get(qm, Fraction(0)) + c
-        return AlgebraElement(self.ring, coords)
-
-    __radd__ = __add__
+        return AlgebraElement(self.ring, self.nf + other.nf)
 
     def __neg__(self):
-        return AlgebraElement(self.ring, {i: {qm: -c for qm, c in qp.items()}
-                                          for i, qp in self.coords.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return AlgebraElement(self.ring, -self.nf)
 
     def scale(self, c) -> "AlgebraElement":
-        c = Fraction(c)
-        return AlgebraElement(self.ring, {i: {qm: v * c for qm, v in qp.items()}
-                                          for i, qp in self.coords.items()})
+        return AlgebraElement(self.ring, self.nf.scale(c))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -164,29 +151,16 @@ class AlgebraElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        self._same_ring(other)
-        return self.ring.reduce(self.as_series() * other.as_series())
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
-
-    def __pow__(self, e: int):
-        return power_by_squaring(self, e, self.ring.one())
+        return self.ring.reduce(self.nf * other.nf)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        self._same_ring(other)
-        return self.coords == other.coords
+        return self.nf == other.nf
 
     def render(self) -> str:
-        return self.as_series().render()
+        return self.nf.render()
 
     def __repr__(self):
         return "AlgebraElement(%s)" % self.render()
@@ -250,18 +224,15 @@ class PresentedAlgebra:
     # element constructors
 
     def constant(self, c) -> AlgebraElement:
-        zero_mono = self.gens.zero_mono()
-        i = self._basis_index.get(zero_mono)
-        if i is None:  # unit ideal
-            return AlgebraElement(self, {})
-        qz = self.q_vars.zero_mono()
-        return AlgebraElement(self, {i: {qz: Fraction(c)}})
+        if self.gens.zero_mono() not in self._basis_index:  # unit ideal
+            return self.zero()
+        return AlgebraElement(self, NovikovSeries.const(self.gens, self.q_vars, self.trunc, c))
 
     def one(self) -> AlgebraElement:
         return self.constant(1)
 
     def zero(self) -> AlgebraElement:
-        return AlgebraElement(self, {})
+        return AlgebraElement(self, NovikovSeries.zero(self.gens, self.q_vars, self.trunc))
 
     def generator(self, name: str) -> AlgebraElement:
         return self.reduce(Polynomial.var(self.gens, name))
@@ -298,13 +269,13 @@ class PresentedAlgebra:
         return found
 
     def _reduce_terms(self, terms: Dict[Tuple[Mono, Mono], Fraction],
-                      strategy: str = "default") -> Dict[int, QPoly]:
+                      strategy: str = "default") -> Dict[Tuple[Mono, Mono], Fraction]:
         alternate = strategy != "default"
         heap_key = _alternate_key if alternate else _default_key
         zero = Fraction(0)
         work: Dict[Tuple[Mono, Mono], Fraction] = {}
         heap: list = []
-        out: Dict[int, QPoly] = {}
+        out: Dict[Tuple[Mono, Mono], Fraction] = {}
         # matching rule per classical monomial, looked up once per call
         rules: Dict[Mono, Optional[tuple]] = {}
 
@@ -314,13 +285,12 @@ class PresentedAlgebra:
             return rules[mm]
 
         def emit(mm, qm, coeff):
-            i = self._basis_index[mm]
-            qp = out.setdefault(i, {})
-            v = qp.get(qm, zero) + coeff
+            key = (mm, qm)
+            v = out.get(key, zero) + coeff
             if v:
-                qp[qm] = v
+                out[key] = v
             else:
-                qp.pop(qm, None)
+                out.pop(key, None)
 
         def bump(key, delta):
             # an irreducible term never becomes reducible, so the
@@ -360,21 +330,19 @@ class PresentedAlgebra:
                 if sum(qnew) > self.trunc:
                     continue
                 bump((mono_mul(m2, quot), qnew), coeff * c2)
-        return {i: qp for i, qp in out.items() if qp}
+        return out
 
     def reduce(self, x, strategy: str = "default") -> AlgebraElement:
-        if isinstance(x, AlgebraElement):
-            if strategy == "default":
-                return x
-            x = x.as_series()
-        s = self.series(x)
-        return AlgebraElement(self, self._reduce_terms(s.terms, strategy))
+        if isinstance(x, AlgebraElement) and strategy == "default":
+            return x
+        nf = self._reduce_terms(self.series(x).terms, strategy)
+        return AlgebraElement(self, NovikovSeries(self.gens, self.q_vars, self.trunc, nf))
 
     # matrices and tables
 
     def basis_element(self, i: int) -> AlgebraElement:
-        qz = self.q_vars.zero_mono()
-        return AlgebraElement(self, {i: {qz: Fraction(1)}})
+        key = (self.basis_monos[i], self.q_vars.zero_mono())
+        return AlgebraElement(self, NovikovSeries(self.gens, self.q_vars, self.trunc, {key: 1}))
 
     def mult_matrix(self, a: AlgebraElement) -> List[List[Polynomial]]:
         """M[i][j] = coefficient of basis i in a * basis j, over q_vars."""
@@ -431,7 +399,7 @@ class PresentedAlgebra:
             s = self.random_series(rng)
             a = self.reduce(s, strategy="default")
             b = self.reduce(s, strategy="alternate")
-            if a.coords != b.coords:
+            if a != b:
                 details.append("trial %d: strategies disagree on %s" % (t, s.render()))
         return Check.verdict("confluence selfcheck", not details,
                              "; ".join(details) or "%d trials, seed %d" % (trials, seed))

@@ -54,19 +54,9 @@ def test_no_adjacent_zero_coeffs_in_named_tags():
             assert not (c[k] == 0 and c[k + 1] == 0)
 
 
-def test_custom_series():
-    s = UnivariateSeries("custom", [1, 0, F(3, 7)])
-    assert s.coeff(0) == 1
-    assert s.coeff(2) == F(3, 7)
-    assert s.coeff(99) == 0
-    assert s.is_finite() and s.length() == 3
-
-
 def test_series_argument_validation():
     with pytest.raises(ValueError):
         UnivariateSeries("custom")
-    with pytest.raises(ValueError):
-        UnivariateSeries("exp_neg", [1, 2])
     with pytest.raises(ValueError):
         UnivariateSeries("cosh")
     with pytest.raises(ValueError):
@@ -80,13 +70,6 @@ def test_exp_neg_on_line_frozen():
     R = ring("qh_pn", 1, trunc=1)
     e = eval_deg2(EXP_NEG, R.generator("h"), R, 1)
     assert e.render() == "-h - 1/6*h*q + 1 + 1/2*q"
-
-
-def test_constant_series_evaluates_to_one():
-    R = ring("qh_fl", 3, trunc=2)
-    one = UnivariateSeries("custom", [1])
-    alpha = R.generator("h1") + R.generator("h2").scale(F(5, 3))
-    assert eval_deg2(one, alpha, R, 2) == R.one()
 
 
 def test_classical_chern_character_of_plane():

@@ -133,6 +133,28 @@ def test_ring_table_negative_selfcheck_trials_is_usage_error(capsys, tmp_path):
     assert not path.exists()
 
 
+def test_mirror_verify_negative_step_cap_is_usage_error(capsys):
+    # a step cap below 0 used to be reported as four failed checks, exit 1
+    code, out, err = run(capsys, "mirror", "verify", "--n", "3", "--step-cap", "-5")
+    assert code == 2
+    assert out == ""
+    assert "step_cap" in err
+
+
+def test_mirror_verify_bad_trunc_is_usage_error(capsys, monkeypatch):
+    # rejected before the first Buchberger run, not after all of them
+    import qchar.mirror
+
+    def no_groebner(*args, **kwargs):
+        raise AssertionError("groebner ran before the input was validated")
+
+    monkeypatch.setattr(qchar.mirror, "groebner", no_groebner)
+    code, out, err = run(capsys, "mirror", "verify", "--n", "4", "--trunc", "-1")
+    assert code == 2
+    assert out == ""
+    assert "truncation" in err
+
+
 def test_identity_lemma52_prints_a(capsys):
     code, out, _ = run(capsys, "identity", "lemma52", "--n", "3", "--m", "3")
     assert code == 0

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from qchar.catalog import ring as catalog_ring
 from qchar.core import NovikovSeries, Polynomial, VariableSet, grevlex_key, mono_div, mono_mul
 from qchar.quotient import (
-    AlgebraElement,
     PresentedAlgebra,
     Presentation,
     det_bareiss,
@@ -110,10 +109,19 @@ def test_reduce_is_idempotent_and_matches_lower_truncation():
 def test_reduce_linear_and_multiplicative():
     ring = two_var_ring(2)
     rng = random.Random(3)
+    p = Polynomial.var(ring.gens, "x").scale(2) - Polynomial.var(ring.gens, "y") ** 2
     for _ in range(8):
         s, t = ring.random_series(rng), ring.random_series(rng)
-        assert ring.reduce(s + t).coords == (ring.reduce(s) + ring.reduce(t)).coords
-        assert ring.reduce(s * t).coords == (ring.reduce(s) * ring.reduce(t)).coords
+        a, b = ring.reduce(s), ring.reduce(t)
+        assert ring.reduce(s + t).coords == (a + b).coords
+        assert ring.reduce(s * t).coords == (a * b).coords
+        # the operators shared by every element type, on each operand kind
+        assert ring.reduce(3 - s) == 3 - a == ring.constant(3) - a
+        assert ring.reduce(Fraction(2, 3) * s) == Fraction(2, 3) * a == a.scale(Fraction(2, 3))
+        assert (a - s).is_zero() and a - t == a - b
+        assert p * s == s * p and ring.reduce(p * s) == p * a == a * p
+        assert a ** 3 == a * a * a
+        assert a.as_series() is a.as_series()
 
 
 def test_quantum_product_associative_on_basis():
@@ -262,8 +270,9 @@ def test_structure_constants_cover_upper_triangle():
     table = ring.structure_constants()
     assert set(table) == {(0, 0), (0, 1), (1, 1)}
     # (x, x) entry repeats the frozen product
-    xx = AlgebraElement(ring, table[(1, 1)])
-    assert xx.render() == "2*x - 1 + Q"
+    x = ring.generator("x")
+    assert table[(1, 1)] == (x * x).coords
+    assert (x * x).render() == "2*x - 1 + Q"
 
 
 # ------------------------------------------------------- determinants
