@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
@@ -63,7 +64,12 @@ class GroebnerData:
     steps: int = 0
 
     def leading_monomials(self) -> List[Mono]:
-        return [g.leading()[0] for g in self.basis]
+        return [lm for lm, _, _ in self.lead_rows]
+
+    @cached_property
+    def lead_rows(self) -> List[LeadRow]:
+        """Reducer rows of the basis, built once and shared by every normal form."""
+        return [_lead_row(g.leading()[0], g, i) for i, g in enumerate(self.basis)]
 
 
 def lcm_mono(a: Mono, b: Mono) -> Mono:
@@ -75,7 +81,15 @@ def _heap_key(m: Mono):
     return (-sum(m), tuple(reversed(m)))
 
 
-def _reduce(p: Polynomial, lead: List[Tuple[Mono, List[Tuple[Mono, Fraction]], int]],
+# (leading monomial, term items, reducer id) of one monic reducer
+LeadRow = Tuple[Mono, List[Tuple[Mono, Fraction]], int]
+
+
+def _lead_row(lm: Mono, g: Polynomial, gid: int) -> LeadRow:
+    return (lm, list(g.terms.items()), gid)
+
+
+def _reduce(p: Polynomial, lead: List[LeadRow],
             budget: _Budget,
             usage: Optional[Dict[int, Dict[Mono, Fraction]]] = None) -> Polynomial:
     """Full normal form of p against monic reducers.
@@ -136,12 +150,8 @@ def divide(p: Polynomial, d: Polynomial) -> Tuple[Polynomial, Polynomial]:
     lm, lc = d.leading()
     inv = 1 / lc
     usage: Dict[int, Dict[Mono, Fraction]] = {}
-    rem = _reduce(p, [(lm, list(d.scale(inv).terms.items()), 0)], _Budget(None), usage)
+    rem = _reduce(p, [_lead_row(lm, d.scale(inv), 0)], _Budget(None), usage)
     return Polynomial(p.vars, usage.get(0, {})).scale(inv), rem
-
-
-def _lead_rows(gens: List[Polynomial]) -> List[Tuple[Mono, List[Tuple[Mono, Fraction]], int]]:
-    return [(g.leading()[0], list(g.terms.items()), i) for i, g in enumerate(gens)]
 
 
 def _apply_usage(row: List[Polynomial], usage: Dict[int, Dict[Mono, Fraction]],
@@ -185,6 +195,8 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
         raise ValueError("all relations are zero")
 
     lms = [g.leading()[0] for g in gens]
+    # one reducer row per generator, extended as generators are added
+    lead_rows = [_lead_row(lm, g, i) for i, (lm, g) in enumerate(zip(lms, gens))]
     pairs: List[Tuple] = []
     pending = set()
 
@@ -219,7 +231,7 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
         mi, mj = mono_div(lcm, lm_i), mono_div(lcm, lm_j)
         spoly = gens[i].mul_mono(mi) - gens[j].mul_mono(mj)
         usage: Optional[Dict[int, Dict[Mono, Fraction]]] = {} if track_cofactors else None
-        nf = _reduce(spoly, _lead_rows(gens), budget, usage)
+        nf = _reduce(spoly, lead_rows, budget, usage)
         if nf.is_zero():
             continue
         lc = nf.leading()[1]
@@ -233,6 +245,7 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
         k = len(gens)
         gens.append(nf.scale(scale))
         lms.append(gens[k].leading()[0])
+        lead_rows.append(_lead_row(lms[k], gens[k], k))
         for t in range(k):
             push_pair(t, k)
 
@@ -247,16 +260,12 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
 
     # tail reduction against the other survivors gives the reduced basis
     reduced: List[Tuple[Polynomial, List[Polynomial]]] = []
-    for pos, a in enumerate(keep):
-        others = [gens[b] for b in keep if b != a]
+    for a in keep:
+        others = [lead_rows[b] for b in keep if b != a]
         if others:
             usage = {} if track_cofactors else None
-            nf = _reduce(gens[a], _lead_rows(others), budget, usage)
-            if track_cofactors:
-                other_rows = [rows[b] for b in keep if b != a]
-                cof = _apply_usage(rows[a], usage, other_rows)
-            else:
-                cof = []
+            nf = _reduce(gens[a], others, budget, usage)
+            cof = _apply_usage(rows[a], usage, rows) if track_cofactors else []
         else:
             nf, cof = gens[a], rows[a]
         reduced.append((nf, cof))
@@ -282,8 +291,7 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
 def normal_form(p: Polynomial, gdata: GroebnerData,
                 step_cap: Optional[int] = None) -> Polynomial:
     """Remainder of p modulo the reduced basis; zero iff p is in the ideal."""
-    budget = _Budget(step_cap)
-    return _reduce(p, _lead_rows(gdata.basis), budget)
+    return _reduce(p, gdata.lead_rows, _Budget(step_cap))
 
 
 def is_zero_dimensional(gdata: GroebnerData) -> bool:

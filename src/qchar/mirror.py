@@ -2,7 +2,8 @@
 
 The superpotential lives in a Laurent polynomial ring in x_1..x_{2n-3},
 q1, q2.  Ideal membership in the localized ring is decided by adjoining
-an inverse variable per generator (x_k t_k - 1, q_i u_i - 1) and running
+one inverse variable for the product of all variables
+(inv * x_1 ... x_{2n-3} q1 q2 - 1, the Rabinowitsch trick) and running
 Buchberger over the ordinary polynomial ring: a Laurent element belongs
 to the localized ideal iff a denominator-cleared representative has
 normal form zero there.  Clearing multiplies by a unit monomial, so it
@@ -99,27 +100,22 @@ def phi_images(n: int) -> Dict[str, Polynomial]:
 
 
 class MembershipContext:
-    """Inverse-adjoined polynomial ring with a fixed Groebner basis.
+    """Polynomial ring with one inverse variable and a fixed Groebner basis.
 
-    Built from denominator-cleared generators plus one inverse relation
-    per Laurent variable; membership of a Laurent element is normal form
-    zero of its cleared embedding.
+    Built from denominator-cleared generators plus the single relation
+    inv * (product of all Laurent variables) - 1, which inverts every
+    Laurent variable at once; membership of a Laurent element is normal
+    form zero of its cleared embedding.
     """
 
     def __init__(self, lvars: VariableSet, generators: List[Polynomial],
                  step_cap: int = DEFAULT_STEP_CAP):
         self.lvars = lvars
         k = len(lvars.names)
-        names = list(lvars.names) + ["inv_%s" % nm for nm in lvars.names]
-        self.vars = VariableSet(names)
-        self._k = k
+        self.vars = VariableSet(list(lvars.names) + ["inv"])
         gens = [self._embed(clear_denominators(g)) for g in generators]
-        for i in range(k):
-            m = [0] * (2 * k)
-            m[i] = 1
-            m[k + i] = 1
-            gens.append(Polynomial(self.vars, {tuple(m): Fraction(1),
-                                               (0,) * (2 * k): Fraction(-1)}))
+        gens.append(Polynomial(self.vars, {(1,) * (k + 1): Fraction(1),
+                                           (0,) * (k + 1): Fraction(-1)}))
         self.step_cap = step_cap
         # membership only needs the basis, not combination certificates
         self.gdata: GroebnerData = groebner(gens, step_cap=step_cap,
@@ -130,7 +126,7 @@ class MembershipContext:
         for m, c in p.terms.items():
             if any(e < 0 for e in m):
                 raise ValueError("clear denominators before embedding")
-            terms[tuple(m) + (0,) * self._k] = c
+            terms[tuple(m) + (0,)] = c
         return Polynomial(self.vars, terms)
 
     def contains(self, p: Polynomial) -> Tuple[bool, Polynomial]:

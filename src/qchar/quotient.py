@@ -112,17 +112,9 @@ class AlgebraElement(Arithmetic):
     def classical_part(self) -> Polynomial:
         return self.nf.classical_part()
 
-    def _same_ring(self, other: "AlgebraElement"):
-        # equal presentation data and truncation give equal bases, whatever the label
-        a, b = self.ring.presentation, other.ring.presentation
-        if self.ring is not other.ring and (
-                self.ring.trunc != other.ring.trunc or a.gens != b.gens
-                or a.q_vars != b.q_vars or a.relation_terms != b.relation_terms):
-            raise ValueError("elements of different rings")
-
     def _coerce(self, other):
         if isinstance(other, AlgebraElement):
-            self._same_ring(other)
+            self.ring._same_ring(other.ring)
             return other
         if isinstance(other, (int, Fraction)):
             return self.ring.constant(other)
@@ -254,8 +246,17 @@ class PresentedAlgebra:
         if isinstance(x, (int, Fraction)):
             return NovikovSeries.const(self.gens, self.q_vars, self.trunc, x)
         if isinstance(x, AlgebraElement):
+            self._same_ring(x.ring)
             return x.as_series()
         raise TypeError("cannot interpret %r as a ring element" % (x,))
+
+    def _same_ring(self, other: "PresentedAlgebra"):
+        # equal presentation data and truncation give equal bases, whatever the label
+        a, b = self.presentation, other.presentation
+        if self is not other and (
+                self.trunc != other.trunc or a.gens != b.gens
+                or a.q_vars != b.q_vars or a.relation_terms != b.relation_terms):
+            raise ValueError("elements of different rings")
 
     # reduction
 
@@ -333,9 +334,10 @@ class PresentedAlgebra:
         return out
 
     def reduce(self, x, strategy: str = "default") -> AlgebraElement:
+        series = self.series(x)  # rejects an element of another ring
         if isinstance(x, AlgebraElement) and strategy == "default":
             return x
-        nf = self._reduce_terms(self.series(x).terms, strategy)
+        nf = self._reduce_terms(series.terms, strategy)
         return AlgebraElement(self, NovikovSeries(self.gens, self.q_vars, self.trunc, nf))
 
     # matrices and tables

@@ -113,7 +113,7 @@ def test_A08_division_construction():
 
 def test_A09_mirror_memberships():
     with Stopwatch(300):
-        for n in (3, 4):
+        for n in (3, 4, 5):
             items = mirror.verify_phi(n) + mirror.verify_phi_sum_invertible(n)
             for item in items:
                 assert item.passed, "n=%d %s: %s" % (n, item.name, item.detail)

@@ -108,6 +108,16 @@ def test_normal_form_idempotent():
     assert normal_form(nf, g) == nf
 
 
+def test_lead_rows_built_once_per_basis():
+    x, y = gens2(XY)
+    g = groebner([x ** 2 - y, y ** 2 - 1])
+    rows = g.lead_rows
+    assert normal_form(x ** 5 + x * y, g) == x * y + x
+    assert g.lead_rows is rows
+    assert [(lm, dict(terms)) for lm, terms, _ in rows] == \
+        [(b.leading()[0], b.terms) for b in g.basis]
+
+
 def test_step_cap_raises():
     x, y = gens2(XY)
     with pytest.raises(StepCapExceeded):

@@ -1,12 +1,13 @@
 """Superpotential, Jacobi ideal membership, and the determinant route."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from qchar import mirror
-from qchar.core import Polynomial
-from qchar.groebner import groebner
+from qchar.core import Polynomial, VariableSet, mono_div, mono_divides, mono_mul
+from qchar.groebner import groebner, lcm_mono, normal_form
 from qchar.mirror import (
     MembershipContext,
     build_superpotential,
@@ -178,6 +179,121 @@ def test_membership_respects_unit_scaling():
     p = flag_relation_images(3)["f1_q"] * mono(v, x2=-2, q1=1)
     member, _ = ctx.contains(p)
     assert member
+
+
+class PerVariableInverseContext:
+    """Oracle: one inverse variable per Laurent variable.
+
+    Adjoins inv_v with v * inv_v - 1 for every Laurent variable v, which
+    localizes at the same monomials as MembershipContext's single
+    inverse by a different route.  Frozen here for cross-checking.
+    """
+
+    def __init__(self, lvars, generators):
+        k = len(lvars.names)
+        self.vars = VariableSet(list(lvars.names) + ["inv_%s" % nm for nm in lvars.names])
+        self._k = k
+        gens = [self._embed(clear_denominators(g)) for g in generators]
+        for i in range(k):
+            m = [0] * (2 * k)
+            m[i] = 1
+            m[k + i] = 1
+            gens.append(Polynomial(self.vars, {tuple(m): Fraction(1),
+                                               (0,) * (2 * k): Fraction(-1)}))
+        self.gdata = groebner(gens, track_cofactors=False)
+
+    def _embed(self, p):
+        return Polynomial(self.vars, {tuple(m) + (0,) * self._k: c
+                                      for m, c in p.terms.items()})
+
+    def contains(self, p):
+        return normal_form(self._embed(clear_denominators(p)), self.gdata).is_zero()
+
+
+def random_laurent(rng, vars, nterms):
+    terms = {}
+    for _ in range(nterms):
+        m = tuple(rng.randint(-2, 2) for _ in vars.names)
+        terms[m] = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+    return Polynomial(vars, terms)
+
+
+def test_single_inverse_agrees_with_per_variable_oracle():
+    n = 3
+    v = laurent_vars(n)
+    rels = jacobi_relations(n)
+    img = phi_images(n)
+    h1, h2 = img["h1"], img["h2"]
+    probes = list(flag_relation_images(n).values())
+    probes.append(h1 ** n - mono(v, q1=1) * (h1 + h2))
+    probes.append(mono(v, x1=3) - mono(v, q2=1, x1=1))
+    probes.append(mono(v, x1=1, x2=1, x3=1, q1=1, q2=1) - 1)
+    rng = random.Random(2026)
+    for i in range(10):
+        # even i: a Laurent combination of the relations, odd i: arbitrary
+        if i % 2 == 0:
+            p = Polynomial.zero(v)
+            for r in rels:
+                p = p + random_laurent(rng, v, 2) * r
+        else:
+            p = random_laurent(rng, v, 3)
+        probes.append(p)
+    oracle = PerVariableInverseContext(v, rels)
+    ctx = jacobi_context(n)
+    verdicts = [ctx.contains(p)[0] for p in probes]
+    assert verdicts == [oracle.contains(p) for p in probes]
+    # images, power law and the combinations are members; the controls
+    # and some arbitrary polynomial are not
+    assert verdicts[:5] == [True, True, True, False, False]
+    assert verdicts[5::2] == [True] * 5
+    assert False in verdicts[6::2]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_jacobi_basis_satisfies_buchberger_criterion(n):
+    # exact certificate of the basis: every input reduces to zero and so
+    # does every S-pair whose leading monomials share a variable
+    gdata = jacobi_context(n).gdata
+    for r in gdata.relations:
+        assert normal_form(r, gdata).is_zero()
+    basis = gdata.basis
+    lms = gdata.leading_monomials()
+    checked = 0
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            lcm = lcm_mono(lms[i], lms[j])
+            if lcm == mono_mul(lms[i], lms[j]):
+                continue
+            spoly = (basis[i].mul_mono(mono_div(lcm, lms[i]))
+                     - basis[j].mul_mono(mono_div(lcm, lms[j])))
+            assert normal_form(spoly, gdata).is_zero()
+            checked += 1
+    assert checked > 0
+    # reduced: monic, and no term of one element divisible by another's lead
+    for i, g in enumerate(basis):
+        assert g.leading() == (lms[i], 1)
+        for m in g.terms:
+            assert not any(k != i and mono_divides(lms[k], m)
+                           for k in range(len(basis)))
+
+
+def test_jacobi_basis_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    gdata = jacobi_context(3).gdata
+    symbols = sympy.symbols(gdata.vars.names)
+
+    def to_sympy(p):
+        return sympy.Poly({m: sympy.Rational(c.numerator, c.denominator)
+                           for m, c in p.terms.items()}, *symbols, domain="QQ")
+
+    def term_set(poly):
+        return frozenset((m, Fraction(int(c.p), int(c.q))) for m, c in poly.terms())
+
+    theirs = sympy.groebner([to_sympy(r) for r in gdata.relations], *symbols,
+                            order="grevlex", domain="QQ")
+    assert len(theirs.polys) == len(gdata.basis)
+    assert {term_set(p) for p in theirs.polys} == \
+        {frozenset(g.terms.items()) for g in gdata.basis}
 
 
 # ------------------------------------------------------- elimination chain

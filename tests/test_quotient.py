@@ -244,6 +244,13 @@ def test_same_label_different_rings_rejected():
     assert A.generator("x") * C.generator("x") == A.q_element("Q")
 
 
+def test_reduce_rejects_element_of_another_ring():
+    other = catalog_ring("qk_pn", 1, trunc=2).generator("x")
+    for strategy in ("default", "alternate"):
+        with pytest.raises(ValueError):
+            catalog_ring("qh_pn", 2, trunc=2).reduce(other, strategy)
+
+
 def test_presentation_rejects_zero_classical_part():
     x = NovikovSeries.gen(X, Q, 2, "x")
     q = NovikovSeries.q_gen(X, Q, 2, "Q")
