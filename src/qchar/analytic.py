@@ -77,13 +77,13 @@ XOME = UnivariateSeries("x_over_one_minus_exp")
 
 
 def _linear_class(ring: PresentedAlgebra, alpha) -> AlgebraElement:
-    """Coerce alpha and insist it is a q-free linear combination of generators."""
-    if isinstance(alpha, AlgebraElement):
-        s = alpha.as_series()
-    elif isinstance(alpha, (Polynomial, NovikovSeries)):
-        s = ring.series(alpha)
-    else:
+    """Coerce alpha and insist it is a q-free linear combination of generators.
+
+    An element or series of another ring or truncation is rejected.
+    """
+    if not isinstance(alpha, (AlgebraElement, Polynomial, NovikovSeries)):
         raise TypeError("expected a ring element, got %r" % (alpha,))
+    s = ring.series(alpha)
     qz = ring.q_vars.zero_mono()
     for (mm, qm) in s.terms:
         if qm != qz or sum(mm) != 1:
@@ -92,20 +92,16 @@ def _linear_class(ring: PresentedAlgebra, alpha) -> AlgebraElement:
     return ring.reduce(s)
 
 
-def eval_deg2(f: UnivariateSeries, alpha, ring: PresentedAlgebra,
-              trunc: int) -> AlgebraElement:
+def eval_deg2(f: UnivariateSeries, alpha, ring: PresentedAlgebra) -> AlgebraElement:
     """Sum c_k times the k-th quantum power of the linear class alpha.
 
     The loop stops once the power itself reduces to zero, so alpha must
     be nilpotent mod Novikov: with dim = classical dimension, the
     classical part of alpha^dim vanishes exactly then (Cayley-Hamilton),
     so alpha^dim lies in the Novikov ideal and the power is zero by
-    k = dim * (trunc + 1).  Otherwise the sum never terminates and
+    k = dim * (ring.trunc + 1).  Otherwise the sum never terminates and
     ValueError is raised.
     """
-    if trunc != ring.trunc:
-        raise ValueError("truncation %d does not match the ring's %d"
-                         % (trunc, ring.trunc))
     a = _linear_class(ring, alpha)
     acc = ring.one().scale(f.coeff(0))
     power = ring.one()
@@ -125,11 +121,8 @@ def eval_deg2(f: UnivariateSeries, alpha, ring: PresentedAlgebra,
 
 
 def eval_deg2_static(f: UnivariateSeries, alpha, ring: PresentedAlgebra,
-                     trunc: int, power_bound: int) -> AlgebraElement:
+                     power_bound: int) -> AlgebraElement:
     """Same sum with a fixed power cutoff; cross-check for the dynamic rule."""
-    if trunc != ring.trunc:
-        raise ValueError("truncation %d does not match the ring's %d"
-                         % (trunc, ring.trunc))
     a = _linear_class(ring, alpha)
     acc = ring.one().scale(f.coeff(0))
     power = ring.one()
@@ -144,12 +137,11 @@ def quantum_todd_pn(n: int, trunc: int) -> AlgebraElement:
     from .catalog import ring as make
 
     R = make("qh_pn", n, trunc=trunc)
-    base = eval_deg2(XOME, R.generator("h"), R, trunc)
+    base = eval_deg2(XOME, R.generator("h"), R)
     return base ** (n + 1)
 
 
-def quantum_todd_factor(a: int, ring: PresentedAlgebra, exponent: int,
-                        trunc: int) -> AlgebraElement:
+def quantum_todd_factor(a: int, ring: PresentedAlgebra, exponent: int) -> AlgebraElement:
     """((1-e^{-h_a})/h_a)^{*e} * ((h1+h2)/(1-e^{-(h1+h2)})), quantum products."""
     if a not in (1, 2):
         raise ValueError("a must be 1 or 2")
@@ -157,6 +149,6 @@ def quantum_todd_factor(a: int, ring: PresentedAlgebra, exponent: int,
         raise ValueError("ring %r has no h1, h2 generators" % ring.label)
     ha = ring.generator("h%d" % a)
     hsum = ring.generator("h1") + ring.generator("h2")
-    left = eval_deg2(OMEOX, ha, ring, trunc) ** exponent
-    right = eval_deg2(XOME, hsum, ring, trunc)
+    left = eval_deg2(OMEOX, ha, ring) ** exponent
+    right = eval_deg2(XOME, hsum, ring)
     return left * right

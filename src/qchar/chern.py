@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .analytic import EXP_NEG, OMEOX, XOME, eval_deg2
 from .catalog import RingId, make_presentation, ring
-from .core import NovikovSeries, Polynomial
+from .core import NovikovSeries, Polynomial, evaluate
 from .quotient import AlgebraElement, Presentation, PresentedAlgebra
 from .report import Check
 
@@ -34,7 +35,7 @@ class QuantumChernMap:
     novikov_images: Dict[str, AlgebraElement]
     trunc: int
 
-    @property
+    @cached_property
     def source_presentation(self) -> Presentation:
         return make_presentation(self.source.family, self.source.n, self.source.m)
 
@@ -54,20 +55,20 @@ def build_qch(space: str, n: int, m: Optional[int] = None,
 
     if space == "pn":
         h = target.generator("h")
-        gen_images = {"x": eval_deg2(EXP_NEG, h, target, trunc)}
-        inv_todd = eval_deg2(OMEOX, h, target, trunc) ** (n + 1)
+        gen_images = {"x": eval_deg2(EXP_NEG, h, target)}
+        inv_todd = eval_deg2(OMEOX, h, target) ** (n + 1)
         novikov_images = {"Q": target.q_element("q") * inv_todd}
     else:
         h1, h2 = target.generator("h1"), target.generator("h2")
         hsum = h1 + h2
-        gen_images = {"x": eval_deg2(EXP_NEG, h1, target, trunc),
-                      "y": eval_deg2(EXP_NEG, h2, target, trunc)}
-        sum_factor = eval_deg2(XOME, hsum, target, trunc)
+        gen_images = {"x": eval_deg2(EXP_NEG, h1, target),
+                      "y": eval_deg2(EXP_NEG, h2, target)}
+        sum_factor = eval_deg2(XOME, hsum, target)
         exps = {"Q1": n, "Q2": n if space == "fl" else m}
         novikov_images = {}
         for a, qname in ((1, "Q1"), (2, "Q2")):
             ha = target.generator("h%d" % a)
-            inv_todd = eval_deg2(OMEOX, ha, target, trunc) ** exps[qname]
+            inv_todd = eval_deg2(OMEOX, ha, target) ** exps[qname]
             novikov_images[qname] = (target.q_element("q%d" % a)
                                      * inv_todd * sum_factor)
     return QuantumChernMap(space, source, target, gen_images, novikov_images, trunc)
@@ -87,29 +88,9 @@ def qch_apply(qmap: QuantumChernMap, expr) -> AlgebraElement:
     if expr.main_vars != pres.gens or expr.q_vars != pres.q_vars:
         raise ValueError("expression over wrong variable sets")
 
-    target = qmap.target
-    cache: Dict[Tuple[str, int], AlgebraElement] = {}
-
-    def image_power(name: str, e: int, img: AlgebraElement) -> AlgebraElement:
-        key = (name, e)
-        if key not in cache:
-            if e == 1:
-                cache[key] = img
-            else:
-                cache[key] = image_power(name, e - 1, img) * img
-        return cache[key]
-
-    out = target.zero()
-    for (mm, qm), c in expr.terms.items():
-        part = target.one()
-        for name, e in zip(pres.gens.names, mm):
-            if e:
-                part = part * image_power(name, e, qmap.gen_images[name])
-        for name, e in zip(pres.q_vars.names, qm):
-            if e:
-                part = part * image_power(name, e, qmap.novikov_images[name])
-        out = out + part.scale(c)
-    return out
+    return evaluate({mm + qm: c for (mm, qm), c in expr.terms.items()},
+                    pres.gens.names + pres.q_vars.names,
+                    {**qmap.gen_images, **qmap.novikov_images}, qmap.target.one())
 
 
 def verify_relations(qmap: QuantumChernMap) -> List[Check]:
@@ -146,7 +127,7 @@ def verify_classical_limit(qmap: QuantumChernMap) -> Check:
         for idx, e in enumerate(mono):
             if e:
                 alpha = alpha + target0.generator(tgt_gens[idx]).scale(e)
-        direct = eval_deg2(EXP_NEG, alpha, target0, 0) if not alpha.is_zero() \
+        direct = eval_deg2(EXP_NEG, alpha, target0) if not alpha.is_zero() \
             else target0.one()
         name = source0.gens.render_mono(mono) or "1"
         if via_map == direct.as_series().classical_part():
@@ -184,7 +165,7 @@ def solve_unique_novikov_image(n: int, trunc: int,
             unique = False
 
     if rhs is None:
-        one_minus = R1.one() - eval_deg2(EXP_NEG, h, R1, guard)
+        one_minus = R1.one() - eval_deg2(EXP_NEG, h, R1)
         rhs = R1.q_element("q") * one_minus ** (n + 1)
     elif rhs.ring is not R1:
         raise ValueError("right-hand side must live at the guard truncation")
@@ -206,12 +187,12 @@ def verify_lemma_todd_simplify(n: int, trunc: int) -> List[Check]:
     qmap = build_qch("fl", n, trunc=trunc)
     R = qmap.target
     hsum = R.generator("h1") + R.generator("h2")
-    front = R.one() - eval_deg2(EXP_NEG, hsum, R, trunc)
+    front = R.one() - eval_deg2(EXP_NEG, hsum, R)
     out = []
     for a in (1, 2):
         ha = R.generator("h%d" % a)
         lhs = front * qmap.novikov_images["Q%d" % a]
-        rhs = (R.one() - eval_deg2(EXP_NEG, ha, R, trunc)) ** n
+        rhs = (R.one() - eval_deg2(EXP_NEG, ha, R)) ** n
         residual = lhs - rhs
         out.append(Check.verdict("a=%d" % a, residual.is_zero(), residual.render()))
     return out

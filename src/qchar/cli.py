@@ -22,9 +22,12 @@ from .report import Check
 def _write(path: Optional[str], text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as e:  # an unwritable --out is a usage problem
+        raise ValueError("cannot write %s: %s" % (path, e.strerror or e)) from None
 
 
 def _emit(checks: List[Check]):
@@ -159,7 +162,7 @@ def _cmd_todd_pn(args) -> int:
 
 def _cmd_todd_factor(args) -> int:
     R = ring(args.family, args.n, args.m, args.trunc)
-    elt = analytic.quantum_todd_factor(args.a, R, args.exponent, args.trunc)
+    elt = analytic.quantum_todd_factor(args.a, R, args.exponent)
     print(elt.render())
     return 0
 
@@ -168,6 +171,9 @@ def _cmd_todd_factor(args) -> int:
 
 
 def _cmd_jfun_coeff(args) -> int:
+    if args.d1 < 0 or args.d2 < 0:
+        raise ValueError("d1 and d2 must be at least 0, got %d and %d"
+                         % (args.d1, args.d2))
     build = jfun.j_product if args.product else jfun.j_milnor
     J = build(args.n, args.m, args.d1 + args.d2)
     frac = J.coeff(args.d1, args.d2)

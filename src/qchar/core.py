@@ -9,7 +9,14 @@ variables by *total* q-degree: terms of total q-degree > trunc are
 discarded by every operation, and "zero at truncation D" means the term
 map is empty.
 
-The zero polynomial / series is the one with an empty term map.
+The zero polynomial / series is the one with an empty term map.  Both
+types derive from TermMap, which holds that map and defines the
+operators that only walk it (sum, negation, scaling, equality and
+display); each type keeps its own product and its own key shape.  The
+monomial order is grevlex throughout; grevlex_key (ascending),
+grevlex_desc_key (descending) and NovikovSeries._order_key, which joins
+the two for (main, q) keys, are the only order keys.  evaluate is the
+one substitution routine, for polynomials and for ring maps alike.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from typing import Dict, Iterable, Tuple
 
 Rational = Fraction
 Mono = Tuple[int, ...]
-TermMap = Dict[Mono, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,6 +51,14 @@ def grevlex_key(mono: Mono):
     return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
+def grevlex_desc_key(mono: Mono):
+    """Ascending sort key for descending grevlex: the negated grevlex_key.
+
+    The reversed-exponent tuple recovers the monomial.
+    """
+    return (-sum(mono), tuple(reversed(mono)))
+
+
 def power_by_squaring(base, e: int, one):
     """base**e by repeated squaring, starting from the given one."""
     if not isinstance(e, int) or e < 0:
@@ -57,6 +71,36 @@ def power_by_squaring(base, e: int, one):
         if e:
             base = base * base
     return result
+
+
+def evaluate(terms: Dict[Mono, Fraction], names, values, one):
+    """Sum of c * prod values[name] ** e over the terms {monomial: c}.
+
+    names lists the variable of each exponent slot.  Each power is built
+    once and shared by every term, by repeated products with the value
+    (or with value ** -1 for a negative exponent, which raises unless the
+    value is a unit): a product with a sparse value costs less than
+    squaring a dense power.  `one` stands in for the empty monomial and
+    is never multiplied.  The values need *, + and scale.
+    """
+    powers: Dict[Tuple[str, bool], list] = {}
+    out = one.scale(0)
+    for mono, c in terms.items():
+        part = None
+        for name, e in zip(names, mono):
+            if not e:
+                continue
+            chain = powers.get((name, e > 0))
+            if chain is None:
+                if name not in values:
+                    raise ValueError("unbound variable %r in substitution" % name)
+                base = values[name] if e > 0 else values[name] ** -1
+                chain = powers[(name, e > 0)] = [base]
+            while len(chain) < abs(e):
+                chain.append(chain[-1] * chain[0])
+            part = chain[abs(e) - 1] if part is None else part * chain[abs(e) - 1]
+        out = out + (one if part is None else part).scale(c)
+    return out
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -155,7 +199,7 @@ def _render_terms(items) -> str:
 
 
 class Arithmetic:
-    """Derived operators shared by the exact term-map types.
+    """Derived operators shared by the exact arithmetic types.
 
     A subclass defines _coerce (None for an operand it cannot take),
     __add__, __neg__, __mul__, scale and _one; the reflected and derived
@@ -191,14 +235,63 @@ class Arithmetic:
         return power_by_squaring(self, e, self._one())
 
 
-class Polynomial(Arithmetic):
+class TermMap(Arithmetic):
+    """A sparse map `terms` from keys to nonzero Fractions.
+
+    Defines the operators that only walk the map.  A subclass adds
+    _space() (what both operands must share), _new(terms) (an element of
+    the same space), _order_key(key) (ascending key of display order)
+    and _render_key(key), besides _coerce, _one and __mul__.
+    """
+
+    __slots__ = ("terms",)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check_same(self, other: "TermMap"):
+        if self._space() != other._space():
+            raise ValueError("operands over different variable sets or truncations")
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        self._check_same(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, ZERO) + c
+        return self._new(terms)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = Fraction(c)
+        return self._new({k: v * c for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._space() == other._space() and self.terms == other.terms
+
+    def sorted_terms(self):
+        """Terms in canonical display order."""
+        return [(k, self.terms[k]) for k in sorted(self.terms, key=self._order_key)]
+
+    def render(self) -> str:
+        return _render_terms([(c, self._render_key(k)) for k, c in self.sorted_terms()])
+
+
+class Polynomial(TermMap):
     """Sparse exact multivariate (optionally Laurent) polynomial."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars",)
 
-    def __init__(self, vars: VariableSet, terms: TermMap):
+    def __init__(self, vars: VariableSet, terms: Dict[Mono, Fraction]):
         self.vars = vars
-        clean: TermMap = {}
+        clean: Dict[Mono, Fraction] = {}
         for mono, coeff in terms.items():
             if coeff == 0:
                 continue
@@ -222,9 +315,6 @@ class Polynomial(Arithmetic):
 
     # predicates and accessors
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def leading(self):
         """(monomial, coefficient) maximal in grevlex; error on zero."""
         if not self.terms:
@@ -235,21 +325,23 @@ class Polynomial(Arithmetic):
     def coeff(self, mono: Mono) -> Fraction:
         return self.terms.get(mono, ZERO)
 
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return Polynomial.zero(self.vars)
-        return Polynomial(self.vars, {m: v * c for m, v in self.terms.items()})
+    def mul_mono(self, mono: Mono) -> "Polynomial":
+        return self._new({mono_mul(m, mono): v for m, v in self.terms.items()})
 
-    def mul_mono(self, mono: Mono, coeff=ONE) -> "Polynomial":
-        coeff = Fraction(coeff)
-        return Polynomial(self.vars, {mono_mul(m, mono): v * coeff for m, v in self.terms.items()})
+    # the TermMap hooks
+
+    def _space(self):
+        return self.vars
+
+    def _new(self, terms) -> "Polynomial":
+        return Polynomial(self.vars, terms)
+
+    _order_key = staticmethod(grevlex_desc_key)
+
+    def _render_key(self, mono: Mono) -> str:
+        return self.vars.render_mono(mono)
 
     # arithmetic
-
-    def _check_same(self, other: "Polynomial"):
-        if self.vars != other.vars:
-            raise ValueError("polynomials over different variable sets")
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -261,26 +353,13 @@ class Polynomial(Arithmetic):
     def _one(self) -> "Polynomial":
         return Polynomial.const(self.vars, 1)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        self._check_same(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, ZERO) + c
-        return Polynomial(self.vars, terms)
-
-    def __neg__(self):
-        return Polynomial(self.vars, {m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same(other)
-        terms: TermMap = {}
+        terms: Dict[Mono, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
@@ -296,7 +375,7 @@ class Polynomial(Arithmetic):
 
     def truncate(self, deg: int) -> "Polynomial":
         """Drop the terms of total degree above deg."""
-        return Polynomial(self.vars, {m: c for m, c in self.terms.items() if sum(m) <= deg})
+        return self._new({m: c for m, c in self.terms.items() if sum(m) <= deg})
 
     def inverse_monomial(self, e: int = 1) -> "Polynomial":
         """(c*m)^-e for a single-term unit; error otherwise."""
@@ -306,69 +385,29 @@ class Polynomial(Arithmetic):
         inv_m = tuple(-x * e for x in m)
         return Polynomial(self.vars, {inv_m: Fraction(1, 1) / (c ** e)})
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
     def __hash__(self):
         return hash((self.vars, tuple(sorted(self.terms.items()))))
 
-    # substitution and rendering
-
     def substitute(self, bindings: Dict[str, "Polynomial"]) -> "Polynomial":
-        """Evaluate with every occurring variable bound to a polynomial.
+        """Evaluate with every occurring variable bound to a polynomial or scalar.
 
-        Negative exponents require the bound value to be a single-term
-        unit (a monomial with nonzero coefficient).
+        The polynomial values share one variable set.  Negative exponents
+        require the bound value to be a single-term unit (a monomial with
+        nonzero coefficient).
         """
-        target = None
-        poly_bindings: Dict[str, Polynomial] = {}
-        for name, value in bindings.items():
-            if isinstance(value, Polynomial):
-                poly_bindings[name] = value
-                if target is None:
-                    target = value.vars
-                elif target != value.vars:
-                    raise ValueError("bindings over different variable sets")
-            else:
-                poly_bindings[name] = value  # scalar, coerced once target known
-        if target is None:
-            raise ValueError("substitution needs at least one polynomial value")
-        for name, value in list(poly_bindings.items()):
-            if not isinstance(value, Polynomial):
-                poly_bindings[name] = Polynomial.const(target, value)
-
-        result = Polynomial.zero(target)
-        power_cache: Dict[Tuple[str, int], Polynomial] = {}
-        for mono, coeff in self.terms.items():
-            part = Polynomial.const(target, coeff)
-            for name, e in zip(self.vars.names, mono):
-                if e == 0:
-                    continue
-                if name not in poly_bindings:
-                    raise ValueError("unbound variable %r in substitution" % name)
-                key = (name, e)
-                if key not in power_cache:
-                    power_cache[key] = poly_bindings[name] ** e
-                part = part * power_cache[key]
-            result = result + part
-        return result
-
-    def sorted_terms(self):
-        """Terms in canonical display order: descending grevlex."""
-        return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(reversed(t[0]))))
-
-    def render(self) -> str:
-        items = [(c, self.vars.render_mono(m)) for m, c in self.sorted_terms()]
-        return _render_terms(items)
+        targets = {v.vars for v in bindings.values() if isinstance(v, Polynomial)}
+        if len(targets) != 1:
+            raise ValueError("substitution needs polynomial values over one variable set")
+        target, = targets
+        values = {name: v if isinstance(v, Polynomial) else Polynomial.const(target, v)
+                  for name, v in bindings.items()}
+        return evaluate(self.terms, self.vars.names, values, Polynomial.const(target, 1))
 
     def __repr__(self):
         return "Polynomial(%s)" % self.render()
 
 
-class NovikovSeries(Arithmetic):
+class NovikovSeries(TermMap):
     """Polynomial in main variables, total-degree-truncated in q variables.
 
     Terms are keyed by (main monomial, q monomial).  All arithmetic
@@ -376,7 +415,7 @@ class NovikovSeries(Arithmetic):
     are always nonnegative.
     """
 
-    __slots__ = ("main_vars", "q_vars", "trunc", "terms")
+    __slots__ = ("main_vars", "q_vars", "trunc")
 
     def __init__(self, main_vars: VariableSet, q_vars: VariableSet, trunc: int,
                  terms: Dict[Tuple[Mono, Mono], Fraction]):
@@ -411,13 +450,13 @@ class NovikovSeries(Arithmetic):
         return cls(main_vars, q_vars, trunc, {key: Fraction(c)})
 
     @classmethod
-    def gen(cls, main_vars, q_vars, trunc, name, power: int = 1):
-        key = (main_vars.unit_mono(name, power), q_vars.zero_mono())
+    def gen(cls, main_vars, q_vars, trunc, name):
+        key = (main_vars.unit_mono(name), q_vars.zero_mono())
         return cls(main_vars, q_vars, trunc, {key: ONE})
 
     @classmethod
-    def q_gen(cls, main_vars, q_vars, trunc, name, power: int = 1):
-        key = (main_vars.zero_mono(), q_vars.unit_mono(name, power))
+    def q_gen(cls, main_vars, q_vars, trunc, name):
+        key = (main_vars.zero_mono(), q_vars.unit_mono(name))
         return cls(main_vars, q_vars, trunc, {key: ONE})
 
     @classmethod
@@ -427,9 +466,6 @@ class NovikovSeries(Arithmetic):
 
     # accessors
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def classical_part(self) -> Polynomial:
         """The q-degree-zero slice as a polynomial in the main variables."""
         qz = self.q_vars.zero_mono()
@@ -437,8 +473,7 @@ class NovikovSeries(Arithmetic):
 
     def q_tail(self) -> "NovikovSeries":
         qz = self.q_vars.zero_mono()
-        return NovikovSeries(self.main_vars, self.q_vars, self.trunc,
-                             {k: c for k, c in self.terms.items() if k[1] != qz})
+        return self._new({k: c for k, c in self.terms.items() if k[1] != qz})
 
     def min_q_degree(self):
         """Smallest total q-degree with a nonzero term; None for zero."""
@@ -446,12 +481,30 @@ class NovikovSeries(Arithmetic):
             return None
         return min(sum(qm) for _, qm in self.terms)
 
-    # arithmetic
+    # the TermMap hooks
 
-    def _check_same(self, other: "NovikovSeries"):
-        if (self.main_vars != other.main_vars or self.q_vars != other.q_vars
-                or self.trunc != other.trunc):
-            raise ValueError("series over different rings or truncations")
+    def _space(self):
+        return (self.main_vars, self.q_vars, self.trunc)
+
+    def _new(self, terms) -> "NovikovSeries":
+        return NovikovSeries(self.main_vars, self.q_vars, self.trunc, terms)
+
+    @staticmethod
+    def _order_key(key):
+        # main monomial by descending grevlex, then q monomial by
+        # ascending grevlex: grevlex_desc_key(mm) + grevlex_key(qm),
+        # inline because reduction keys its heap with it
+        mm, qm = key
+        return (-sum(mm), tuple(reversed(mm)), sum(qm), tuple(-e for e in reversed(qm)))
+
+    def _render_key(self, key) -> str:
+        main_str = self.main_vars.render_mono(key[0])
+        q_str = self.q_vars.render_mono(key[1])
+        if main_str and q_str:
+            return main_str + "*" + q_str
+        return main_str or q_str
+
+    # arithmetic
 
     def _coerce(self, other):
         if isinstance(other, NovikovSeries):
@@ -464,25 +517,6 @@ class NovikovSeries(Arithmetic):
 
     def _one(self) -> "NovikovSeries":
         return NovikovSeries.const(self.main_vars, self.q_vars, self.trunc, 1)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        self._check_same(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, ZERO) + c
-        return NovikovSeries(self.main_vars, self.q_vars, self.trunc, terms)
-
-    def __neg__(self):
-        return NovikovSeries(self.main_vars, self.q_vars, self.trunc,
-                             {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c) -> "NovikovSeries":
-        c = Fraction(c)
-        return NovikovSeries(self.main_vars, self.q_vars, self.trunc,
-                             {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -501,15 +535,6 @@ class NovikovSeries(Arithmetic):
                 terms[k] = terms.get(k, ZERO) + c1 * c2
         return NovikovSeries(self.main_vars, self.q_vars, self.trunc, terms)
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self.main_vars == other.main_vars and self.q_vars == other.q_vars
-                and self.trunc == other.trunc and self.terms == other.terms)
-
-    # truncation and rendering
-
     def truncate(self, new_trunc: int) -> "NovikovSeries":
         """Lower the truncation order; raising it is an error."""
         if new_trunc > self.trunc:
@@ -519,24 +544,6 @@ class NovikovSeries(Arithmetic):
             return self
         return NovikovSeries(self.main_vars, self.q_vars, new_trunc,
                              {k: c for k, c in self.terms.items() if sum(k[1]) <= new_trunc})
-
-    def sorted_terms(self):
-        """Canonical order: main descending grevlex, then q ascending."""
-        def key(item):
-            (mm, qm), _ = item
-            return (-sum(mm), tuple(reversed(mm)), sum(qm), tuple(-e for e in reversed(qm)))
-        return sorted(self.terms.items(), key=key)
-
-    def render_key(self, mm: Mono, qm: Mono) -> str:
-        main_str = self.main_vars.render_mono(mm)
-        q_str = self.q_vars.render_mono(qm)
-        if main_str and q_str:
-            return main_str + "*" + q_str
-        return main_str or q_str
-
-    def render(self) -> str:
-        items = [(c, self.render_key(mm, qm)) for (mm, qm), c in self.sorted_terms()]
-        return _render_terms(items)
 
     def __repr__(self):
         return "NovikovSeries(%s ; trunc=%d)" % (self.render(), self.trunc)

@@ -22,6 +22,7 @@ from .core import (
     Mono,
     Polynomial,
     VariableSet,
+    grevlex_desc_key,
     grevlex_key,
     mono_div,
     mono_divides,
@@ -60,7 +61,6 @@ class GroebnerData:
     basis: List[Polynomial]
     cofactors: List[List[Polynomial]]  # basis[i] == sum_j cofactors[i][j]*relations[j]
     relations: List[Polynomial]
-    order: str = "grevlex"
     steps: int = 0
 
     def leading_monomials(self) -> List[Mono]:
@@ -74,11 +74,6 @@ class GroebnerData:
 
 def lcm_mono(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _heap_key(m: Mono):
-    # negated grevlex key; the reversed-exponent tuple recovers the monomial
-    return (-sum(m), tuple(reversed(m)))
 
 
 # (leading monomial, term items, reducer id) of one monic reducer
@@ -100,7 +95,7 @@ def _reduce(p: Polynomial, lead: List[LeadRow],
     """
     vars = p.vars
     work = dict(p.terms)
-    heap = [_heap_key(m) for m in work]
+    heap = [grevlex_desc_key(m) for m in work]
     heapq.heapify(heap)
     out = {}
     zero = Fraction(0)
@@ -129,7 +124,7 @@ def _reduce(p: Polynomial, lead: List[LeadRow],
             v = old - coeff * c
             if v:
                 if not old:
-                    heapq.heappush(heap, _heap_key(m2))
+                    heapq.heappush(heap, grevlex_desc_key(m2))
                 work[m2] = v
             else:
                 work.pop(m2, None)

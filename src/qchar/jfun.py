@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .catalog import milnor_f2_poly, ring
-from .core import Polynomial, VariableSet, binomial, power_by_squaring
+from .core import Arithmetic, Polynomial, VariableSet, binomial, evaluate
 from .quotient import AlgebraElement, PresentedAlgebra
 from .report import Check
 
@@ -35,7 +35,7 @@ def atom_unit(ring_: PresentedAlgebra, kind: str) -> AlgebraElement:
     return ring_.generator("x") * ring_.generator("y")
 
 
-class HbarPoly:
+class HbarPoly(Arithmetic):
     """Polynomial in hbar with coefficients in a classical K-algebra."""
 
     __slots__ = ("ring", "coeffs")
@@ -57,9 +57,8 @@ class HbarPoly:
     @classmethod
     def atom(cls, ring_: PresentedAlgebra, kind: str, level: int) -> "HbarPoly":
         """1 - u*hbar^level for the atom's unit u."""
-        coeffs = [ring_.zero()] * (level + 1)
-        coeffs[0] = ring_.one()
-        coeffs[level] = -atom_unit(ring_, kind)
+        coeffs = [ring_.one()] + [ring_.zero()] * level
+        coeffs[level] = coeffs[level] - atom_unit(ring_, kind)
         return cls(ring_, coeffs)
 
     def is_zero(self) -> bool:
@@ -73,15 +72,21 @@ class HbarPoly:
             return self.coeffs[k]
         return self.ring.zero()
 
-    def __add__(self, other: "HbarPoly") -> "HbarPoly":
+    def _coerce(self, other):
+        return other if isinstance(other, HbarPoly) else None
+
+    def _one(self) -> "HbarPoly":
+        return HbarPoly.one(self.ring)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return HbarPoly(self.ring, [self.coeff(k) + other.coeff(k) for k in range(n)])
 
     def __neg__(self) -> "HbarPoly":
         return HbarPoly(self.ring, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "HbarPoly") -> "HbarPoly":
-        return self + (-other)
 
     def __mul__(self, other: "HbarPoly") -> "HbarPoly":
         if self.is_zero() or other.is_zero():
@@ -106,9 +111,6 @@ class HbarPoly:
         if self.is_zero() or p == 0:
             return self
         return HbarPoly(self.ring, [self.ring.zero()] * p + self.coeffs)
-
-    def __pow__(self, e: int) -> "HbarPoly":
-        return power_by_squaring(self, e, HbarPoly.one(self.ring))
 
     def __eq__(self, other):
         if not isinstance(other, HbarPoly):
@@ -175,7 +177,7 @@ def atoms_degree(atoms: AtomSet) -> int:
     return sum(level * mult for (_, level), mult in atoms.items())
 
 
-class HbarFraction:
+class HbarFraction(Arithmetic):
     """Numerator over a formal product of atoms; exact, never expanded away."""
 
     __slots__ = ("numer", "denom")
@@ -199,7 +201,16 @@ class HbarFraction:
     def is_zero(self) -> bool:
         return self.numer.is_zero()
 
-    def __add__(self, other: "HbarFraction") -> "HbarFraction":
+    def _coerce(self, other):
+        return other if isinstance(other, HbarFraction) else None
+
+    def _one(self) -> "HbarFraction":
+        return HbarFraction.one(self.ring)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         den = _atoms_lcm(self.denom, other.denom)
         na = self.numer * _atoms_product(self.ring, _atoms_diff(den, self.denom))
         nb = other.numer * _atoms_product(self.ring, _atoms_diff(den, other.denom))
@@ -207,9 +218,6 @@ class HbarFraction:
 
     def __neg__(self) -> "HbarFraction":
         return HbarFraction(-self.numer, self.denom)
-
-    def __sub__(self, other: "HbarFraction") -> "HbarFraction":
-        return self + (-other)
 
     def __mul__(self, other: "HbarFraction") -> "HbarFraction":
         den = dict(self.denom)
@@ -348,21 +356,8 @@ class DifferenceExpression:
 def _theta_multiplier(R: PresentedAlgebra, theta_poly: Polynomial,
                       d1: int, d2: int) -> HbarPoly:
     """Evaluate the theta polynomial at the degree-(d1, d2) multipliers."""
-    m1 = HbarPoly.atom(R, "L1", d1) if d1 > 0 else \
-        HbarPoly(R, [R.one() - atom_unit(R, "L1")])
-    m2 = HbarPoly.atom(R, "L2", d2) if d2 > 0 else \
-        HbarPoly(R, [R.one() - atom_unit(R, "L2")])
-    # powers by repeated multiplication: a product with the sparse
-    # multiplier costs less than squaring a dense power
-    pow1, pow2 = [HbarPoly.one(R)], [HbarPoly.one(R)]
-    out = HbarPoly.zero(R)
-    for (e1, e2), c in theta_poly.terms.items():
-        while len(pow1) <= e1:
-            pow1.append(pow1[-1] * m1)
-        while len(pow2) <= e2:
-            pow2.append(pow2[-1] * m2)
-        out = out + (pow1[e1] * pow2[e2]).scale(c)
-    return out
+    values = {"t1": HbarPoly.atom(R, "L1", d1), "t2": HbarPoly.atom(R, "L2", d2)}
+    return evaluate(theta_poly.terms, THETA_VARS.names, values, HbarPoly.one(R))
 
 
 def apply_difference(expr: DifferenceExpression, J: JSeries) -> JSeries:

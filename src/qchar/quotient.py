@@ -44,6 +44,7 @@ from .core import (
     Polynomial,
     VariableSet,
     _render_terms,
+    grevlex_desc_key,
     grevlex_key,
     mono_div,
     mono_divides,
@@ -158,15 +159,10 @@ class AlgebraElement(Arithmetic):
         return "AlgebraElement(%s)" % self.render()
 
 
-def _default_key(mm: Mono, qm: Mono):
-    # largest classical monomial first, ties by lowest q-degree: the
-    # negation of (grevlex_key(mm), (-deg qm, reversed qm))
-    return (-sum(mm), tuple(reversed(mm)), sum(qm), tuple(-e for e in reversed(qm)))
-
-
-def _alternate_key(mm: Mono, qm: Mono):
-    # smallest classical monomial first, ties by highest q-degree
-    return (grevlex_key(mm), (-sum(qm), tuple(reversed(qm))))
+def _alternate_key(key):
+    # smallest classical monomial first, ties by highest q-degree; the
+    # default strategy's key is the display order NovikovSeries._order_key
+    return (grevlex_key(key[0]), grevlex_desc_key(key[1]))
 
 
 class PresentedAlgebra:
@@ -229,9 +225,8 @@ class PresentedAlgebra:
     def generator(self, name: str) -> AlgebraElement:
         return self.reduce(Polynomial.var(self.gens, name))
 
-    def q_element(self, name: str, power: int = 1) -> AlgebraElement:
-        s = NovikovSeries.q_gen(self.gens, self.q_vars, self.trunc, name, power)
-        return self.reduce(s)
+    def q_element(self, name: str) -> AlgebraElement:
+        return self.reduce(NovikovSeries.q_gen(self.gens, self.q_vars, self.trunc, name))
 
     def series(self, x) -> NovikovSeries:
         if isinstance(x, NovikovSeries):
@@ -272,7 +267,7 @@ class PresentedAlgebra:
     def _reduce_terms(self, terms: Dict[Tuple[Mono, Mono], Fraction],
                       strategy: str = "default") -> Dict[Tuple[Mono, Mono], Fraction]:
         alternate = strategy != "default"
-        heap_key = _alternate_key if alternate else _default_key
+        heap_key = _alternate_key if alternate else NovikovSeries._order_key
         zero = Fraction(0)
         work: Dict[Tuple[Mono, Mono], Fraction] = {}
         heap: list = []
@@ -303,7 +298,7 @@ class PresentedAlgebra:
             v = old + delta
             if v:
                 if not old:
-                    heapq.heappush(heap, (heap_key(*key), key))
+                    heapq.heappush(heap, (heap_key(key), key))
                 work[key] = v
             else:
                 work.pop(key, None)
@@ -369,12 +364,15 @@ class PresentedAlgebra:
         return out
 
     def render_qpoly(self, qp: QPoly) -> str:
-        items = sorted(qp.items(), key=lambda t: (sum(t[0]), tuple(-e for e in reversed(t[0]))))
-        return _render_terms([(c, self.q_vars.render_mono(qm)) for qm, c in items])
+        return _render_terms([(qp[qm], self.q_vars.render_mono(qm))
+                              for qm in sorted(qp, key=grevlex_key)])
 
-    def random_series(self, rng: random.Random, max_extra_degree: int = 2) -> NovikovSeries:
-        """Random expression in generators and q variables, for self-checks."""
-        top = max((sum(m) for m in self.basis_monos), default=0) + max_extra_degree
+    def random_series(self, rng: random.Random) -> NovikovSeries:
+        """Random expression in generators and q variables, for self-checks.
+
+        Classical exponents reach two above the top basis degree.
+        """
+        top = max((sum(m) for m in self.basis_monos), default=0) + 2
         terms = {}
         for _ in range(rng.randrange(1, 7)):
             mm = tuple(rng.randrange(0, top + 1) for _ in self.gens.names)

@@ -36,7 +36,7 @@ def test_A01_pn_well_definedness():
             qmap = chern.build_qch("pn", n, None, 6)
             T = qmap.target
             omem = T.one() - analytic.eval_deg2(analytic.EXP_NEG,
-                                                T.generator("h"), T, 6)
+                                                T.generator("h"), T)
             residual = omem ** (n + 1) - qmap.novikov_images["Q"]
             assert residual.is_zero(), "n=%d: %s" % (n, residual.render())
 

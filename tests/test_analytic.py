@@ -68,7 +68,7 @@ def test_series_argument_validation():
 
 def test_exp_neg_on_line_frozen():
     R = ring("qh_pn", 1, trunc=1)
-    e = eval_deg2(EXP_NEG, R.generator("h"), R, 1)
+    e = eval_deg2(EXP_NEG, R.generator("h"), R)
     assert e.render() == "-h - 1/6*h*q + 1 + 1/2*q"
 
 
@@ -76,7 +76,7 @@ def test_classical_chern_character_of_plane():
     # trunc 0 turns quantum powers into nilpotent cup products
     R = ring("qh_pn", 2, trunc=0)
     h = R.generator("h")
-    e = eval_deg2(EXP_NEG, h, R, 0)
+    e = eval_deg2(EXP_NEG, h, R)
     assert e == R.one() - h + (h * h).scale(F(1, 2))
 
 
@@ -84,24 +84,28 @@ def test_eval_rejects_non_linear_class():
     R = ring("qh_pn", 2, trunc=1)
     h = R.generator("h")
     with pytest.raises(ValueError):
-        eval_deg2(EXP_NEG, h * h, R, 1)
+        eval_deg2(EXP_NEG, h * h, R)
     with pytest.raises(ValueError):
-        eval_deg2(EXP_NEG, h + R.one(), R, 1)
+        eval_deg2(EXP_NEG, h + R.one(), R)
     with pytest.raises(ValueError):
-        eval_deg2(EXP_NEG, R.q_element("q"), R, 1)
+        eval_deg2(EXP_NEG, R.q_element("q"), R)
 
 
 def test_eval_rejects_truncation_mismatch():
+    # the truncation is the ring's; a class from another truncation is refused
     R = ring("qh_pn", 1, trunc=1)
+    other = ring("qh_pn", 1, trunc=2)
     with pytest.raises(ValueError):
-        eval_deg2(EXP_NEG, R.generator("h"), R, 2)
+        eval_deg2(EXP_NEG, other.generator("h"), R)
+    with pytest.raises(ValueError):
+        eval_deg2(EXP_NEG, other.generator("h").as_series(), R)
 
 
 def test_eval_rejects_class_not_nilpotent_mod_novikov():
     # x^2 = 2x - 1 + Q: x is a unit, so e^{-x} never terminates
     R = ring("qk_pn", 1, trunc=1)
     with pytest.raises(ValueError, match="not nilpotent"):
-        eval_deg2(EXP_NEG, R.generator("x"), R, 1)
+        eval_deg2(EXP_NEG, R.generator("x"), R)
 
 
 def test_dynamic_stop_matches_static_bound():
@@ -109,8 +113,8 @@ def test_dynamic_stop_matches_static_bound():
         R = ring("qh_pn", n, trunc=D)
         h = R.generator("h")
         for f in (EXP_NEG, XOME):
-            dyn = eval_deg2(f, h, R, D)
-            stat = eval_deg2_static(f, h, R, D, (D + 1) * (n + 1))
+            dyn = eval_deg2(f, h, R)
+            stat = eval_deg2_static(f, h, R, (D + 1) * (n + 1))
             assert dyn == stat
 
 
@@ -132,41 +136,41 @@ def test_todd_reciprocal():
     for n, D in ((1, 2), (2, 1)):
         R = ring("qh_pn", n, trunc=D)
         t = quantum_todd_pn(n, D)
-        inv = eval_deg2(OMEOX, R.generator("h"), R, D) ** (n + 1)
+        inv = eval_deg2(OMEOX, R.generator("h"), R) ** (n + 1)
         assert t * inv == R.one()
 
 
 def test_todd_factor_inverse_pair():
     R = ring("qh_fl", 3, trunc=1)
     hsum = R.generator("h1") + R.generator("h2")
-    prod = eval_deg2(OMEOX, hsum, R, 1) * eval_deg2(XOME, hsum, R, 1)
+    prod = eval_deg2(OMEOX, hsum, R) * eval_deg2(XOME, hsum, R)
     assert prod == R.one()
 
 
 def test_todd_factor_zero_exponent_is_sum_factor():
     R = ring("qh_fl", 3, trunc=1)
     hsum = R.generator("h1") + R.generator("h2")
-    assert quantum_todd_factor(1, R, 0, 1) == eval_deg2(XOME, hsum, R, 1)
+    assert quantum_todd_factor(1, R, 0) == eval_deg2(XOME, hsum, R)
 
 
 def test_todd_factor_validation():
     R = ring("qh_fl", 3, trunc=1)
     with pytest.raises(ValueError):
-        quantum_todd_factor(3, R, 3, 1)
+        quantum_todd_factor(3, R, 3)
     P = ring("qh_pn", 2, trunc=1)
     with pytest.raises(ValueError):
-        quantum_todd_factor(1, P, 3, 1)
+        quantum_todd_factor(1, P, 3)
 
 
 def test_todd_factor_classical_limit_is_cup_expansion():
     # at trunc 0 every quantum product is the cup product, so the factor
     # must equal the alternating-sum expansion computed by hand below
     R = ring("qh_fl", 3, trunc=0)
-    got = quantum_todd_factor(1, R, 3, 0)
+    got = quantum_todd_factor(1, R, 3)
     h1 = R.generator("h1")
     hsum = h1 + R.generator("h2")
-    left = eval_deg2(OMEOX, h1, R, 0) ** 3
-    right = eval_deg2(XOME, hsum, R, 0)
+    left = eval_deg2(OMEOX, h1, R) ** 3
+    right = eval_deg2(XOME, hsum, R)
     assert got == left * right
     # and the h1-factor itself matches a direct truncated expansion;
     # h1 is nilpotent at trunc 0, so six powers are plenty
@@ -175,7 +179,7 @@ def test_todd_factor_classical_limit_is_cup_expansion():
     for k in range(7):
         terms = terms + power.scale(OMEOX.coeff(k))
         power = power * h1
-    assert eval_deg2(OMEOX, h1, R, 0) == terms
+    assert eval_deg2(OMEOX, h1, R) == terms
     assert (h1 ** 3).is_zero()
 
 
@@ -189,8 +193,8 @@ def test_telescoping():
         alpha = R.zero()
         for g in gens:
             alpha = alpha + R.generator(g)
-        lhs = eval_deg2(OMEOX, alpha, R, D) * alpha
-        rhs = R.one() - eval_deg2(EXP_NEG, alpha, R, D)
+        lhs = eval_deg2(OMEOX, alpha, R) * alpha
+        rhs = R.one() - eval_deg2(EXP_NEG, alpha, R)
         assert lhs == rhs
 
 
@@ -198,5 +202,5 @@ def test_exponential_additivity_flag():
     for D in (1, 2):
         R = ring("qh_fl", 3, trunc=D)
         h1, h2 = R.generator("h1"), R.generator("h2")
-        lhs = eval_deg2(EXP_NEG, h1, R, D) * eval_deg2(EXP_NEG, h2, R, D)
-        assert lhs == eval_deg2(EXP_NEG, h1 + h2, R, D)
+        lhs = eval_deg2(EXP_NEG, h1, R) * eval_deg2(EXP_NEG, h2, R)
+        assert lhs == eval_deg2(EXP_NEG, h1 + h2, R)

@@ -84,6 +84,26 @@ def test_jfun_coeff_lines(capsys):
                                 "denominator: (1 - x*hbar)^3"]
 
 
+@pytest.mark.parametrize("d1, d2", [("-1", "0"), ("2", "-1")])
+def test_jfun_coeff_negative_degree_is_usage_error(capsys, d1, d2):
+    code, out, err = run(capsys, "jfun", "coeff", "--n", "3", "--m", "3",
+                         "--d1", d1, "--d2", d2)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "d1 and d2" in err
+
+
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "identity", "binomial", "--max-n", "3",
+                         "--out", str(path))
+    assert code == 2
+    assert "all checks passed" in out
+    assert err.startswith("error: cannot write %s" % path)
+    assert len(err.splitlines()) == 1
+    assert not path.exists()
+
+
 def test_jfun_verify_exits_zero(capsys):
     code, out, _ = run(capsys, "jfun", "verify", "--n", "3", "--m", "3",
                        "--max-deg", "1")

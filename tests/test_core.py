@@ -14,6 +14,7 @@ from qchar.core import (
     Polynomial,
     VariableSet,
     binomial,
+    evaluate,
     grevlex_key,
 )
 
@@ -119,6 +120,13 @@ def test_substitute_laurent_needs_unit_value():
     assert p.substitute({"x": x ** 2}) == x ** -2
     with pytest.raises(ValueError):
         p.substitute({"x": x + 1})
+
+
+def test_poly_sum_over_different_variable_sets_raises():
+    with pytest.raises(ValueError):
+        P(XY, "x") + P(VariableSet(["x", "z"]), "x")
+    with pytest.raises(ValueError):
+        P(XY, "x") + P(VariableSet(["x", "y"], laurent=[True, False]), "x")
 
 
 def test_hand_derived_plane_curve_relation_at_x_zero():
@@ -281,3 +289,77 @@ def test_poly_to_series_round_trip_classical_part(p, trunc):
     s = NovikovSeries.from_polynomial(p, QQ, trunc)
     assert s.classical_part() == p
     assert p.substitute({"x": Polynomial.var(XY, "x"), "y": Polynomial.var(XY, "y")}) == p
+
+
+def _frozen_substitute(p, bindings):
+    """Polynomial.substitute as it stood before evaluate, frozen as the oracle."""
+    target = None
+    poly_bindings = {}
+    for name, value in bindings.items():
+        if isinstance(value, Polynomial):
+            poly_bindings[name] = value
+            if target is None:
+                target = value.vars
+            elif target != value.vars:
+                raise ValueError("bindings over different variable sets")
+        else:
+            poly_bindings[name] = value
+    if target is None:
+        raise ValueError("substitution needs at least one polynomial value")
+    for name, value in list(poly_bindings.items()):
+        if not isinstance(value, Polynomial):
+            poly_bindings[name] = Polynomial.const(target, value)
+    result = Polynomial.zero(target)
+    power_cache = {}
+    for mono, coeff in p.terms.items():
+        part = Polynomial.const(target, coeff)
+        for name, e in zip(p.vars.names, mono):
+            if e == 0:
+                continue
+            if name not in poly_bindings:
+                raise ValueError("unbound variable %r in substitution" % name)
+            key = (name, e)
+            if key not in power_cache:
+                power_cache[key] = poly_bindings[name] ** e
+            part = part * power_cache[key]
+        result = result + part
+    return result
+
+
+LXY = VariableSet(["x", "y"], laurent=[True, True])
+
+
+@st.composite
+def unit_monomials(draw, vars=LXY):
+    mono = tuple(draw(st.integers(-2, 2)) for _ in vars.names)
+    return Polynomial(vars, {mono: draw(fractions_st.filter(bool))})
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(vars=LXY, max_exp=2).map(lambda p: Polynomial(LXY, {
+           tuple(e - 1 for e in m): c for m, c in p.terms.items()})),
+       st.one_of(unit_monomials(), fractions_st.filter(bool)),
+       st.one_of(unit_monomials(), polys(vars=LXY, max_terms=2, max_exp=2)))
+def test_evaluate_matches_frozen_substitute(p, xval, yval):
+    # Laurent p, x bound to a unit (monomial or nonzero scalar), y to a
+    # unit or to an arbitrary polynomial, which must fail on y^-1
+    bindings = {"x": xval, "y": yval}
+    try:
+        expected = _frozen_substitute(p, bindings)
+    except ValueError:
+        with pytest.raises(ValueError):
+            p.substitute(bindings)
+        return
+    assert p.substitute(bindings) == expected
+    values = {k: v if isinstance(v, Polynomial) else Polynomial.const(LXY, v)
+              for k, v in bindings.items()}
+    assert evaluate(p.terms, LXY.names, values, Polynomial.const(LXY, 1)) == expected
+
+
+def test_evaluate_non_unit_with_negative_exponent_raises():
+    x, y = P(LXY, "x"), P(LXY, "y")
+    with pytest.raises(ValueError):
+        evaluate((x ** -2 * y).terms, LXY.names, {"x": x + y, "y": y},
+                 Polynomial.const(LXY, 1))
+    with pytest.raises(ValueError):
+        evaluate((x * y).terms, LXY.names, {"x": x}, Polynomial.const(LXY, 1))

@@ -53,6 +53,14 @@ def test_hbar_poly_power():
         p ** -1
 
 
+def test_atom_at_level_zero_is_one_minus_unit():
+    R = _kring()
+    for kind in ("L1", "L2", "L1L2"):
+        u = atom_unit(R, kind)
+        assert HbarPoly.atom(R, kind, 0) == HbarPoly(R, [R.one() - u])
+        assert HbarPoly.atom(R, kind, 2) == HbarPoly(R, [R.one(), R.zero(), -u])
+
+
 def test_fraction_add_sub_roundtrip():
     R = _kring()
     rng = random.Random(11)
