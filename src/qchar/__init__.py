@@ -12,6 +12,20 @@ from .catalog import ring
 from .chern import QuantumChernMap, build_qch
 from .parse import ParseError, parse_element, parse_expression
 
+
+def clear_caches() -> None:
+    """Drop every cached ring, with its product table, and every Jacobi context.
+
+    Rings and membership contexts are cached per process and never
+    evicted; a long-running program calls this to free them.  Rings
+    built afterwards are new objects; elements of a dropped ring keep
+    working with it.
+    """
+    from . import catalog, mirror
+    catalog._RING_CACHE.clear()
+    mirror._CONTEXT_CACHE.clear()
+
+
 __all__ = [
     "__version__",
     "AlgebraElement",
@@ -22,6 +36,7 @@ __all__ = [
     "QuantumChernMap",
     "VariableSet",
     "build_qch",
+    "clear_caches",
     "parse_element",
     "parse_expression",
     "ring",

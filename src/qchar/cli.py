@@ -1,9 +1,10 @@
 """Command-line front end.
 
 One process per command; exit code 0 when every check passes, 1 when
-any check fails, 2 for usage problems (bad flags, malformed
-expressions, invalid family parameters).  Human-readable lines go to
-standard output; a JSON certificate goes to --out when requested.
+any check fails or an internal invariant breaks, 2 for usage problems
+(bad flags, malformed expressions, invalid family parameters).
+Human-readable lines go to standard output; a JSON certificate goes to
+--out when requested.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Dict, List, Optional
 
 from . import analytic, chern, jfun, mirror, report
 from .catalog import FAMILIES, RingId, ring
+from .core import InternalError
 from .parse import ParseError, parse_element
 from .report import Check
 
@@ -417,6 +419,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except InternalError as e:
+        print("internal error: %s" % e, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -32,6 +32,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+class InternalError(RuntimeError):
+    """A construction invariant failed: a defect in qchar, not bad input."""
+
+
 def binomial(n: int, k: int) -> Fraction:
     """Binomial coefficient as a Fraction, zero outside 0 <= k <= n."""
     if n < 0:
@@ -435,7 +439,7 @@ class NovikovSeries(TermMap):
                 raise ValueError("negative q exponent")
             if sum(qm) > trunc:
                 continue
-            clean[(mm, qm)] = Fraction(coeff)
+            clean[(mm, qm)] = coeff if type(coeff) is Fraction else Fraction(coeff)
         self.terms = clean
 
     # constructors

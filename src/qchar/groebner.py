@@ -2,11 +2,11 @@
 
 Every basis element g can carry a cofactor row u with
     g == sum_j u[j] * relations[j],
-and that identity is asserted exactly when the basis is built.  The
-monomial order is graded reverse lexicographic for the declared variable
-order throughout; bases are reduced and monic.  Pair selection uses the
-normal strategy (smallest lcm first) with the coprimality and chain
-criteria.
+and that identity is checked exactly when the basis is built; a
+failure raises InternalError.  The monomial order is graded reverse
+lexicographic for the declared variable order throughout; bases are
+reduced and monic.  Pair selection uses the normal strategy (smallest
+lcm first) with the coprimality and chain criteria.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
+    InternalError,
     Mono,
     Polynomial,
     VariableSet,
@@ -276,7 +277,7 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
             for u, r in zip(row, rels):
                 acc = acc + u * r
             if acc != g:
-                raise AssertionError(
+                raise InternalError(
                     "cofactor identity failed for basis element %s" % g.render())
 
     return GroebnerData(vars=vars, basis=basis, cofactors=cofactors,

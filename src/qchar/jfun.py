@@ -279,6 +279,10 @@ class JSeries:
     coeffs: Dict[Tuple[int, int], HbarFraction]
 
     def coeff(self, d1: int, d2: int) -> HbarFraction:
+        """Coefficient of Q1^d1*Q2^d2; only degrees up to max_deg were computed."""
+        if d1 < 0 or d2 < 0 or d1 + d2 > self.max_deg:
+            raise ValueError("degree (%d, %d) outside the computed range d1 + d2 <= %d"
+                             % (d1, d2, self.max_deg))
         return self.coeffs.get((d1, d2), HbarFraction.zero(self.context))
 
     def degrees(self) -> List[Tuple[int, int]]:

@@ -25,9 +25,18 @@ forms (confluence_check) is an independent check of the rules.
 
 An element is held as its normal form: a NovikovSeries at the ring's
 truncation whose classical monomials are standard monomials.  Reduction
-emits its irreducible terms straight into that series' term map, sums
-and scalar multiples of normal forms are normal forms, and a product
-multiplies the two series and reduces once.
+emits its irreducible terms straight into that series' term map, and
+sums and scalar multiples of normal forms are normal forms.
+
+A product goes through the ring's structure constants (its
+multiplication maps) and never rewrites.  The product table maps a pair
+of standard monomials (m_a, m_b) to the normal form of m_a*m_b, reduced
+once by _reduce_terms when the pair is first multiplied; a ring builds
+no entry up front.  Each factor is grouped by classical monomial, and a
+pair of groups contributes its truncated q-coefficient times the pair's
+entry.  This is exact: reduction is linear, q-monomials are central,
+and no rewrite lowers q-degree, so an entry reduced at the ring's
+truncation holds every term that survives the q-degree cap.
 """
 
 from __future__ import annotations
@@ -38,7 +47,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
+    ONE,
+    ZERO,
     Arithmetic,
+    InternalError,
     Mono,
     NovikovSeries,
     Polynomial,
@@ -144,7 +156,35 @@ class AlgebraElement(Arithmetic):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.ring.reduce(self.nf * other.nf)
+        ring = self.ring
+        trunc = ring.trunc
+        terms: Dict[Tuple[Mono, Mono], Fraction] = {}
+        right = _by_classical(other.nf)
+        for ma, left_q in _by_classical(self.nf).items():
+            for mb, right_q in right.items():
+                # truncated q-coefficient of the pair m_a * m_b
+                coeff: Dict[Mono, Tuple[int, Fraction]] = {}
+                for qa, da, ca in left_q:
+                    for qb, db, cb in right_q:
+                        d = da + db
+                        if d > trunc:
+                            continue
+                        qm = mono_mul(qa, qb)
+                        old = coeff.get(qm)
+                        coeff[qm] = (d, ca * cb if old is None else old[1] + ca * cb)
+                if not coeff:
+                    continue
+                entry = ring._product_entry(ma, mb)
+                for qm, (d, c) in coeff.items():
+                    if not c:
+                        continue
+                    room = trunc - d
+                    for de, qe, me, ce in entry:
+                        if de > room:
+                            break
+                        key = (me, mono_mul(qm, qe))
+                        terms[key] = terms.get(key, ZERO) + c * ce
+        return AlgebraElement(ring, NovikovSeries(ring.gens, ring.q_vars, trunc, terms))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -157,6 +197,14 @@ class AlgebraElement(Arithmetic):
 
     def __repr__(self):
         return "AlgebraElement(%s)" % self.render()
+
+
+def _by_classical(series: NovikovSeries) -> Dict[Mono, List[Tuple[Mono, int, Fraction]]]:
+    """The series' terms grouped by classical monomial: m -> [(q, deg q, c)]."""
+    groups: Dict[Mono, List[Tuple[Mono, int, Fraction]]] = {}
+    for (mm, qm), c in series.terms.items():
+        groups.setdefault(mm, []).append((qm, sum(qm), c))
+    return groups
 
 
 def _alternate_key(key):
@@ -199,8 +247,12 @@ class PresentedAlgebra:
                 correction = correction - u * tail
             mq = correction.min_q_degree()
             if mq is not None and mq < 1:
-                raise AssertionError("quantum correction with classical terms")
+                raise InternalError("quantum correction with classical terms")
             self._rules.append((lm, rest, correction))
+
+        # (m_a, m_b) with m_a <= m_b -> normal form of m_a*m_b as
+        # [(deg q, q, m, c)] sorted by q-degree; see _product_entry
+        self._products: Dict[Tuple[Mono, Mono], List[Tuple[int, Mono, Mono, Fraction]]] = {}
 
     @property
     def label(self) -> str:
@@ -328,6 +380,17 @@ class PresentedAlgebra:
                 bump((mono_mul(m2, quot), qnew), coeff * c2)
         return out
 
+    def _product_entry(self, ma: Mono, mb: Mono) -> List[Tuple[int, Mono, Mono, Fraction]]:
+        """Normal form of the standard-monomial product ma*mb, reduced on first use."""
+        pair = (ma, mb) if ma <= mb else (mb, ma)
+        entry = self._products.get(pair)
+        if entry is None:
+            nf = self._reduce_terms({(mono_mul(ma, mb), self.q_vars.zero_mono()): ONE})
+            entry = sorted(((sum(qm), qm, mm, c) for (mm, qm), c in nf.items()),
+                           key=lambda t: t[0])
+            self._products[pair] = entry
+        return entry
+
     def reduce(self, x, strategy: str = "default") -> AlgebraElement:
         series = self.series(x)  # rejects an element of another ring
         if isinstance(x, AlgebraElement) and strategy == "default":
@@ -349,11 +412,15 @@ class PresentedAlgebra:
                 for i in range(n)]
 
     def structure_constants(self) -> Dict[Tuple[int, int], Dict[int, QPoly]]:
-        n = len(self.basis_monos)
+        """(i, j) for i <= j -> coordinates of basis i times basis j."""
+        monos, index = self.basis_monos, self._basis_index
         table = {}
-        for i in range(n):
-            for j in range(i, n):
-                table[(i, j)] = (self.basis_element(i) * self.basis_element(j)).coords
+        for i in range(len(monos)):
+            for j in range(i, len(monos)):
+                coords: Dict[int, QPoly] = {}
+                for _, qm, mm, c in self._product_entry(monos[i], monos[j]):
+                    coords.setdefault(index[mm], {})[qm] = c
+                table[(i, j)] = coords
         return table
 
     def render_basis(self) -> List[str]:

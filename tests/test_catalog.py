@@ -248,3 +248,21 @@ def test_qh_flag_matches_hypersurface_at_m_equals_n():
         mi = make_presentation("qh_milnor", n, n)
         for j in range(2):
             assert fl.relation_terms[j] == mi.relation_terms[j]
+
+
+def test_clear_caches_drops_rings_and_jacobi_contexts(monkeypatch):
+    import qchar
+    from qchar import catalog, mirror
+    # private caches, so the shared ones stay warm for the other tests
+    monkeypatch.setattr(catalog, "_RING_CACHE", {})
+    monkeypatch.setattr(mirror, "_CONTEXT_CACHE", {})
+    R = ring("qh_pn", 2, trunc=2)
+    h = R.generator("h")
+    ctx = mirror.jacobi_context(3)
+    assert ring("qh_pn", 2, trunc=2) is R and mirror.jacobi_context(3) is ctx
+    qchar.clear_caches()
+    assert not catalog._RING_CACHE and not mirror._CONTEXT_CACHE
+    assert ring("qh_pn", 2, trunc=2) is not R
+    assert mirror.jacobi_context(3) is not ctx
+    # an element of a dropped ring still multiplies in it
+    assert (h ** 3).render() == "q"

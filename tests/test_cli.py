@@ -175,6 +175,34 @@ def test_mirror_verify_bad_trunc_is_usage_error(capsys, monkeypatch):
     assert "truncation" in err
 
 
+def _broken_cofactors(monkeypatch):
+    import qchar.groebner
+    monkeypatch.setattr(qchar.groebner, "_apply_usage",
+                        lambda row, usage, rows: [c.scale(2) for c in row])
+
+
+def _broken_corrections(monkeypatch):
+    from qchar.core import NovikovSeries
+    monkeypatch.setattr(NovikovSeries, "min_q_degree", lambda self: 0)
+
+
+@pytest.mark.parametrize("breakage, message", [
+    (_broken_cofactors, "cofactor identity failed"),
+    (_broken_corrections, "quantum correction with classical terms"),
+])
+def test_internal_error_is_one_line_and_exit_one(capsys, monkeypatch, breakage, message):
+    # a broken construction invariant is a defect, not a usage problem
+    import qchar.catalog
+    monkeypatch.setattr(qchar.catalog, "_RING_CACHE", {})
+    breakage(monkeypatch)
+    code, out, err = run(capsys, "ring", "basis", "--family", "qh_fl", "--n", "3",
+                         "--trunc", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_identity_lemma52_prints_a(capsys):
     code, out, _ = run(capsys, "identity", "lemma52", "--n", "3", "--m", "3")
     assert code == 0

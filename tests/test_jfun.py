@@ -148,6 +148,16 @@ def test_milnor_first_coefficients_frozen():
     assert f11.numer.degree() == 3
 
 
+@pytest.mark.parametrize("d1, d2", [(2, 0), (1, 1), (0, 2), (-1, 0), (0, -1)])
+def test_coefficient_outside_computed_degrees_raises(d1, d2):
+    # degree 2 was never computed at max_deg 1; it is not zero there
+    J = j_milnor(3, 3, 1)
+    with pytest.raises(ValueError):
+        J.coeff(d1, d2)
+    if d1 >= 0 and d2 >= 0:
+        assert not j_milnor(3, 3, 2).coeff(d1, d2).is_zero()
+
+
 def test_product_coefficients_frozen():
     J = j_product(4, 3, 2)
     assert J.coeff(1, 0).numer == HbarPoly.one(J.context)

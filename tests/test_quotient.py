@@ -228,6 +228,66 @@ def test_heap_reduction_matches_scan_reference(which, strategy, seed):
             [(i, list(qp)) for i, qp in expected.items()]
 
 
+# the q-free k_milnor ring lives at truncation 0, the others at 3
+TABLE_CHECK_RINGS = [("qh_fl", 4, None, 3), ("qk_milnor", 4, 3, 3), ("qk_pn", 2, None, 3),
+                     ("k_milnor", 3, 3, 0)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(which=st.sampled_from(TABLE_CHECK_RINGS),
+       strategy=st.sampled_from(["default", "alternate"]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_table_product_matches_reduced_series_product(which, strategy, seed):
+    # the product through the table against rewriting the full series product
+    family, n, m, trunc = which
+    ring = catalog_ring(family, n, m, trunc=trunc)
+    rng = random.Random(seed)
+    a, b = (ring.reduce(ring.random_series(rng)) for _ in range(2))
+    assert a * b == ring.reduce(a.nf * b.nf, strategy=strategy)
+
+
+def count_table_reductions(monkeypatch):
+    """Record the input of every _reduce_terms call from now on."""
+    calls = []
+    original = PresentedAlgebra._reduce_terms
+
+    def counted(self, terms, strategy="default"):
+        calls.append(tuple(terms))
+        return original(self, terms, strategy)
+
+    monkeypatch.setattr(PresentedAlgebra, "_reduce_terms", counted)
+    return calls
+
+
+def test_ring_construction_builds_no_table_entry(monkeypatch):
+    calls = count_table_reductions(monkeypatch)
+    ring = two_var_ring(3)
+    assert calls == [] and ring._products == {}
+    ring.generator("x")
+    assert ring._products == {}
+
+
+def test_each_table_entry_is_reduced_once(monkeypatch):
+    ring = two_var_ring(3)
+    rng = random.Random(19)
+    elements = [ring.reduce(ring.random_series(rng)) for _ in range(6)]
+    calls = count_table_reductions(monkeypatch)
+    first = [a * b for a in elements for b in elements]
+    # one reduction per unordered pair of standard monomials, at most
+    assert len(calls) == len(set(calls)) == len(ring._products)
+    n = ring.classical_dim()
+    assert len(calls) <= n * (n + 1) // 2
+    # once the entries exist, a product rewrites nothing
+    del calls[:]
+    assert [a * b for a in elements for b in elements] == first
+    assert calls == []
+    # the structure constants fill in only the entries still missing
+    built = len(ring._products)
+    ring.structure_constants()
+    assert len(ring._products) == n * (n + 1) // 2
+    assert len(calls) == len(ring._products) - built
+
+
 def test_same_label_different_rings_rejected():
     # a shared label must not let elements of different rings mix
     def line(exponent, trunc=2):
