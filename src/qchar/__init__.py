@@ -16,14 +16,16 @@ from .parse import ParseError, parse_element, parse_expression
 def clear_caches() -> None:
     """Drop every cached ring, with its product table, and every Jacobi context.
 
-    Rings and membership contexts are cached per process and never
+    The joined variable sets of the series types go too.  Rings and
+    membership contexts are cached per process and never
     evicted; a long-running program calls this to free them.  Rings
     built afterwards are new objects; elements of a dropped ring keep
     working with it.
     """
-    from . import catalog, mirror
+    from . import catalog, core, mirror
     catalog._RING_CACHE.clear()
     mirror._CONTEXT_CACHE.clear()
+    core.joined_vars.cache_clear()
 
 
 __all__ = [

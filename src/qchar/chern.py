@@ -79,17 +79,16 @@ def qch_apply(qmap: QuantumChernMap, expr) -> AlgebraElement:
     pres = qmap.source_presentation
     if isinstance(expr, AlgebraElement):
         expr = expr.as_series()
-    if isinstance(expr, Polynomial):
+    # a series is a Polynomial too, so it is told apart first
+    if isinstance(expr, NovikovSeries):
+        if expr.main_vars != pres.gens or expr.q_vars != pres.q_vars:
+            raise ValueError("expression over wrong variable sets")
+    elif isinstance(expr, Polynomial):
         if expr.vars != pres.gens:
             raise ValueError("expression over wrong generators")
-        expr = NovikovSeries.from_polynomial(expr, pres.q_vars, qmap.trunc)
-    if not isinstance(expr, NovikovSeries):
+    else:
         raise TypeError("cannot substitute into %r" % (expr,))
-    if expr.main_vars != pres.gens or expr.q_vars != pres.q_vars:
-        raise ValueError("expression over wrong variable sets")
-
-    return evaluate({mm + qm: c for (mm, qm), c in expr.terms.items()},
-                    pres.gens.names + pres.q_vars.names,
+    return evaluate(expr.terms, expr.vars.names,
                     {**qmap.gen_images, **qmap.novikov_images}, qmap.target.one())
 
 
@@ -182,11 +181,11 @@ def solve_unique_novikov_image(n: int, trunc: int,
 
     R0 = ring("qh_pn", n, trunc=trunc)
     shifted = {}
-    for (mm, qm), c in rhs.as_series().terms.items():
-        if qm[0] < 1:
+    for m, c in rhs.as_series().terms.items():
+        if m[-1] < 1:  # the exponent of q, the one Novikov variable
             raise ValueError("system is inconsistent: residual term "
                              "without a Novikov factor")
-        shifted[(mm, (qm[0] - 1,))] = c
+        shifted[m[:-1] + (m[-1] - 1,)] = c
     # the series drops the terms above the requested truncation
     nf = NovikovSeries(R0.gens, R0.q_vars, trunc, shifted)
     return AlgebraElement(R0, nf), unique

@@ -9,18 +9,21 @@ variables by *total* q-degree: terms of total q-degree > trunc are
 discarded by every operation, and "zero at truncation D" means the term
 map is empty.
 
-The zero polynomial / series is the one with an empty term map.  Both
-types derive from TermMap, which holds that map and defines the
-operators that only walk it (sum, negation, scaling, equality and
-display); each type keeps its own product and its own key shape.  The
-monomial order is grevlex throughout; grevlex_key (ascending),
-grevlex_desc_key (descending) and NovikovSeries._order_key, which joins
-the two for (main, q) keys, are the only order keys.  evaluate is the
-one substitution routine, for polynomials and for ring maps alike.
+There is one key shape.  A NovikovSeries is a Polynomial over
+joined_vars(main, q), the main variables followed by the q variables,
+so its keys are flat exponent vectors like a polynomial's; it keeps its
+own constructor and product, which enforce the q-degree cap, and its
+own display order.  The zero polynomial / series is the one with an
+empty term map.  The monomial order is grevlex throughout; grevlex_key
+(ascending), grevlex_desc_key (descending) and NovikovSeries._order_key,
+which joins the two on the main and q slices of a key, are the only
+order keys.  evaluate is the one substitution routine, for polynomials
+and for ring maps alike.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
@@ -239,59 +242,16 @@ class Arithmetic:
         return power_by_squaring(self, e, self._one())
 
 
-class TermMap(Arithmetic):
-    """A sparse map `terms` from keys to nonzero Fractions.
+class Polynomial(Arithmetic):
+    """Sparse exact multivariate (optionally Laurent) polynomial.
 
-    Defines the operators that only walk the map.  A subclass adds
-    _space() (what both operands must share), _new(terms) (an element of
-    the same space), _order_key(key) (ascending key of display order)
-    and _render_key(key), besides _coerce, _one and __mul__.
+    `terms` maps exponent vectors to nonzero Fractions.  The operators
+    that only walk that map go through _space() (what both operands must
+    share), _new(terms) (an element of the same space) and _order_key
+    (ascending key of display order), which NovikovSeries overrides.
     """
 
-    __slots__ = ("terms",)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check_same(self, other: "TermMap"):
-        if self._space() != other._space():
-            raise ValueError("operands over different variable sets or truncations")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        self._check_same(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, ZERO) + c
-        return self._new(terms)
-
-    def __neg__(self):
-        return self._new({k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        c = Fraction(c)
-        return self._new({k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._space() == other._space() and self.terms == other.terms
-
-    def sorted_terms(self):
-        """Terms in canonical display order."""
-        return [(k, self.terms[k]) for k in sorted(self.terms, key=self._order_key)]
-
-    def render(self) -> str:
-        return _render_terms([(c, self._render_key(k)) for k, c in self.sorted_terms()])
-
-
-class Polynomial(TermMap):
-    """Sparse exact multivariate (optionally Laurent) polynomial."""
-
-    __slots__ = ("vars",)
+    __slots__ = ("vars", "terms")
 
     def __init__(self, vars: VariableSet, terms: Dict[Mono, Fraction]):
         self.vars = vars
@@ -332,7 +292,7 @@ class Polynomial(TermMap):
     def mul_mono(self, mono: Mono) -> "Polynomial":
         return self._new({mono_mul(m, mono): v for m, v in self.terms.items()})
 
-    # the TermMap hooks
+    # the term-map hooks and the operators that only walk the map
 
     def _space(self):
         return self.vars
@@ -342,13 +302,49 @@ class Polynomial(TermMap):
 
     _order_key = staticmethod(grevlex_desc_key)
 
-    def _render_key(self, mono: Mono) -> str:
-        return self.vars.render_mono(mono)
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check_same(self, other: "Polynomial"):
+        if self._space() != other._space():
+            raise ValueError("operands over different variable sets or truncations")
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        self._check_same(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, ZERO) + c
+        return self._new(terms)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = Fraction(c)
+        return self._new({k: v * c for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._space() == other._space() and self.terms == other.terms
+
+    def sorted_terms(self):
+        """Terms in canonical display order."""
+        return [(k, self.terms[k]) for k in sorted(self.terms, key=self._order_key)]
+
+    def render(self) -> str:
+        return _render_terms([(c, self.vars.render_mono(k)) for k, c in self.sorted_terms()])
 
     # arithmetic
 
     def _coerce(self, other):
-        if isinstance(other, Polynomial):
+        # a series is a Polynomial too, but it promotes a polynomial
+        # operand itself, so leave it to the reflected operator
+        if type(other) is Polynomial:
             return other
         if isinstance(other, (int, Fraction)):
             return Polynomial.const(self.vars, other)
@@ -360,7 +356,7 @@ class Polynomial(TermMap):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if not isinstance(other, Polynomial):
+        if type(other) is not Polynomial:
             return NotImplemented
         self._check_same(other)
         terms: Dict[Mono, Fraction] = {}
@@ -411,35 +407,41 @@ class Polynomial(TermMap):
         return "Polynomial(%s)" % self.render()
 
 
-class NovikovSeries(TermMap):
+@functools.lru_cache(maxsize=None)
+def joined_vars(main_vars: VariableSet, q_vars: VariableSet) -> VariableSet:
+    """The main variables, then the q variables as non-Laurent ones."""
+    return VariableSet(main_vars.names + q_vars.names,
+                       main_vars.laurent + (False,) * len(q_vars))
+
+
+class NovikovSeries(Polynomial):
     """Polynomial in main variables, total-degree-truncated in q variables.
 
-    Terms are keyed by (main monomial, q monomial).  All arithmetic
-    silently discards terms of total q-degree above `trunc`; q exponents
-    are always nonnegative.
+    A polynomial over joined_vars(main_vars, q_vars): its keys are flat
+    exponent vectors, the main exponents first.  All arithmetic silently
+    discards terms of total q-degree above `trunc`; q exponents are
+    always nonnegative.
     """
 
     __slots__ = ("main_vars", "q_vars", "trunc")
 
     def __init__(self, main_vars: VariableSet, q_vars: VariableSet, trunc: int,
-                 terms: Dict[Tuple[Mono, Mono], Fraction]):
+                 terms: Dict[Mono, Fraction]):
         if trunc < 0:
             raise ValueError("truncation order must be nonnegative")
         self.main_vars = main_vars
         self.q_vars = q_vars
         self.trunc = trunc
-        clean: Dict[Tuple[Mono, Mono], Fraction] = {}
-        for (mm, qm), coeff in terms.items():
+        self.vars = vars = joined_vars(main_vars, q_vars)
+        k = len(main_vars)
+        clean: Dict[Mono, Fraction] = {}
+        for mono, coeff in terms.items():
             if coeff == 0:
                 continue
-            main_vars.check_mono(mm)
-            if len(qm) != len(q_vars):
-                raise ValueError("q exponent vector has wrong length")
-            if any(e < 0 for e in qm):
-                raise ValueError("negative q exponent")
-            if sum(qm) > trunc:
+            vars.check_mono(mono)
+            if sum(mono[k:]) > trunc:
                 continue
-            clean[(mm, qm)] = coeff if type(coeff) is Fraction else Fraction(coeff)
+            clean[mono] = coeff if type(coeff) is Fraction else Fraction(coeff)
         self.terms = clean
 
     # constructors
@@ -450,42 +452,30 @@ class NovikovSeries(TermMap):
 
     @classmethod
     def const(cls, main_vars, q_vars, trunc, c):
-        key = (main_vars.zero_mono(), q_vars.zero_mono())
-        return cls(main_vars, q_vars, trunc, {key: Fraction(c)})
+        return cls(main_vars, q_vars, trunc,
+                   {joined_vars(main_vars, q_vars).zero_mono(): Fraction(c)})
 
     @classmethod
     def gen(cls, main_vars, q_vars, trunc, name):
-        key = (main_vars.unit_mono(name), q_vars.zero_mono())
+        key = joined_vars(main_vars, q_vars).unit_mono(name)
         return cls(main_vars, q_vars, trunc, {key: ONE})
 
-    @classmethod
-    def q_gen(cls, main_vars, q_vars, trunc, name):
-        key = (main_vars.zero_mono(), q_vars.unit_mono(name))
-        return cls(main_vars, q_vars, trunc, {key: ONE})
+    q_gen = gen
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, q_vars: VariableSet, trunc: int):
         qz = q_vars.zero_mono()
-        return cls(p.vars, q_vars, trunc, {(m, qz): c for m, c in p.terms.items()})
+        return cls(p.vars, q_vars, trunc, {m + qz: c for m, c in p.terms.items()})
 
     # accessors
 
     def classical_part(self) -> Polynomial:
         """The q-degree-zero slice as a polynomial in the main variables."""
-        qz = self.q_vars.zero_mono()
-        return Polynomial(self.main_vars, {mm: c for (mm, qm), c in self.terms.items() if qm == qz})
+        k = len(self.main_vars)
+        return Polynomial(self.main_vars,
+                          {m[:k]: c for m, c in self.terms.items() if not any(m[k:])})
 
-    def q_tail(self) -> "NovikovSeries":
-        qz = self.q_vars.zero_mono()
-        return self._new({k: c for k, c in self.terms.items() if k[1] != qz})
-
-    def min_q_degree(self):
-        """Smallest total q-degree with a nonzero term; None for zero."""
-        if not self.terms:
-            return None
-        return min(sum(qm) for _, qm in self.terms)
-
-    # the TermMap hooks
+    # the term-map hooks
 
     def _space(self):
         return (self.main_vars, self.q_vars, self.trunc)
@@ -493,20 +483,13 @@ class NovikovSeries(TermMap):
     def _new(self, terms) -> "NovikovSeries":
         return NovikovSeries(self.main_vars, self.q_vars, self.trunc, terms)
 
-    @staticmethod
-    def _order_key(key):
-        # main monomial by descending grevlex, then q monomial by
-        # ascending grevlex: grevlex_desc_key(mm) + grevlex_key(qm),
-        # inline because reduction keys its heap with it
-        mm, qm = key
-        return (-sum(mm), tuple(reversed(mm)), sum(qm), tuple(-e for e in reversed(qm)))
-
-    def _render_key(self, key) -> str:
-        main_str = self.main_vars.render_mono(key[0])
-        q_str = self.q_vars.render_mono(key[1])
-        if main_str and q_str:
-            return main_str + "*" + q_str
-        return main_str or q_str
+    def _order_key(self, mono):
+        # main part by descending grevlex, then q part by ascending grevlex:
+        # grevlex_desc_key(main) + grevlex_key(q), inline because the
+        # default reduction keys its heap with it
+        k = len(self.main_vars)
+        mm, qm = mono[:k], mono[k:]
+        return (-sum(mm), mm[::-1], sum(qm), tuple(-e for e in reversed(qm)))
 
     # arithmetic
 
@@ -515,7 +498,7 @@ class NovikovSeries(TermMap):
             return other
         if isinstance(other, (int, Fraction)):
             return NovikovSeries.const(self.main_vars, self.q_vars, self.trunc, other)
-        if isinstance(other, Polynomial) and other.vars == self.main_vars:
+        if type(other) is Polynomial and other.vars == self.main_vars:
             return NovikovSeries.from_polynomial(other, self.q_vars, self.trunc)
         return None
 
@@ -529,15 +512,21 @@ class NovikovSeries(TermMap):
         if other is None:
             return NotImplemented
         self._check_same(other)
-        terms: Dict[Tuple[Mono, Mono], Fraction] = {}
-        for (mm1, qm1), c1 in self.terms.items():
-            for (mm2, qm2), c2 in other.terms.items():
-                qm = mono_mul(qm1, qm2)
-                if sum(qm) > self.trunc:
+        k, trunc = len(self.main_vars), self.trunc
+        right = [(m, sum(m[k:]), c) for m, c in other.terms.items()]
+        terms: Dict[Mono, Fraction] = {}
+        for m1, c1 in self.terms.items():
+            room = trunc - sum(m1[k:])
+            for m2, d2, c2 in right:
+                if d2 > room:
                     continue
-                k = (mono_mul(mm1, mm2), qm)
-                terms[k] = terms.get(k, ZERO) + c1 * c2
-        return NovikovSeries(self.main_vars, self.q_vars, self.trunc, terms)
+                m = mono_mul(m1, m2)
+                terms[m] = terms.get(m, ZERO) + c1 * c2
+        return NovikovSeries(self.main_vars, self.q_vars, trunc, terms)
+
+    # powers by squaring only: Polynomial's negative powers would return
+    # a plain Polynomial over the joined variables
+    __pow__ = Arithmetic.__pow__
 
     def truncate(self, new_trunc: int) -> "NovikovSeries":
         """Lower the truncation order; raising it is an error."""
@@ -546,8 +535,9 @@ class NovikovSeries(TermMap):
                              % (self.trunc, new_trunc))
         if new_trunc == self.trunc:
             return self
+        k = len(self.main_vars)
         return NovikovSeries(self.main_vars, self.q_vars, new_trunc,
-                             {k: c for k, c in self.terms.items() if sum(k[1]) <= new_trunc})
+                             {m: c for m, c in self.terms.items() if sum(m[k:]) <= new_trunc})
 
     def __repr__(self):
         return "NovikovSeries(%s ; trunc=%d)" % (self.render(), self.trunc)

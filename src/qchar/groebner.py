@@ -7,6 +7,12 @@ failure raises InternalError.  The monomial order is graded reverse
 lexicographic for the declared variable order throughout; bases are
 reduced and monic.  Pair selection uses the normal strategy (smallest
 lcm first) with the coprimality and chain criteria.
+
+_reduce is the one normal-form loop of the package.  It serves the
+S-polynomial and tail reductions of Buchberger, divide and normal_form
+under descending grevlex, and the rewriting of the quotient rings
+(quotient.PresentedAlgebra._reduce_terms), which passes its rule rows
+in its own order, its own heap key and a q-degree cap.
 """
 
 from __future__ import annotations
@@ -85,54 +91,71 @@ def _lead_row(lm: Mono, g: Polynomial, gid: int) -> LeadRow:
     return (lm, list(g.terms.items()), gid)
 
 
-def _reduce(p: Polynomial, lead: List[LeadRow],
-            budget: _Budget,
-            usage: Optional[Dict[int, Dict[Mono, Fraction]]] = None) -> Polynomial:
-    """Full normal form of p against monic reducers.
+def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
+            budget: Optional[_Budget] = None,
+            usage: Optional[Dict[int, Dict[Mono, Fraction]]] = None,
+            key=grevlex_desc_key,
+            cap: Optional[Tuple[int, int]] = None) -> Dict[Mono, Fraction]:
+    """Full normal form of the term map `terms` against monic reducer rows.
 
-    `lead` rows are (leading monomial, term items, reducer id).  When
+    `rows` are (leading monomial, term items, reducer id); a term is
+    rewritten by the first row whose leading monomial divides it.  The
+    working terms live in a dict, their order in a heap keyed by `key`
+    (ascending), with lazy deletion: a popped monomial whose term has
+    since cancelled is skipped.  The first dividing row is memoised per
+    monomial when it is popped, and a term of a monomial already known
+    irreducible goes straight to the result.  With cap = (k, trunc), a
+    term whose exponents from slot k on sum above trunc is dropped.  When
     `usage` is given it accumulates, per reducer id, the factor s with
-        p == result + sum_id s_id * reducer_id.
+        terms == result + sum_id s_id * reducer_id.
     """
-    vars = p.vars
-    work = dict(p.terms)
-    heap = [grevlex_desc_key(m) for m in work]
-    heapq.heapify(heap)
-    out = {}
     zero = Fraction(0)
+    work = {m: c for m, c in terms.items() if c}
+    heap = [(key(m), m) for m in work]
+    heapq.heapify(heap)
+    out: Dict[Mono, Fraction] = {}  # holds every monomial known irreducible
+    hits: Dict[Mono, LeadRow] = {}
+    qk, trunc = cap if cap is not None else (0, None)
     while heap:
-        _, rev = heapq.heappop(heap)
-        mono = tuple(reversed(rev))
-        if mono not in work:
+        mono = heapq.heappop(heap)[1]
+        coeff = work.pop(mono, None)
+        if coeff is None:
             continue
-        coeff = work.pop(mono)
-        hit = None
-        for lm, gterms, gid in lead:
-            if mono_divides(lm, mono):
-                hit = (lm, gterms, gid)
-                break
+        hit = hits.get(mono)
         if hit is None:
-            out[mono] = coeff
-            continue
-        budget.spend()
+            for row in rows:
+                if mono_divides(row[0], mono):
+                    hit = hits[mono] = row
+                    break
+            else:
+                out[mono] = coeff
+                continue
+        if budget is not None:
+            budget.spend()
         lm, gterms, gid = hit
         quot = mono_div(mono, lm)
         for m, c in gterms:
             if m == lm:
                 continue
             m2 = mono_mul(m, quot)
-            old = work.get(m2, zero)
-            v = old - coeff * c
-            if v:
-                if not old:
-                    heapq.heappush(heap, grevlex_desc_key(m2))
-                work[m2] = v
+            if trunc is not None and sum(m2[qk:]) > trunc:
+                continue
+            old = work.get(m2)
+            if old is not None:
+                v = old - coeff * c
+                if v:
+                    work[m2] = v
+                else:
+                    del work[m2]
+            elif m2 in out:
+                out[m2] -= coeff * c
             else:
-                work.pop(m2, None)
+                work[m2] = -coeff * c
+                heapq.heappush(heap, (key(m2), m2))
         if usage is not None:
             slot = usage.setdefault(gid, {})
             slot[quot] = slot.get(quot, zero) + coeff
-    return Polynomial(vars, out)
+    return {m: c for m, c in out.items() if c}
 
 
 def divide(p: Polynomial, d: Polynomial) -> Tuple[Polynomial, Polynomial]:
@@ -146,8 +169,8 @@ def divide(p: Polynomial, d: Polynomial) -> Tuple[Polynomial, Polynomial]:
     lm, lc = d.leading()
     inv = 1 / lc
     usage: Dict[int, Dict[Mono, Fraction]] = {}
-    rem = _reduce(p, [_lead_row(lm, d.scale(inv), 0)], _Budget(None), usage)
-    return Polynomial(p.vars, usage.get(0, {})).scale(inv), rem
+    rem = _reduce(p.terms, [_lead_row(lm, d.scale(inv), 0)], usage=usage)
+    return Polynomial(p.vars, usage.get(0, {})).scale(inv), Polynomial(p.vars, rem)
 
 
 def _apply_usage(row: List[Polynomial], usage: Dict[int, Dict[Mono, Fraction]],
@@ -227,7 +250,7 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
         mi, mj = mono_div(lcm, lm_i), mono_div(lcm, lm_j)
         spoly = gens[i].mul_mono(mi) - gens[j].mul_mono(mj)
         usage: Optional[Dict[int, Dict[Mono, Fraction]]] = {} if track_cofactors else None
-        nf = _reduce(spoly, lead_rows, budget, usage)
+        nf = Polynomial(vars, _reduce(spoly.terms, lead_rows, budget, usage))
         if nf.is_zero():
             continue
         lc = nf.leading()[1]
@@ -260,7 +283,7 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
         others = [lead_rows[b] for b in keep if b != a]
         if others:
             usage = {} if track_cofactors else None
-            nf = _reduce(gens[a], others, budget, usage)
+            nf = Polynomial(vars, _reduce(gens[a].terms, others, budget, usage))
             cof = _apply_usage(rows[a], usage, rows) if track_cofactors else []
         else:
             nf, cof = gens[a], rows[a]
@@ -287,7 +310,7 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
 def normal_form(p: Polynomial, gdata: GroebnerData,
                 step_cap: Optional[int] = None) -> Polynomial:
     """Remainder of p modulo the reduced basis; zero iff p is in the ideal."""
-    return _reduce(p, gdata.lead_rows, _Budget(step_cap))
+    return Polynomial(p.vars, _reduce(p.terms, gdata.lead_rows, _Budget(step_cap)))
 
 
 def is_zero_dimensional(gdata: GroebnerData) -> bool:

@@ -212,8 +212,10 @@ class HbarFraction(Arithmetic):
         if other is None:
             return NotImplemented
         den = _atoms_lcm(self.denom, other.denom)
-        na = self.numer * _atoms_product(self.ring, _atoms_diff(den, self.denom))
-        nb = other.numer * _atoms_product(self.ring, _atoms_diff(den, other.denom))
+        # a zero numerator stays zero over any denominator: expand nothing
+        na, nb = (f.numer if f.is_zero()
+                  else f.numer * _atoms_product(self.ring, _atoms_diff(den, f.denom))
+                  for f in (self, other))
         return HbarFraction(na + nb, den)
 
     def __neg__(self) -> "HbarFraction":

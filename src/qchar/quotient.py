@@ -2,24 +2,21 @@
 
 A presentation consists of generators, Novikov variables, and relations
 r_j = c_j + t_j whose classical part c_j is a nonzero polynomial in the
-generators and whose tail t_j has total q-degree >= 1.  The classical
-parts get a reduced grevlex basis with cofactor rows u_{i,j}; each basis
-element g_i then acquires a quantum correction
-    h_i := -sum_j u_{i,j} * t_j,
-so that modulo the relations g_i acts as h_i, and normal-form reduction
-rewrites a term through  lm(g_i) == h_i - (g_i - lm(g_i)).  Every
-rewrite strictly drops the (classical monomial, q-degree) measure, so
-reduction terminates at any truncation order.
+generators and whose tail t_j has total q-degree >= 1.  A key is flat:
+the classical exponents, then the q exponents.  The classical parts get
+a reduced grevlex basis g_i with cofactor rows u_{i,j}, and rule i is
+the relation row  sum_j u_{i,j} * r_j: its classical part is g_i, so
+it is monic at lm(g_i), and the rest of it rewrites lm(g_i) modulo the
+relations.  The rows are reduced by groebner's loop, _reduce, with the
+q-degree cap at the ring's truncation; this module holds no reduction
+loop of its own.  Every rewrite strictly drops the (classical monomial,
+q-degree) measure, so reduction terminates at any truncation order.
 
-Reduction keeps its working terms in a dict and their order in a heap
-with lazy deletion: a key is pushed when its term enters the working
-set, and a popped key whose term has since cancelled is skipped.  The
-default strategy rewrites the largest classical monomial first (grevlex),
-ties by lowest q-degree, with the first matching rule.  The alternate
-strategy rewrites the smallest reducible classical monomial first, ties
-by highest q-degree, with the last matching rule; it emits irreducible
-terms at once, since they never become reducible.  The matching rule of
-each classical monomial is looked up once per reduction.  The two
+The default strategy keys the loop's heap with the display order (the
+largest classical monomial first, ties by lowest q-degree) and takes
+the first matching rule.  The alternate strategy takes the rows
+reversed, so the last matching rule wins, with its own key: the
+smallest classical monomial first, ties by highest q-degree.  The two
 strategies share no order or rule choice, so comparing their normal
 forms (confluence_check) is an independent check of the rules.
 
@@ -34,17 +31,18 @@ of standard monomials (m_a, m_b) to the normal form of m_a*m_b, reduced
 once by _reduce_terms when the pair is first multiplied; a ring builds
 no entry up front.  Each factor is grouped by classical monomial, and a
 pair of groups contributes its truncated q-coefficient times the pair's
-entry.  This is exact: reduction is linear, q-monomials are central,
-and no rewrite lowers q-degree, so an entry reduced at the ring's
-truncation holds every term that survives the q-degree cap.
+entry; entries and groups keep classical and q monomials apart, and a
+product term's key is their concatenation.  This is exact: reduction is
+linear, q-monomials are central, and no rewrite lowers q-degree, so an
+entry reduced at the ring's truncation holds every term that survives
+the q-degree cap.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .core import (
     ONE,
@@ -58,11 +56,17 @@ from .core import (
     _render_terms,
     grevlex_desc_key,
     grevlex_key,
-    mono_div,
-    mono_divides,
     mono_mul,
 )
-from .groebner import GroebnerData, divide, groebner, is_zero_dimensional, standard_monomials
+from .groebner import (
+    GroebnerData,
+    _lead_row,
+    _reduce,
+    divide,
+    groebner,
+    is_zero_dimensional,
+    standard_monomials,
+)
 from .report import Check
 
 QPoly = Dict[Mono, Fraction]  # truncated polynomial in the q variables
@@ -110,10 +114,10 @@ class AlgebraElement(Arithmetic):
 
     @property
     def coords(self) -> Dict[int, QPoly]:
-        index = self.ring._basis_index
+        index, k = self.ring._basis_index, len(self.ring.gens)
         out: Dict[int, QPoly] = {}
-        for (mm, qm), c in self.nf.terms.items():
-            out.setdefault(index[mm], {})[qm] = c
+        for m, c in self.nf.terms.items():
+            out.setdefault(index[m[:k]], {})[m[k:]] = c
         return out
 
     def is_zero(self) -> bool:
@@ -131,7 +135,7 @@ class AlgebraElement(Arithmetic):
             return other
         if isinstance(other, (int, Fraction)):
             return self.ring.constant(other)
-        if isinstance(other, (Polynomial, NovikovSeries)):
+        if isinstance(other, Polynomial):  # a series is a Polynomial
             return self.ring.reduce(other)
         return None
 
@@ -157,10 +161,10 @@ class AlgebraElement(Arithmetic):
         if other is None:
             return NotImplemented
         ring = self.ring
-        trunc = ring.trunc
-        terms: Dict[Tuple[Mono, Mono], Fraction] = {}
-        right = _by_classical(other.nf)
-        for ma, left_q in _by_classical(self.nf).items():
+        trunc, k = ring.trunc, len(ring.gens)
+        terms: Dict[Mono, Fraction] = {}
+        right = _by_classical(other.nf, k)
+        for ma, left_q in _by_classical(self.nf, k).items():
             for mb, right_q in right.items():
                 # truncated q-coefficient of the pair m_a * m_b
                 coeff: Dict[Mono, Tuple[int, Fraction]] = {}
@@ -182,7 +186,7 @@ class AlgebraElement(Arithmetic):
                     for de, qe, me, ce in entry:
                         if de > room:
                             break
-                        key = (me, mono_mul(qm, qe))
+                        key = me + mono_mul(qm, qe)
                         terms[key] = terms.get(key, ZERO) + c * ce
         return AlgebraElement(ring, NovikovSeries(ring.gens, ring.q_vars, trunc, terms))
 
@@ -199,18 +203,14 @@ class AlgebraElement(Arithmetic):
         return "AlgebraElement(%s)" % self.render()
 
 
-def _by_classical(series: NovikovSeries) -> Dict[Mono, List[Tuple[Mono, int, Fraction]]]:
-    """The series' terms grouped by classical monomial: m -> [(q, deg q, c)]."""
+def _by_classical(series: NovikovSeries,
+                  k: int) -> Dict[Mono, List[Tuple[Mono, int, Fraction]]]:
+    """The terms grouped by classical monomial, key[:k]: m -> [(q, deg q, c)]."""
     groups: Dict[Mono, List[Tuple[Mono, int, Fraction]]] = {}
-    for (mm, qm), c in series.terms.items():
-        groups.setdefault(mm, []).append((qm, sum(qm), c))
+    for m, c in series.terms.items():
+        qm = m[k:]
+        groups.setdefault(m[:k], []).append((qm, sum(qm), c))
     return groups
-
-
-def _alternate_key(key):
-    # smallest classical monomial first, ties by highest q-degree; the
-    # default strategy's key is the display order NovikovSeries._order_key
-    return (grevlex_key(key[0]), grevlex_desc_key(key[1]))
 
 
 class PresentedAlgebra:
@@ -226,7 +226,6 @@ class PresentedAlgebra:
         classical = [r.classical_part() for r in self.relations]
         if any(c.is_zero() for c in classical):
             raise ValueError("relation with zero classical part")
-        tails = [r.q_tail() for r in self.relations]
 
         self.gdata: GroebnerData = groebner(classical)
         if not is_zero_dimensional(self.gdata):
@@ -235,20 +234,22 @@ class PresentedAlgebra:
         self.basis_monos: List[Mono] = standard_monomials(self.gdata)
         self._basis_index = {m: i for i, m in enumerate(self.basis_monos)}
 
-        # quantum corrections: g_i rewrites to h_i - (g_i - lm(g_i))
-        self._rules = []
-        for g, row in zip(self.gdata.basis, self.gdata.cofactors):
-            lm, _ = g.leading()
-            rest = g - Polynomial(self.gens, {lm: Fraction(1)})
-            correction = NovikovSeries.zero(self.gens, self.q_vars, trunc)
-            for u, tail in zip(row, tails):
-                if u.is_zero() or tail.is_zero():
-                    continue
-                correction = correction - u * tail
-            mq = correction.min_q_degree()
-            if mq is not None and mq < 1:
+        # rule i is the relation sum_j u_ij r_j, monic at lm(g_i)
+        qz = self.q_vars.zero_mono()
+        zero = NovikovSeries.zero(self.gens, self.q_vars, trunc)
+        self._rows = []
+        for i, (g, us) in enumerate(zip(self.gdata.basis, self.gdata.cofactors)):
+            row = sum((u * r for u, r in zip(us, self.relations) if not u.is_zero()), zero)
+            if row.classical_part() != g:
                 raise InternalError("quantum correction with classical terms")
-            self._rules.append((lm, rest, correction))
+            self._rows.append(_lead_row(g.leading()[0] + qz, row, i))
+        k = len(self.gens)
+        # the default strategy takes the first matching rule under the
+        # display order; the alternate one the last, smallest classical
+        # monomial first and ties by highest q-degree
+        self._default = (self._rows, zero._order_key)
+        self._alternate = (self._rows[::-1],
+                           lambda m: (grevlex_key(m[:k]), grevlex_desc_key(m[k:])))
 
         # (m_a, m_b) with m_a <= m_b -> normal form of m_a*m_b as
         # [(deg q, q, m, c)] sorted by q-degree; see _product_entry
@@ -307,86 +308,19 @@ class PresentedAlgebra:
 
     # reduction
 
-    def _find_rule(self, mm: Mono, last: bool = False):
-        found = None
-        for rule in self._rules:
-            if mono_divides(rule[0], mm):
-                if not last:
-                    return rule
-                found = rule
-        return found
-
-    def _reduce_terms(self, terms: Dict[Tuple[Mono, Mono], Fraction],
-                      strategy: str = "default") -> Dict[Tuple[Mono, Mono], Fraction]:
-        alternate = strategy != "default"
-        heap_key = _alternate_key if alternate else NovikovSeries._order_key
-        zero = Fraction(0)
-        work: Dict[Tuple[Mono, Mono], Fraction] = {}
-        heap: list = []
-        out: Dict[Tuple[Mono, Mono], Fraction] = {}
-        # matching rule per classical monomial, looked up once per call
-        rules: Dict[Mono, Optional[tuple]] = {}
-
-        def rule_for(mm):
-            if mm not in rules:
-                rules[mm] = self._find_rule(mm, last=alternate)
-            return rules[mm]
-
-        def emit(mm, qm, coeff):
-            key = (mm, qm)
-            v = out.get(key, zero) + coeff
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-
-        def bump(key, delta):
-            # an irreducible term never becomes reducible, so the
-            # alternate strategy emits it at once and keeps it off the heap
-            if alternate and rule_for(key[0]) is None:
-                emit(key[0], key[1], delta)
-                return
-            old = work.get(key, zero)
-            v = old + delta
-            if v:
-                if not old:
-                    heapq.heappush(heap, (heap_key(key), key))
-                work[key] = v
-            else:
-                work.pop(key, None)
-
-        for key, c in terms.items():
-            if c != 0:
-                bump(key, Fraction(c))
-
-        while heap:
-            key = heapq.heappop(heap)[1]
-            coeff = work.pop(key, None)
-            if coeff is None:  # cancelled after it was pushed
-                continue
-            mm, qm = key
-            rule = rule_for(mm)
-            if rule is None:
-                emit(mm, qm, coeff)
-                continue
-            lm, rest, correction = rule
-            quot = mono_div(mm, lm)
-            for m, c in rest.terms.items():
-                bump((mono_mul(m, quot), qm), -coeff * c)
-            for (m2, q2), c2 in correction.terms.items():
-                qnew = mono_mul(qm, q2)
-                if sum(qnew) > self.trunc:
-                    continue
-                bump((mono_mul(m2, quot), qnew), coeff * c2)
-        return out
+    def _reduce_terms(self, terms: Dict[Mono, Fraction],
+                      strategy: str = "default") -> Dict[Mono, Fraction]:
+        rows, key = self._default if strategy == "default" else self._alternate
+        return _reduce(terms, rows, key=key, cap=(len(self.gens), self.trunc))
 
     def _product_entry(self, ma: Mono, mb: Mono) -> List[Tuple[int, Mono, Mono, Fraction]]:
         """Normal form of the standard-monomial product ma*mb, reduced on first use."""
         pair = (ma, mb) if ma <= mb else (mb, ma)
         entry = self._products.get(pair)
         if entry is None:
-            nf = self._reduce_terms({(mono_mul(ma, mb), self.q_vars.zero_mono()): ONE})
-            entry = sorted(((sum(qm), qm, mm, c) for (mm, qm), c in nf.items()),
+            k = len(self.gens)
+            nf = self._reduce_terms({mono_mul(ma, mb) + self.q_vars.zero_mono(): ONE})
+            entry = sorted(((sum(m[k:]), m[k:], m[:k], c) for m, c in nf.items()),
                            key=lambda t: t[0])
             self._products[pair] = entry
         return entry
@@ -401,7 +335,7 @@ class PresentedAlgebra:
     # matrices and tables
 
     def basis_element(self, i: int) -> AlgebraElement:
-        key = (self.basis_monos[i], self.q_vars.zero_mono())
+        key = self.basis_monos[i] + self.q_vars.zero_mono()
         return AlgebraElement(self, NovikovSeries(self.gens, self.q_vars, self.trunc, {key: 1}))
 
     def mult_matrix(self, a: AlgebraElement) -> List[List[Polynomial]]:
@@ -452,7 +386,7 @@ class PresentedAlgebra:
             coeff = Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
             if coeff == 0:
                 continue
-            key = (mm, tuple(qm))
+            key = mm + tuple(qm)
             terms[key] = terms.get(key, Fraction(0)) + coeff
         return NovikovSeries(self.gens, self.q_vars, self.trunc, terms)
 

@@ -182,8 +182,16 @@ def _broken_cofactors(monkeypatch):
 
 
 def _broken_corrections(monkeypatch):
-    from qchar.core import NovikovSeries
-    monkeypatch.setattr(NovikovSeries, "min_q_degree", lambda self: 0)
+    # doubled cofactors make each rule row sum_j u_ij r_j miss its g_i
+    import qchar.quotient
+    original = qchar.quotient.groebner
+
+    def doubled(relations):
+        data = original(relations)
+        data.cofactors = [[u.scale(2) for u in row] for row in data.cofactors]
+        return data
+
+    monkeypatch.setattr(qchar.quotient, "groebner", doubled)
 
 
 @pytest.mark.parametrize("breakage, message", [

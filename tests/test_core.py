@@ -13,6 +13,7 @@ from qchar.core import (
     NovikovSeries,
     Polynomial,
     VariableSet,
+    _render_terms,
     binomial,
     evaluate,
     grevlex_key,
@@ -208,15 +209,15 @@ def test_series_classical_part_and_tail():
     x, q = series_gens(2)
     s = x ** 2 + 3 * q * x - q ** 2
     assert s.classical_part() == Polynomial.var(MAIN_X, "x", 2)
-    assert s.q_tail() == 3 * q * x - q ** 2
-    assert s.q_tail().min_q_degree() == 1
+    tail = s - s.classical_part()
+    assert tail == 3 * q * x - q ** 2
+    assert all(qe >= 1 for _, qe in tail.terms)
 
 
 def test_series_zero_at_truncation_means_empty():
     x, q = series_gens(1)
     s = q * q  # q-degree 2 dies at truncation 1
     assert s.is_zero()
-    assert s.min_q_degree() is None
 
 
 def test_series_mixed_ring_operations_raise():
@@ -261,8 +262,37 @@ def novikov_series(draw, trunc=3):
     for _ in range(n):
         mm = (draw(st.integers(0, 3)),)
         qm = (draw(st.integers(0, trunc)),)
-        terms[(mm, qm)] = draw(fractions_st)
+        terms[mm + qm] = draw(fractions_st)
     return NovikovSeries(MAIN_X, QQ, trunc, terms)
+
+
+MAIN_XY = VariableSet(["x", "y"])
+Q12 = VariableSet(["Q1", "Q2"])
+
+
+def _pair_order_key(key):
+    """Frozen display order of the (main, q) pair keys series once had."""
+    mm, qm = key
+    return (-sum(mm), tuple(reversed(mm)), sum(qm), tuple(-e for e in reversed(qm)))
+
+
+def _pair_render_key(key):
+    """Frozen rendering of a (main, q) pair key."""
+    main_str, q_str = MAIN_XY.render_mono(key[0]), Q12.render_mono(key[1])
+    if main_str and q_str:
+        return main_str + "*" + q_str
+    return main_str or q_str
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 2, *[st.integers(0, 2)] * 2),
+                       fractions_st, max_size=8))
+def test_flat_series_keys_keep_the_pair_key_order_and_rendering(terms):
+    s = NovikovSeries(MAIN_XY, Q12, 3, terms)
+    pairs = {(m[:2], m[2:]): c for m, c in s.terms.items()}
+    order = sorted(pairs, key=_pair_order_key)
+    assert [m for m, _ in s.sorted_terms()] == [mm + qm for mm, qm in order]
+    assert s.render() == _render_terms([(pairs[k], _pair_render_key(k)) for k in order])
 
 
 @settings(max_examples=60, deadline=None)

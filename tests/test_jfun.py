@@ -71,6 +71,24 @@ def test_fraction_add_sub_roundtrip():
         assert (a * b) == (b * a)
 
 
+def test_adding_to_zero_expands_no_atoms(monkeypatch):
+    # a zero operand keeps the sum's denominator but multiplies out nothing
+    import qchar.jfun
+    R = _kring()
+    f = HbarFraction(HbarPoly.atom(R, "L1", 1), {("L2", 1): 2, ("L1L2", 2): 1})
+    expanded = []
+    original = qchar.jfun._atoms_product
+
+    def recording(ring_, atoms):
+        expanded.append(dict(atoms))
+        return original(ring_, atoms)
+
+    monkeypatch.setattr(qchar.jfun, "_atoms_product", recording)
+    for total in (HbarFraction.zero(R) + f, f + HbarFraction.zero(R)):
+        assert not any(expanded)
+        assert total.denom == f.denom and total.numer == f.numer
+
+
 def test_fraction_zero_test_matches_series_expansion():
     R = _kring()
     rng = random.Random(5)

@@ -249,6 +249,14 @@ def test_single_inverse_agrees_with_per_variable_oracle():
     assert False in verdicts[6::2]
 
 
+@pytest.mark.parametrize("n, size, steps", [(3, 17, 154), (4, 48, 1714)])
+def test_jacobi_basis_size_and_steps_pinned(n, size, steps):
+    # --step-cap counts these steps, so a change to the reduction loop
+    # or the pair order must not move them
+    gdata = jacobi_context(n).gdata
+    assert (len(gdata.basis), gdata.steps) == (size, steps)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_jacobi_basis_satisfies_buchberger_criterion(n):
     # exact certificate of the basis: every input reduces to zero and so

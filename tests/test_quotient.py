@@ -13,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchar.catalog import ring as catalog_ring
-from qchar.core import NovikovSeries, Polynomial, VariableSet, grevlex_key, mono_div, mono_mul
+from qchar.core import (
+    NovikovSeries,
+    Polynomial,
+    VariableSet,
+    grevlex_key,
+    mono_div,
+    mono_divides,
+    mono_mul,
+)
 from qchar.quotient import (
     PresentedAlgebra,
     Presentation,
@@ -152,10 +160,22 @@ def scan_reduce_terms(ring, terms, strategy="default"):
     Each step scans the whole working set: the default strategy takes
     the largest term by (grevlex classical monomial, lowest q-degree) and
     its first matching rule; the alternate one takes the smallest
-    reducible term by the same key and its last matching rule.
+    reducible term by the same key and its last matching rule.  A key is
+    the classical monomial followed by the q monomial; a rule is a ring
+    row (leading key, terms, id), monic at its leading key.
     """
+    ng = len(ring.gens)
     work = {k: Fraction(c) for k, c in terms.items() if c != 0}
     out = {}
+
+    def find_rule(mm, last=False):
+        found = None
+        for rule in ring._rows:
+            if mono_divides(rule[0][:ng], mm):
+                if not last:
+                    return rule
+                found = rule
+        return found
 
     def emit(mm, qm, coeff):
         i = ring._basis_index[mm]
@@ -168,28 +188,28 @@ def scan_reduce_terms(ring, terms, strategy="default"):
 
     while work:
         if strategy == "default":
-            key = max(work, key=lambda k: (grevlex_key(k[0]),
-                                           (-sum(k[1]), tuple(e for e in reversed(k[1])))))
-            mm, qm = key
-            rule = ring._find_rule(mm)
+            key = max(work, key=lambda k: (grevlex_key(k[:ng]),
+                                           (-sum(k[ng:]), tuple(e for e in reversed(k[ng:])))))
+            mm, qm = key[:ng], key[ng:]
+            rule = find_rule(mm)
         else:
-            reducible = [(k, ring._find_rule(k[0], last=True)) for k in work]
+            reducible = [(k, find_rule(k[:ng], last=True)) for k in work]
             reducible = [(k, r) for k, r in reducible if r is not None]
             if not reducible:
-                for (mm, qm), c in work.items():
-                    emit(mm, qm, c)
+                for k, c in work.items():
+                    emit(k[:ng], k[ng:], c)
                 break
             key, rule = min(reducible,
-                            key=lambda kr: (grevlex_key(kr[0][0]),
-                                            (-sum(kr[0][1]),
-                                             tuple(e for e in reversed(kr[0][1])))))
-            mm, qm = key
+                            key=lambda kr: (grevlex_key(kr[0][:ng]),
+                                            (-sum(kr[0][ng:]),
+                                             tuple(e for e in reversed(kr[0][ng:])))))
+            mm, qm = key[:ng], key[ng:]
         coeff = work.pop(key)
         if rule is None:
             emit(mm, qm, coeff)
             continue
-        lm, rest, correction = rule
-        quot = mono_div(mm, lm)
+        lm, row_terms, _ = rule
+        quot = mono_div(key, lm)
 
         def bump(k, delta):
             v = work.get(k, Fraction(0)) + delta
@@ -198,13 +218,11 @@ def scan_reduce_terms(ring, terms, strategy="default"):
             else:
                 work.pop(k, None)
 
-        for m, c in rest.terms.items():
-            bump((mono_mul(m, quot), qm), -coeff * c)
-        for (m2, q2), c2 in correction.terms.items():
-            qnew = mono_mul(qm, q2)
-            if sum(qnew) > ring.trunc:
+        for m, c in row_terms:
+            knew = mono_mul(m, quot)
+            if m == lm or sum(knew[ng:]) > ring.trunc:
                 continue
-            bump((mono_mul(m2, quot), qnew), coeff * c2)
+            bump(knew, -coeff * c)
     return {i: qp for i, qp in out.items() if qp}
 
 
@@ -226,6 +244,28 @@ def test_heap_reduction_matches_scan_reference(which, strategy, seed):
         # same pick order, so terms are emitted in the same order
         assert [(i, list(qp)) for i, qp in got.items()] == \
             [(i, list(qp)) for i, qp in expected.items()]
+
+
+@pytest.mark.parametrize("family, n, m, trunc", [
+    ("qh_fl", 4, None, 3), ("qk_milnor", 4, 3, 3), ("k_milnor", 3, 3, 0)])
+def test_rule_rows_are_the_quantum_relations(family, n, m, trunc):
+    # row i is sum_j u_ij r_j at the ring's truncation (u the cofactor
+    # row of basis element g_i), monic at lm(g_i) with no q, and its
+    # classical part is g_i
+    ring = catalog_ring(family, n, m, trunc=trunc)
+    gdata = ring.gdata
+    relations = ring.presentation.relations_at(trunc)
+    assert [rid for _, _, rid in ring._rows] == list(range(len(gdata.basis)))
+    for (lead, row_terms, i) in ring._rows:
+        g = gdata.basis[i]
+        row = NovikovSeries(ring.gens, ring.q_vars, trunc, dict(row_terms))
+        assert lead == g.leading()[0] + ring.q_vars.zero_mono()
+        assert row.coeff(lead) == 1
+        expected = NovikovSeries.zero(ring.gens, ring.q_vars, trunc)
+        for u, r in zip(gdata.cofactors[i], relations):
+            expected = expected + NovikovSeries.from_polynomial(u, ring.q_vars, trunc) * r
+        assert row == expected
+        assert row.classical_part() == g
 
 
 # the q-free k_milnor ring lives at truncation 0, the others at 3
