@@ -9,6 +9,7 @@ that is not nilpotent mod Novikov is rejected with ValueError.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List
 
@@ -36,13 +37,13 @@ class UnivariateSeries:
         k = len(self._cache)
         while k <= upto:
             if self.tag == "exp_neg":
-                c = Fraction((-1) ** k, _factorial(k))
+                c = Fraction((-1) ** k, math.factorial(k))
             elif self.tag == "one_minus_exp_over_x":
-                c = Fraction((-1) ** k, _factorial(k + 1))
+                c = Fraction((-1) ** k, math.factorial(k + 1))
             elif k == 0:  # x_over_one_minus_exp: invert, constant term 1/a_0
                 c = Fraction(1)
             else:
-                a = [Fraction((-1) ** i, _factorial(i + 1)) for i in range(k + 1)]
+                a = [Fraction((-1) ** i, math.factorial(i + 1)) for i in range(k + 1)]
                 c = -sum((a[i] * self._cache[k - i] for i in range(1, k + 1)),
                          Fraction(0))
             self._cache.append(c)
@@ -56,13 +57,6 @@ class UnivariateSeries:
 
     def coeffs(self, upto: int) -> List[Fraction]:
         return [self.coeff(k) for k in range(upto + 1)]
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def series_coeffs(tag: str, upto: int) -> List[Fraction]:

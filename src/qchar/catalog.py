@@ -88,11 +88,8 @@ _NATIVE = 2
 
 
 def _sgen(gv, qv, name):
+    # a generator or a Novikov variable: the key slot is found by name
     return NovikovSeries.gen(gv, qv, _NATIVE, name)
-
-
-def _sq(gv, qv, name):
-    return NovikovSeries.q_gen(gv, qv, _NATIVE, name)
 
 
 def make_presentation(family: str, n: int, m: Optional[int] = None) -> Presentation:
@@ -101,18 +98,18 @@ def make_presentation(family: str, n: int, m: Optional[int] = None) -> Presentat
 
     if family == "qh_pn":
         gv, qv = VariableSet(["h"]), VariableSet(["q"])
-        h, q = _sgen(gv, qv, "h"), _sq(gv, qv, "q")
+        h, q = _sgen(gv, qv, "h"), _sgen(gv, qv, "q")
         return Presentation(label, gv, qv, [("hyperplane_power", h ** (n + 1) - q)])
 
     if family == "qk_pn":
         gv, qv = VariableSet(["x"]), VariableSet(["Q"])
-        x, q = _sgen(gv, qv, "x"), _sq(gv, qv, "Q")
+        x, q = _sgen(gv, qv, "x"), _sgen(gv, qv, "Q")
         return Presentation(label, gv, qv, [("dual_hyperplane_power", (1 - x) ** (n + 1) - q)])
 
     if family == "qh_fl":
         gv, qv = VariableSet(["h1", "h2"]), VariableSet(["q1", "q2"])
         h1, h2 = _sgen(gv, qv, "h1"), _sgen(gv, qv, "h2")
-        q1, q2 = _sq(gv, qv, "q1"), _sq(gv, qv, "q2")
+        q1, q2 = _sgen(gv, qv, "q1"), _sgen(gv, qv, "q2")
         f1 = h2 ** n - q2 * (h1 + h2)
         f2 = -q1 - ((-1) ** (n - 1)) * q2
         for l in range(n):
@@ -122,7 +119,7 @@ def make_presentation(family: str, n: int, m: Optional[int] = None) -> Presentat
     if family == "qh_milnor":
         gv, qv = VariableSet(["h1", "h2"]), VariableSet(["q1", "q2"])
         h1, h2 = _sgen(gv, qv, "h1"), _sgen(gv, qv, "h2")
-        q1, q2 = _sq(gv, qv, "q1"), _sq(gv, qv, "q2")
+        q1, q2 = _sgen(gv, qv, "q1"), _sgen(gv, qv, "q2")
         f1 = h2 ** m - q2 * (h1 + h2)
         f2 = -q1 - ((-1) ** (m - 1)) * q2 * h1 ** (n - m)
         for k in range(m):
@@ -134,7 +131,7 @@ def make_presentation(family: str, n: int, m: Optional[int] = None) -> Presentat
     if family == "qk_fl":
         qv = VariableSet(["Q1", "Q2"])
         x, y = _sgen(gv, qv, "x"), _sgen(gv, qv, "y")
-        q1, q2 = _sq(gv, qv, "Q1"), _sq(gv, qv, "Q2")
+        q1, q2 = _sgen(gv, qv, "Q1"), _sgen(gv, qv, "Q2")
         F1 = (1 - y) ** n - q2 + q2 * x * y
         F2 = (milnor_f2_poly(gv, n, n) * NovikovSeries.const(gv, qv, _NATIVE, 1)
               - q2 * x ** (n - 1) - ((-1) ** (n - 1)) * q1 * y)
@@ -143,7 +140,7 @@ def make_presentation(family: str, n: int, m: Optional[int] = None) -> Presentat
     if family == "qk_milnor":
         qv = VariableSet(["Q1", "Q2"])
         x, y = _sgen(gv, qv, "x"), _sgen(gv, qv, "y")
-        q1, q2 = _sq(gv, qv, "Q1"), _sq(gv, qv, "Q2")
+        q1, q2 = _sgen(gv, qv, "Q1"), _sgen(gv, qv, "Q2")
         F1 = (1 - y) ** m - q2 + q2 * x * y
         F2 = (milnor_f2_poly(gv, n, m) * NovikovSeries.const(gv, qv, _NATIVE, 1)
               - ((-1) ** (n - m)) * q2 * x ** (m - 1) * (1 - x) ** (n - m)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 from . import analytic, chern, jfun, mirror, report
 from .catalog import FAMILIES, RingId, ring
 from .core import InternalError
-from .parse import ParseError, parse_element
+from .parse import parse_element
 from .report import Check
 
 
@@ -413,10 +413,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # a parse.ParseError too
         print("error: %s" % e, file=sys.stderr)
         return 2
     except InternalError as e:

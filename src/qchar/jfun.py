@@ -1,12 +1,14 @@
 """Generating series with unit-denominator fractions over classical K rings.
 
-Coefficients of the series live in a finite-dimensional K-algebra from
-the catalog.  A coefficient is a fraction whose denominator is a formal
-multiset of atoms (1 - u*hbar^l)^mult with u a unit of the algebra, so
-the denominator's constant term is 1 and each atom is a non-zero-divisor
-on polynomials in hbar.  Zero-testing therefore reduces to zero-testing
-the numerator, and sums go through the multiset least common multiple.
-The difference operators act coefficientwise: the k-th factor operator
+Coefficients of the series live in a finite-dimensional q-free K-algebra
+from the catalog.  A coefficient is a fraction whose numerator is an
+HbarPoly, one term map over the generators and hbar, multiplied through
+the algebra's product table; its denominator is a formal multiset of
+atoms (1 - u*hbar^l)^mult with u a unit of the algebra, so the
+denominator's constant term is 1 and each atom is a non-zero-divisor on
+polynomials in hbar.  Zero-testing therefore reduces to zero-testing the
+numerator, and sums go through the multiset least common multiple.  The
+difference operators act coefficientwise: the k-th factor operator
 multiplies the degree-(d1,d2) coefficient by (1 - u_k*hbar^{d_k}), a
 Novikov-variable factor shifts the degree, and a global hbar power
 shifts the numerator.
@@ -19,12 +21,15 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .catalog import milnor_f2_poly, ring
-from .core import Arithmetic, Polynomial, VariableSet, binomial, evaluate
-from .quotient import AlgebraElement, PresentedAlgebra
+from .core import (ZERO, Arithmetic, Mono, NovikovSeries, Polynomial, VariableSet,
+                   binomial, evaluate, joined_vars)
+from .quotient import AlgebraElement, PresentedAlgebra, _by_classical
 from .report import Check
 
 # denominator multiset: (kind, level) -> multiplicity, kind one of L1, L2, L1L2
 AtomSet = Dict[Tuple[str, int], int]
+
+HBAR = VariableSet(["hbar"])
 
 
 def atom_unit(ring_: PresentedAlgebra, kind: str) -> AlgebraElement:
@@ -35,42 +40,55 @@ def atom_unit(ring_: PresentedAlgebra, kind: str) -> AlgebraElement:
     return ring_.generator("x") * ring_.generator("y")
 
 
-class HbarPoly(Arithmetic):
-    """Polynomial in hbar with coefficients in a classical K-algebra."""
+class HbarPoly(Polynomial):
+    """Polynomial in hbar with coefficients in a q-free classical K-algebra.
 
-    __slots__ = ("ring", "coeffs")
+    A Polynomial over joined_vars(ring.gens, HBAR): a key is a standard
+    monomial of the ring (not checked), then the hbar exponent, which is
+    never negative.  The product multiplies through the ring's table.
+    """
 
-    def __init__(self, ring_: PresentedAlgebra, coeffs: List[AlgebraElement]):
-        while coeffs and coeffs[-1].is_zero():
-            coeffs = coeffs[:-1]
+    __slots__ = ("ring",)
+
+    def __init__(self, ring_: PresentedAlgebra, terms: Dict[Mono, Fraction]):
+        if len(ring_.q_vars):  # the product caps no q-degree
+            raise ValueError("hbar polynomials need a ring without Novikov "
+                             "variables, not %r" % ring_.label)
         self.ring = ring_
-        self.coeffs = list(coeffs)
+        super().__init__(joined_vars(ring_.gens, HBAR), terms)
 
     @classmethod
-    def zero(cls, ring_: PresentedAlgebra) -> "HbarPoly":
-        return cls(ring_, [])
+    def lift(cls, element: AlgebraElement, level: int = 0) -> "HbarPoly":
+        """element*hbar^level."""
+        return cls(element.ring, {m + (level,): c for m, c in element.nf.terms.items()})
 
     @classmethod
     def one(cls, ring_: PresentedAlgebra) -> "HbarPoly":
-        return cls(ring_, [ring_.one()])
+        return cls.lift(ring_.one())
 
     @classmethod
     def atom(cls, ring_: PresentedAlgebra, kind: str, level: int) -> "HbarPoly":
         """1 - u*hbar^level for the atom's unit u."""
-        coeffs = [ring_.one()] + [ring_.zero()] * level
-        coeffs[level] = coeffs[level] - atom_unit(ring_, kind)
-        return cls(ring_, coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return cls.one(ring_) - cls.lift(atom_unit(ring_, kind), level)
 
     def degree(self) -> Optional[int]:
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return max((m[-1] for m in self.terms), default=None)
 
     def coeff(self, k: int) -> AlgebraElement:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.ring.zero()
+        """The coefficient of hbar^k."""
+        R = self.ring
+        return AlgebraElement(R, NovikovSeries(R.gens, R.q_vars, R.trunc, {
+            m[:-1]: c for m, c in self.terms.items() if m[-1] == k}))
+
+    def shift(self, p: int) -> "HbarPoly":
+        """Multiply by hbar^p."""
+        return self._new({m[:-1] + (m[-1] + p,): c for m, c in self.terms.items()})
+
+    def _space(self):
+        return (self.vars, self.ring)
+
+    def _new(self, terms) -> "HbarPoly":
+        return HbarPoly(self.ring, terms)
 
     def _coerce(self, other):
         return other if isinstance(other, HbarPoly) else None
@@ -78,60 +96,33 @@ class HbarPoly(Arithmetic):
     def _one(self) -> "HbarPoly":
         return HbarPoly.one(self.ring)
 
-    def __add__(self, other):
+    def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return HbarPoly(self.ring, [self.coeff(k) + other.coeff(k) for k in range(n)])
+        self._check_same(other)
+        ring_, k = self.ring, len(self.ring.gens)
+        terms: Dict[Mono, Fraction] = {}
+        right = _by_classical(other, k)
+        for ma, left_h in _by_classical(self, k).items():
+            for mb, right_h in right.items():
+                coeff: Dict[int, Fraction] = {}  # hbar coefficient of m_a * m_b
+                for _, ha, ca in left_h:
+                    for _, hb, cb in right_h:
+                        coeff[ha + hb] = coeff.get(ha + hb, ZERO) + ca * cb
+                entry = ring_._product_entry(ma, mb)
+                for h, c in coeff.items():
+                    for _, _, me, ce in entry:
+                        key = me + (h,)
+                        terms[key] = terms.get(key, ZERO) + c * ce
+        return HbarPoly(ring_, terms)
 
-    def __neg__(self) -> "HbarPoly":
-        return HbarPoly(self.ring, [-c for c in self.coeffs])
-
-    def __mul__(self, other: "HbarPoly") -> "HbarPoly":
-        if self.is_zero() or other.is_zero():
-            return HbarPoly.zero(self.ring)
-        out = [self.ring.zero() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return HbarPoly(self.ring, out)
-
-    def scale(self, c) -> "HbarPoly":
-        return HbarPoly(self.ring, [a.scale(c) for a in self.coeffs])
-
-    def scale_elt(self, e: AlgebraElement) -> "HbarPoly":
-        return HbarPoly(self.ring, [a * e for a in self.coeffs])
-
-    def shift(self, p: int) -> "HbarPoly":
-        """Multiply by hbar^p."""
-        if self.is_zero() or p == 0:
-            return self
-        return HbarPoly(self.ring, [self.ring.zero()] * p + self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, HbarPoly):
-            return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs))
+    __pow__ = Arithmetic.__pow__  # hbar is not Laurent
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            if k == 0:
-                parts.append("(%s)" % c.render())
-            elif k == 1:
-                parts.append("(%s)*hbar" % c.render())
-            else:
-                parts.append("(%s)*hbar^%d" % (c.render(), k))
-        return " + ".join(parts)
+        hb = {0: "", 1: "*hbar"}
+        return " + ".join("(%s)%s" % (self.coeff(k).render(), hb.get(k, "*hbar^%d" % k))
+                          for k in sorted({m[-1] for m in self.terms})) or "0"
 
 
 def _atoms_product(ring_: PresentedAlgebra, atoms: AtomSet) -> HbarPoly:
@@ -196,7 +187,7 @@ class HbarFraction(Arithmetic):
 
     @classmethod
     def zero(cls, ring_: PresentedAlgebra) -> "HbarFraction":
-        return cls(HbarPoly.zero(ring_))
+        return cls(HbarPoly(ring_, {}))
 
     def is_zero(self) -> bool:
         return self.numer.is_zero()
@@ -212,8 +203,9 @@ class HbarFraction(Arithmetic):
         if other is None:
             return NotImplemented
         den = _atoms_lcm(self.denom, other.denom)
-        # a zero numerator stays zero over any denominator: expand nothing
-        na, nb = (f.numer if f.is_zero()
+        # a zero numerator stays zero over any denominator, and an operand
+        # already over the lcm needs no atoms: expand nothing for either
+        na, nb = (f.numer if f.is_zero() or f.denom == den
                   else f.numer * _atoms_product(self.ring, _atoms_diff(den, f.denom))
                   for f in (self, other))
         return HbarFraction(na + nb, den)
@@ -462,7 +454,7 @@ def hbar_infinity_check(n: int, m: int, max_deg: int) -> List[Check]:
         den_deg = atoms_degree(f.denom)
         for i, di in ((1, d1), (2, d2)):
             u = atom_unit(J.context, "L%d" % i)
-            shifted = f.numer.scale_elt(u).shift(di)
+            shifted = f.numer * HbarPoly.lift(u, di)
             num_deg = shifted.degree()
             passed = num_deg is None or num_deg < den_deg
             out.append(Check.verdict(

@@ -203,9 +203,12 @@ class AlgebraElement(Arithmetic):
         return "AlgebraElement(%s)" % self.render()
 
 
-def _by_classical(series: NovikovSeries,
+def _by_classical(series: Polynomial,
                   k: int) -> Dict[Mono, List[Tuple[Mono, int, Fraction]]]:
-    """The terms grouped by classical monomial, key[:k]: m -> [(q, deg q, c)]."""
+    """The terms grouped by classical monomial, key[:k]: m -> [(q, deg q, c)].
+
+    q is the rest of the key: q exponents, or a jfun.HbarPoly's hbar exponent.
+    """
     groups: Dict[Mono, List[Tuple[Mono, int, Fraction]]] = {}
     for m, c in series.terms.items():
         qm = m[k:]

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchar.catalog import ring
 from qchar.core import Polynomial, binomial
@@ -30,6 +32,11 @@ def _kring():
     return ring("k_milnor", 3, 3)
 
 
+def _hbar_poly(R, coeffs):
+    """sum_k coeffs[k]*hbar^k for a list of ring elements."""
+    return sum((HbarPoly.lift(c, k) for k, c in enumerate(coeffs)), HbarPoly(R, {}))
+
+
 def _random_fraction(R, rng):
     deg = rng.randrange(0, 3)
     coeffs = [R.reduce(R.random_series(rng)) for _ in range(deg + 1)]
@@ -38,7 +45,7 @@ def _random_fraction(R, rng):
         kind = rng.choice(["L1", "L2", "L1L2"])
         level = rng.randrange(1, 3)
         denom[(kind, level)] = denom.get((kind, level), 0) + 1
-    return HbarFraction(HbarPoly(R, coeffs), denom)
+    return HbarFraction(_hbar_poly(R, coeffs), denom)
 
 
 # ----------------------------------------------------------- fraction algebra
@@ -57,8 +64,106 @@ def test_atom_at_level_zero_is_one_minus_unit():
     R = _kring()
     for kind in ("L1", "L2", "L1L2"):
         u = atom_unit(R, kind)
-        assert HbarPoly.atom(R, kind, 0) == HbarPoly(R, [R.one() - u])
-        assert HbarPoly.atom(R, kind, 2) == HbarPoly(R, [R.one(), R.zero(), -u])
+        assert HbarPoly.atom(R, kind, 0) == _hbar_poly(R, [R.one() - u])
+        assert HbarPoly.atom(R, kind, 2) == _hbar_poly(R, [R.one(), R.zero(), -u])
+
+
+def test_shift_below_hbar_zero_raises():
+    R = _kring()
+    with pytest.raises(ValueError):
+        HbarPoly.one(R).shift(-1)
+    assert _hbar_poly(R, [R.zero(), R.one()]).shift(-1) == HbarPoly.one(R)
+    # a difference term with a negative hbar power meets the same check
+    expr = DifferenceExpression().add_term(1, -1, (0, 0),
+                                           Polynomial.const(THETA_VARS, 1))
+    with pytest.raises(ValueError):
+        apply_difference(expr, j_milnor(3, 3, 1))
+
+
+@pytest.mark.parametrize("level", [-1, -2])
+def test_atom_at_negative_level_raises(level):
+    with pytest.raises(ValueError):
+        HbarPoly.atom(_kring(), "L1", level)
+
+
+def test_ring_with_novikov_variables_rejected():
+    # the product caps no q-degree, so a quantum ring is refused up front
+    with pytest.raises(ValueError, match="Novikov"):
+        HbarPoly.one(ring("qk_milnor", 3, 3, trunc=1))
+
+
+# A frozen copy of the dense coefficient-list HbarPoly: coefficient k is
+# a ring element, the list carries no trailing zeros, and the product
+# makes one ring product per pair of coefficients.
+
+def _dense_strip(coeffs):
+    while coeffs and coeffs[-1].is_zero():
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
+def _dense_add(R, a, b):
+    n = max(len(a), len(b))
+    return _dense_strip([(a[k] if k < len(a) else R.zero())
+                         + (b[k] if k < len(b) else R.zero()) for k in range(n)])
+
+
+def _dense_mul(R, a, b):
+    if not a or not b:
+        return []
+    out = [R.zero() for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            if not y.is_zero():
+                out[i + j] = out[i + j] + x * y
+    return _dense_strip(out)
+
+
+def _dense_render(coeffs):
+    if not coeffs:
+        return "0"
+    parts = []
+    for k, c in enumerate(coeffs):
+        if c.is_zero():
+            continue
+        if k == 0:
+            parts.append("(%s)" % c.render())
+        elif k == 1:
+            parts.append("(%s)*hbar" % c.render())
+        else:
+            parts.append("(%s)*hbar^%d" % (c.render(), k))
+    return " + ".join(parts)
+
+
+def _as_dense(p):
+    top = p.degree()
+    return [] if top is None else [p.coeff(k) for k in range(top + 1)]
+
+
+# coefficient k of a drawn operand: sum of c * x^i * y^j over its {(i, j): c}
+_DENSE_SPEC = st.lists(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                       st.integers(-3, 3), max_size=3), max_size=4)
+
+
+def _dense_operand(R, spec):
+    x, y = R.generator("x"), R.generator("y")
+    return _dense_strip([sum(((x ** i * y ** j).scale(c) for (i, j), c in d.items()),
+                             R.zero()) for d in spec])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(which=st.sampled_from([("k_milnor", 3, 3), ("k_pnxpm", 3, 3)]),
+       left=_DENSE_SPEC, right=_DENSE_SPEC)
+def test_product_sum_and_render_match_dense_lists(which, left, right):
+    R = ring(*which)
+    a, b = _dense_operand(R, left), _dense_operand(R, right)
+    pa, pb = _hbar_poly(R, a), _hbar_poly(R, b)
+    assert _as_dense(pa) == a and pa.render() == _dense_render(a)
+    for got, want in ((pa * pb, _dense_mul(R, a, b)), (pa + pb, _dense_add(R, a, b))):
+        assert _as_dense(got) == want
+        assert got.render() == _dense_render(want)
 
 
 def test_fraction_add_sub_roundtrip():
@@ -72,7 +177,8 @@ def test_fraction_add_sub_roundtrip():
 
 
 def test_adding_to_zero_expands_no_atoms(monkeypatch):
-    # a zero operand keeps the sum's denominator but multiplies out nothing
+    # a zero operand keeps the sum's denominator but multiplies out nothing,
+    # and neither does an operand already over the common denominator
     import qchar.jfun
     R = _kring()
     f = HbarFraction(HbarPoly.atom(R, "L1", 1), {("L2", 1): 2, ("L1L2", 2): 1})
@@ -84,9 +190,11 @@ def test_adding_to_zero_expands_no_atoms(monkeypatch):
         return original(ring_, atoms)
 
     monkeypatch.setattr(qchar.jfun, "_atoms_product", recording)
-    for total in (HbarFraction.zero(R) + f, f + HbarFraction.zero(R)):
-        assert not any(expanded)
-        assert total.denom == f.denom and total.numer == f.numer
+    for total, numer in ((HbarFraction.zero(R) + f, f.numer),
+                         (f + HbarFraction.zero(R), f.numer),
+                         (f + f, 2 * f.numer)):
+        assert not expanded
+        assert total.denom == f.denom and total.numer == numer
 
 
 def test_fraction_zero_test_matches_series_expansion():
@@ -117,7 +225,7 @@ def test_atoms_are_non_zero_divisors():
     rng = random.Random(3)
     for _ in range(10):
         coeffs = [R.reduce(R.random_series(rng)) for _ in range(rng.randrange(1, 4))]
-        p = HbarPoly(R, coeffs)
+        p = _hbar_poly(R, coeffs)
         if p.is_zero():
             continue
         kind = rng.choice(["L1", "L2", "L1L2"])
@@ -156,10 +264,10 @@ def test_milnor_first_coefficients_frozen():
     R = J.context
     xy = R.generator("x") * R.generator("y")
     f10 = J.coeff(1, 0)
-    assert f10.numer.coeffs == [R.one(), -xy]
+    assert f10.numer == _hbar_poly(R, [R.one(), -xy])
     assert f10.denom == {("L1", 1): 3}
     f01 = J.coeff(0, 1)
-    assert f01.numer.coeffs == [R.one(), -xy]
+    assert f01.numer == _hbar_poly(R, [R.one(), -xy])
     assert f01.denom == {("L2", 1): 3}
     f11 = J.coeff(1, 1)
     assert f11.denom == {("L1", 1): 3, ("L2", 1): 3}
@@ -202,7 +310,7 @@ def test_theta_on_constant_coefficient():
     expr = DifferenceExpression().add_term(1, 0, (0, 0), t2)
     res = apply_difference(expr, J)
     # zero-degree shift: hbar^0, so the action is 1 - y
-    expected = HbarPoly(R, [R.one() - R.generator("y")])
+    expected = _hbar_poly(R, [R.one() - R.generator("y")])
     assert res.coeff(0, 0) == HbarFraction(expected)
 
 
@@ -224,7 +332,7 @@ def test_first_operator_hand_expansion_at_01():
     theta_m = HbarPoly.atom(R, "L2", 1) ** m
     lhs = J.coeff(0, 1).mul_poly(theta_m)
     lhs = lhs - HbarFraction.one(R)
-    lhs = lhs + HbarFraction(HbarPoly(R, [R.zero(), xy]))
+    lhs = lhs + HbarFraction(_hbar_poly(R, [R.zero(), xy]))
     assert lhs.is_zero()
 
 
@@ -263,7 +371,7 @@ def test_product_series_needs_the_correction():
     assert any(not c.passed for c in checks)
     res = apply_difference(hypersurface_operator(1, n, m), J)
     xy = R.generator("x") * R.generator("y")
-    assert res.coeff(0, 1) == HbarFraction(HbarPoly(R, [R.zero(), xy]))
+    assert res.coeff(0, 1) == HbarFraction(_hbar_poly(R, [R.zero(), xy]))
 
 
 # ------------------------------------------------------------ degree counts
