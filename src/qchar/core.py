@@ -11,14 +11,16 @@ map is empty.
 
 There is one key shape.  A NovikovSeries is a Polynomial over
 joined_vars(main, q), the main variables followed by the q variables,
-so its keys are flat exponent vectors like a polynomial's; it keeps its
-own constructor and product, which enforce the q-degree cap, and its
-own display order.  The zero polynomial / series is the one with an
-empty term map.  The monomial order is grevlex throughout; grevlex_key
-(ascending), grevlex_desc_key (descending) and NovikovSeries._order_key,
-which joins the two on the main and q slices of a key, are the only
-order keys.  evaluate is the one substitution routine, for polynomials
-and for ring maps alike.
+so its keys are flat exponent vectors like a polynomial's.  The q-degree
+cap is data, (k, trunc): a term whose exponents from slot k on sum
+above trunc is dropped.  _clean_terms, the one loop that cleans a term
+map, and _product_terms, the one loop that multiplies two, take it; a
+polynomial passes (len(vars), 0), which drops nothing.  The zero
+polynomial / series is the one with an empty term map.  The monomial
+order is grevlex throughout; grevlex_key (ascending), grevlex_desc_key
+(descending) and NovikovSeries._order_key, which joins the two on the
+main and q slices of a key, are the only order keys.  evaluate is the
+one substitution routine, for polynomials and for ring maps alike.
 """
 
 from __future__ import annotations
@@ -122,6 +124,33 @@ def mono_divides(a: Mono, b: Mono) -> bool:
 
 def mono_div(b: Mono, a: Mono) -> Mono:
     return tuple(y - x for x, y in zip(a, b))
+
+
+def _clean_terms(vars: VariableSet, terms, k: int, trunc: int) -> Dict[Mono, Fraction]:
+    """The nonzero terms within the cap (k, trunc), checked, as Fractions."""
+    clean: Dict[Mono, Fraction] = {}
+    for mono, coeff in terms.items():
+        if coeff == 0:
+            continue
+        vars.check_mono(mono)
+        if sum(mono[k:]) > trunc:
+            continue
+        clean[mono] = coeff if type(coeff) is Fraction else Fraction(coeff)
+    return clean
+
+
+def _product_terms(left, right, k: int, trunc: int) -> Dict[Mono, Fraction]:
+    """The product of two term maps, skipping the pairs above the cap (k, trunc)."""
+    right_terms = [(m, sum(m[k:]), c) for m, c in right.items()]
+    terms: Dict[Mono, Fraction] = {}
+    for m1, c1 in left.items():
+        room = trunc - sum(m1[k:])
+        for m2, d2, c2 in right_terms:
+            if d2 > room:
+                continue
+            m = mono_mul(m1, m2)
+            terms[m] = terms.get(m, ZERO) + c1 * c2
+    return terms
 
 
 class VariableSet:
@@ -255,13 +284,7 @@ class Polynomial(Arithmetic):
 
     def __init__(self, vars: VariableSet, terms: Dict[Mono, Fraction]):
         self.vars = vars
-        clean: Dict[Mono, Fraction] = {}
-        for mono, coeff in terms.items():
-            if coeff == 0:
-                continue
-            vars.check_mono(mono)
-            clean[mono] = Fraction(coeff)
-        self.terms = clean
+        self.terms = _clean_terms(vars, terms, len(vars), 0)
 
     # constructors
 
@@ -359,12 +382,8 @@ class Polynomial(Arithmetic):
         if type(other) is not Polynomial:
             return NotImplemented
         self._check_same(other)
-        terms: Dict[Mono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                terms[m] = terms.get(m, ZERO) + c1 * c2
-        return Polynomial(self.vars, terms)
+        return Polynomial(self.vars, _product_terms(self.terms, other.terms,
+                                                    len(self.vars), 0))
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -374,8 +393,8 @@ class Polynomial(Arithmetic):
         return super().__pow__(e)
 
     def truncate(self, deg: int) -> "Polynomial":
-        """Drop the terms of total degree above deg."""
-        return self._new({m: c for m, c in self.terms.items() if sum(m) <= deg})
+        """Drop the terms of total degree above deg: the cap (0, deg)."""
+        return self._new(_clean_terms(self.vars, self.terms, 0, deg))
 
     def inverse_monomial(self, e: int = 1) -> "Polynomial":
         """(c*m)^-e for a single-term unit; error otherwise."""
@@ -404,7 +423,7 @@ class Polynomial(Arithmetic):
         return evaluate(self.terms, self.vars.names, values, Polynomial.const(target, 1))
 
     def __repr__(self):
-        return "Polynomial(%s)" % self.render()
+        return "%s(%s)" % (type(self).__name__, self.render())
 
 
 @functools.lru_cache(maxsize=None)
@@ -433,16 +452,7 @@ class NovikovSeries(Polynomial):
         self.q_vars = q_vars
         self.trunc = trunc
         self.vars = vars = joined_vars(main_vars, q_vars)
-        k = len(main_vars)
-        clean: Dict[Mono, Fraction] = {}
-        for mono, coeff in terms.items():
-            if coeff == 0:
-                continue
-            vars.check_mono(mono)
-            if sum(mono[k:]) > trunc:
-                continue
-            clean[mono] = coeff if type(coeff) is Fraction else Fraction(coeff)
-        self.terms = clean
+        self.terms = _clean_terms(vars, terms, len(main_vars), trunc)
 
     # constructors
 
@@ -460,7 +470,7 @@ class NovikovSeries(Polynomial):
         key = joined_vars(main_vars, q_vars).unit_mono(name)
         return cls(main_vars, q_vars, trunc, {key: ONE})
 
-    q_gen = gen
+    q_gen = var = gen
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, q_vars: VariableSet, trunc: int):
@@ -512,17 +522,8 @@ class NovikovSeries(Polynomial):
         if other is None:
             return NotImplemented
         self._check_same(other)
-        k, trunc = len(self.main_vars), self.trunc
-        right = [(m, sum(m[k:]), c) for m, c in other.terms.items()]
-        terms: Dict[Mono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            room = trunc - sum(m1[k:])
-            for m2, d2, c2 in right:
-                if d2 > room:
-                    continue
-                m = mono_mul(m1, m2)
-                terms[m] = terms.get(m, ZERO) + c1 * c2
-        return NovikovSeries(self.main_vars, self.q_vars, trunc, terms)
+        return self._new(_product_terms(self.terms, other.terms,
+                                        len(self.main_vars), self.trunc))
 
     # powers by squaring only: Polynomial's negative powers would return
     # a plain Polynomial over the joined variables
@@ -535,9 +536,7 @@ class NovikovSeries(Polynomial):
                              % (self.trunc, new_trunc))
         if new_trunc == self.trunc:
             return self
-        k = len(self.main_vars)
-        return NovikovSeries(self.main_vars, self.q_vars, new_trunc,
-                             {m: c for m, c in self.terms.items() if sum(m[k:]) <= new_trunc})
+        return NovikovSeries(self.main_vars, self.q_vars, new_trunc, self.terms)
 
     def __repr__(self):
         return "NovikovSeries(%s ; trunc=%d)" % (self.render(), self.trunc)

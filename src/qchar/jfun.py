@@ -4,10 +4,11 @@ Coefficients of the series live in a finite-dimensional q-free K-algebra
 from the catalog.  A coefficient is a fraction whose numerator is an
 HbarPoly, one term map over the generators and hbar, multiplied through
 the algebra's product table; its denominator is a formal multiset of
-atoms (1 - u*hbar^l)^mult with u a unit of the algebra, so the
-denominator's constant term is 1 and each atom is a non-zero-divisor on
-polynomials in hbar.  Zero-testing therefore reduces to zero-testing the
-numerator, and sums go through the multiset least common multiple.  The
+atoms (1 - u*hbar^l)^mult with u a unit of the algebra, held as a
+collections.Counter, so the denominator's constant term is 1 and each
+atom is a non-zero-divisor on polynomials in hbar.  Zero-testing
+therefore reduces to zero-testing the numerator, and sums go through
+the multiset least common multiple, Counter's |.  The
 difference operators act coefficientwise: the k-th factor operator
 multiplies the degree-(d1,d2) coefficient by (1 - u_k*hbar^{d_k}), a
 Novikov-variable factor shifts the degree, and a global hbar power
@@ -16,6 +17,7 @@ shifts the numerator.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -67,6 +69,17 @@ class HbarPoly(Polynomial):
         return cls.lift(ring_.one())
 
     @classmethod
+    def const(cls, ring_: PresentedAlgebra, c) -> "HbarPoly":
+        return cls.lift(ring_.constant(c))
+
+    @classmethod
+    def var(cls, ring_: PresentedAlgebra, name: str, power: int = 1) -> "HbarPoly":
+        """A generator of the ring, or hbar, to the given power."""
+        if name == "hbar":
+            return cls.one(ring_).shift(power)
+        return cls.lift(ring_.reduce(Polynomial.var(ring_.gens, name, power)))
+
+    @classmethod
     def atom(cls, ring_: PresentedAlgebra, kind: str, level: int) -> "HbarPoly":
         """1 - u*hbar^level for the atom's unit u."""
         return cls.one(ring_) - cls.lift(atom_unit(ring_, kind), level)
@@ -97,6 +110,8 @@ class HbarPoly(Polynomial):
         return HbarPoly.one(self.ring)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -128,27 +143,7 @@ class HbarPoly(Polynomial):
 def _atoms_product(ring_: PresentedAlgebra, atoms: AtomSet) -> HbarPoly:
     out = HbarPoly.one(ring_)
     for (kind, level), mult in sorted(atoms.items()):
-        a = HbarPoly.atom(ring_, kind, level)
-        for _ in range(mult):
-            out = out * a
-    return out
-
-
-def _atoms_lcm(a: AtomSet, b: AtomSet) -> AtomSet:
-    out = dict(a)
-    for key, mult in b.items():
-        out[key] = max(out.get(key, 0), mult)
-    return {k: v for k, v in out.items() if v > 0}
-
-
-def _atoms_diff(big: AtomSet, small: AtomSet) -> AtomSet:
-    out = {}
-    for key, mult in big.items():
-        rest = mult - small.get(key, 0)
-        if rest < 0:
-            raise ValueError("denominator is not a sub-multiset")
-        if rest:
-            out[key] = rest
+        out = out * HbarPoly.atom(ring_, kind, level) ** mult
     return out
 
 
@@ -175,7 +170,7 @@ class HbarFraction(Arithmetic):
 
     def __init__(self, numer: HbarPoly, denom: Optional[AtomSet] = None):
         self.numer = numer
-        self.denom: AtomSet = {k: v for k, v in (denom or {}).items() if v > 0}
+        self.denom: Counter = +Counter(denom)
 
     @property
     def ring(self) -> PresentedAlgebra:
@@ -202,22 +197,26 @@ class HbarFraction(Arithmetic):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        den = _atoms_lcm(self.denom, other.denom)
+        den = self.denom | other.denom
+        if not (self.denom <= den and other.denom <= den):
+            raise ValueError("denominator is not a sub-multiset")
         # a zero numerator stays zero over any denominator, and an operand
         # already over the lcm needs no atoms: expand nothing for either
         na, nb = (f.numer if f.is_zero() or f.denom == den
-                  else f.numer * _atoms_product(self.ring, _atoms_diff(den, f.denom))
+                  else f.numer * _atoms_product(self.ring, den - f.denom)
                   for f in (self, other))
         return HbarFraction(na + nb, den)
 
     def __neg__(self) -> "HbarFraction":
         return HbarFraction(-self.numer, self.denom)
 
-    def __mul__(self, other: "HbarFraction") -> "HbarFraction":
-        den = dict(self.denom)
-        for key, mult in other.denom.items():
-            den[key] = den.get(key, 0) + mult
-        return HbarFraction(self.numer * other.numer, den)
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return HbarFraction(self.numer * other.numer, self.denom + other.denom)
 
     def scale(self, c) -> "HbarFraction":
         return HbarFraction(self.numer.scale(c), self.denom)
@@ -307,9 +306,7 @@ def j_milnor(n: int, m: int, max_deg: int) -> JSeries:
     R = ring("k_milnor", n, m)
     coeffs = {}
     for d1, d2 in _degree_range(max_deg):
-        numer = HbarPoly.one(R)
-        for l in range(1, d1 + d2 + 1):
-            numer = numer * HbarPoly.atom(R, "L1L2", l)
+        numer = _atoms_product(R, {("L1L2", l): 1 for l in range(1, d1 + d2 + 1)})
         coeffs[(d1, d2)] = HbarFraction(numer, _denominator(n, m, d1, d2))
     return JSeries(R, max_deg, coeffs)
 

@@ -1,13 +1,13 @@
 """Toric superpotential, its Jacobi ideal, and the flag-ring homomorphism.
 
-The superpotential lives in a Laurent polynomial ring in x_1..x_{2n-3},
-q1, q2.  Ideal membership in the localized ring is decided by adjoining
-one inverse variable for the product of all variables
-(inv * x_1 ... x_{2n-3} q1 q2 - 1, the Rabinowitsch trick) and running
+The superpotential, the mirror map and the elimination substitutions
+are written in the arithmetic (Polynomial.var, * and ** -1) of a
+Laurent ring in x_1..x_{2n-3}, q1, q2.  Membership in the localized
+ideal adjoins one inverse variable for the product of all variables
+(inv * x_1 ... x_{2n-3} q1 q2 - 1, the Rabinowitsch trick) and runs
 Buchberger over the ordinary polynomial ring: a Laurent element belongs
-to the localized ideal iff a denominator-cleared representative has
-normal form zero there.  Clearing multiplies by a unit monomial, so it
-does not change membership.
+iff a denominator-cleared representative has normal form zero there;
+clearing multiplies by a unit monomial, so it keeps membership.
 """
 
 from __future__ import annotations
@@ -37,34 +37,22 @@ class Superpotential:
 
 
 def build_superpotential(n: int) -> Superpotential:
-    """Sum of consecutive ratios plus the three boundary terms; x_0 = 1."""
+    """Sum of consecutive ratios x_k/x_{k-1} from x_0 = 1, plus the three
+    boundary terms q2/x_{n-2}, x_n/q2 and q1*q2/x_{2n-3}."""
     if n < 3:
         raise ValueError("superpotential needs n >= 3")
     vars = laurent_vars(n)
-
-    def mono(**exps) -> Polynomial:
-        m = [0] * len(vars.names)
-        for name, e in exps.items():
-            m[vars.index(name)] = e
-        return Polynomial(vars, {tuple(m): Fraction(1)})
-
-    f = mono(x1=1)
-    for k in range(2, 2 * n - 2):
-        f = f + mono(**{"x%d" % k: 1, "x%d" % (k - 1): -1})
-    f = f + mono(q2=1, **{"x%d" % (n - 2): -1})
-    f = f + mono(q2=-1, **{"x%d" % n: 1})
-    f = f + mono(q1=1, q2=1, **{"x%d" % (2 * n - 3): -1})
+    *xs, q1, q2 = (Polynomial.var(vars, name) for name in vars.names)
+    x = [Polynomial.const(vars, 1)] + xs
+    f = sum(x[k] * x[k - 1] ** -1 for k in range(1, 2 * n - 2))
+    f = f + q2 * x[n - 2] ** -1 + x[n] * q2 ** -1 + q1 * q2 * x[2 * n - 3] ** -1
     return Superpotential(n, f)
 
 
 def log_derivative(p: Polynomial, name: str) -> Polynomial:
     """x * d/dx: scales each term by its exponent of the variable."""
     idx = p.vars.index(name)
-    terms = {}
-    for m, c in p.terms.items():
-        if m[idx]:
-            terms[m] = c * m[idx]
-    return Polynomial(p.vars, terms)
+    return Polynomial(p.vars, {m: c * m[idx] for m, c in p.terms.items()})
 
 
 def jacobi_relations(n: int) -> List[Polynomial]:
@@ -86,14 +74,9 @@ def clear_denominators(p: Polynomial) -> Polynomial:
 
 def phi_images(n: int) -> Dict[str, Polynomial]:
     """h1 goes to the unit monomial q1*q2/x_{2n-3}; h2 goes to x1."""
-    vars = laurent_vars(n)
-    top = vars.index("x%d" % (2 * n - 3))
-    m1 = [0] * len(vars.names)
-    m1[top] = -1
-    m1[vars.index("q1")] = 1
-    m1[vars.index("q2")] = 1
-    return {"h1": Polynomial(vars, {tuple(m1): Fraction(1)}),
-            "h2": Polynomial.var(vars, "x1")}
+    q1, q2, top, x1 = (Polynomial.var(laurent_vars(n), name)
+                       for name in ("q1", "q2", "x%d" % (2 * n - 3), "x1"))
+    return {"h1": q1 * q2 * top ** -1, "h2": x1}
 
 
 # ------------------------------------------------------- membership engine
@@ -209,24 +192,19 @@ def verify_phi_sum_invertible(n: int,
 
 
 def elimination_bindings(n: int) -> Dict[str, Polynomial]:
-    """x_j -> x1^j below the middle; x_k -> (x_top/(q1 q2))^{top-k} x_top above."""
-    vars = laurent_vars(n)
+    """x_j -> x1^j below the middle; x_k -> (x_top/(q1 q2))^{top-k} x_top above.
+
+    x_{n-1}, q1 and q2 are bound to themselves.
+    """
     top = 2 * n - 3
-    bindings: Dict[str, Polynomial] = {
-        "q1": Polynomial.var(vars, "q1"),
-        "q2": Polynomial.var(vars, "q2"),
-    }
-    x1 = Polynomial.var(vars, "x1")
+    vars = laurent_vars(n)
+    bindings = {name: Polynomial.var(vars, name) for name in vars.names}
+    x1, xtop = bindings["x1"], bindings["x%d" % top]
+    ratio = xtop * (bindings["q1"] * bindings["q2"]) ** -1
     for j in range(1, n - 1):
         bindings["x%d" % j] = x1 ** j
-    bindings["x%d" % (n - 1)] = Polynomial.var(vars, "x%d" % (n - 1))
     for k in range(n, top + 1):
-        e = top - k
-        m = [0] * len(vars.names)
-        m[vars.index("x%d" % top)] = e + 1
-        m[vars.index("q1")] = -e
-        m[vars.index("q2")] = -e
-        bindings["x%d" % k] = Polynomial(vars, {tuple(m): Fraction(1)})
+        bindings["x%d" % k] = ratio ** (top - k) * xtop
     return bindings
 
 

@@ -151,7 +151,7 @@ def small_polys(draw):
     return Polynomial(XY, terms)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.lists(small_polys(), min_size=1, max_size=2), small_polys(), small_polys())
 def test_random_ideal_combinations_reduce_to_zero(rels, p1, p2):
     rels = [r for r in rels if not r.is_zero()]

@@ -86,6 +86,32 @@ def test_atom_at_negative_level_raises(level):
         HbarPoly.atom(_kring(), "L1", level)
 
 
+def test_hbar_poly_generic_constructors_and_repr():
+    # const and var take the ring where Polynomial's take a variable set
+    R = _kring()
+    x = R.generator("x")
+    assert HbarPoly.const(R, 3) == _hbar_poly(R, [R.constant(3)])
+    assert HbarPoly.var(R, "x") == _hbar_poly(R, [x])
+    assert HbarPoly.var(R, "x", 2) == _hbar_poly(R, [x * x])
+    assert HbarPoly.var(R, "hbar", 2) == _hbar_poly(R, [R.zero(), R.zero(), R.one()])
+    assert repr(HbarPoly.atom(R, "L1", 1)) == "HbarPoly((1) + (-x)*hbar)"
+
+
+def test_scalars_multiply_on_either_side():
+    R = _kring()
+    p = HbarPoly.atom(R, "L1", 1)
+    f = HbarFraction(p, {("L2", 1): 1})
+    for c in (2, F(1, 2)):
+        assert p * c == c * p == p.scale(c)
+        assert (f * c).render() == (c * f).render() == f.scale(c).render()
+        assert (f * c).denom == f.denom
+    for x in (p, f):
+        with pytest.raises(TypeError):
+            x * "a"
+        with pytest.raises(TypeError):
+            x * 1.5
+
+
 def test_ring_with_novikov_variables_rejected():
     # the product caps no q-degree, so a quantum ring is refused up front
     with pytest.raises(ValueError, match="Novikov"):
