@@ -1,7 +1,11 @@
 """Exact multivariate polynomial and truncated Novikov-series arithmetic.
 
-Coefficients are arbitrary-precision rationals (fractions.Fraction); no
-floating point anywhere.  A monomial is a tuple of integer exponents
+Coefficients are arbitrary-precision rationals (fractions.Fraction) at
+every boundary: each term map a constructor or operator returns holds
+Fractions.  Inside the quotient rings' product kernels and rewriting
+(quotient, jfun) they travel as Python ints over one common
+denominator, and a Fraction is built once per output term.  No floating
+point anywhere.  A monomial is a tuple of integer exponents
 indexed by an ordered variable set, with a per-variable Laurent flag
 deciding whether negative exponents are legal.  A NovikovSeries is
 polynomial in its main variables and truncated in its Novikov (q)
@@ -15,7 +19,11 @@ so its keys are flat exponent vectors like a polynomial's.  The q-degree
 cap is data, (k, trunc): a term whose exponents from slot k on sum
 above trunc is dropped.  _clean_terms, the one loop that cleans a term
 map, and _product_terms, the one loop that multiplies two, take it; a
-polynomial passes (len(vars), 0), which drops nothing.  The zero
+polynomial passes (len(vars), 0), which drops nothing.  The public
+constructors, truncate and mul_mono clean their input through it; sums,
+products and scalar multiples of valid terms are valid, so they go
+through Polynomial._trusted instead, which keeps the operand's space and
+only drops zero coefficients.  The zero
 polynomial / series is the one with an empty term map.  The monomial
 order is grevlex throughout; grevlex_key (ascending), grevlex_desc_key
 (descending) and NovikovSeries._order_key, which joins the two on the
@@ -276,11 +284,13 @@ class Polynomial(Arithmetic):
 
     `terms` maps exponent vectors to nonzero Fractions.  The operators
     that only walk that map go through _space() (what both operands must
-    share), _new(terms) (an element of the same space) and _order_key
-    (ascending key of display order), which NovikovSeries overrides.
+    share), _new(terms) (a checked element of the same space), _trusted
+    (an unchecked one) and _order_key (ascending key of display order),
+    which NovikovSeries overrides.
     """
 
     __slots__ = ("vars", "terms")
+    _space_slots = ("vars",)  # the slots _trusted copies; a subclass lists all of its own
 
     def __init__(self, vars: VariableSet, terms: Dict[Mono, Fraction]):
         self.vars = vars
@@ -323,6 +333,20 @@ class Polynomial(Arithmetic):
     def _new(self, terms) -> "Polynomial":
         return Polynomial(self.vars, terms)
 
+    def _trusted(self, terms: Dict[Mono, Fraction]) -> "Polynomial":
+        """An element of this space from Fraction terms already valid in it.
+
+        Nothing is checked: the keys must fit the space (and its cap) and
+        the coefficients must be Fractions.  Only zero coefficients are
+        dropped.  Sums, products and scalar multiples of valid terms
+        satisfy that, so they are built here, not by the constructors.
+        """
+        new = object.__new__(type(self))
+        for name in self._space_slots:
+            setattr(new, name, getattr(self, name))
+        new.terms = {m: c for m, c in terms.items() if c}
+        return new
+
     _order_key = staticmethod(grevlex_desc_key)
 
     def is_zero(self) -> bool:
@@ -340,14 +364,14 @@ class Polynomial(Arithmetic):
         terms = dict(self.terms)
         for k, c in other.terms.items():
             terms[k] = terms.get(k, ZERO) + c
-        return self._new(terms)
+        return self._trusted(terms)
 
     def __neg__(self):
-        return self._new({k: -c for k, c in self.terms.items()})
+        return self._trusted({k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
         c = Fraction(c)
-        return self._new({k: v * c for k, v in self.terms.items()})
+        return self._trusted({k: v * c for k, v in self.terms.items()})
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -382,8 +406,7 @@ class Polynomial(Arithmetic):
         if type(other) is not Polynomial:
             return NotImplemented
         self._check_same(other)
-        return Polynomial(self.vars, _product_terms(self.terms, other.terms,
-                                                    len(self.vars), 0))
+        return self._trusted(_product_terms(self.terms, other.terms, len(self.vars), 0))
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -394,7 +417,7 @@ class Polynomial(Arithmetic):
 
     def truncate(self, deg: int) -> "Polynomial":
         """Drop the terms of total degree above deg: the cap (0, deg)."""
-        return self._new(_clean_terms(self.vars, self.terms, 0, deg))
+        return self._trusted(_clean_terms(self.vars, self.terms, 0, deg))
 
     def inverse_monomial(self, e: int = 1) -> "Polynomial":
         """(c*m)^-e for a single-term unit; error otherwise."""
@@ -443,6 +466,7 @@ class NovikovSeries(Polynomial):
     """
 
     __slots__ = ("main_vars", "q_vars", "trunc")
+    _space_slots = ("vars", "main_vars", "q_vars", "trunc")
 
     def __init__(self, main_vars: VariableSet, q_vars: VariableSet, trunc: int,
                  terms: Dict[Mono, Fraction]):
@@ -522,8 +546,8 @@ class NovikovSeries(Polynomial):
         if other is None:
             return NotImplemented
         self._check_same(other)
-        return self._new(_product_terms(self.terms, other.terms,
-                                        len(self.main_vars), self.trunc))
+        return self._trusted(_product_terms(self.terms, other.terms,
+                                            len(self.main_vars), self.trunc))
 
     # powers by squaring only: Polynomial's negative powers would return
     # a plain Polynomial over the joined variables

@@ -108,6 +108,8 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
     term whose exponents from slot k on sum above trunc is dropped.  When
     `usage` is given it accumulates, per reducer id, the factor s with
         terms == result + sum_id s_id * reducer_id.
+    The loop only adds, subtracts and multiplies coefficients, so ints
+    and Fractions both work: the quotient rings rewrite int numerators.
     """
     zero = Fraction(0)
     work = {m: c for m, c in terms.items() if c}

@@ -3,12 +3,12 @@
 Coefficients of the series live in a finite-dimensional q-free K-algebra
 from the catalog.  A coefficient is a fraction whose numerator is an
 HbarPoly, one term map over the generators and hbar, multiplied through
-the algebra's product table; its denominator is a formal multiset of
-atoms (1 - u*hbar^l)^mult with u a unit of the algebra, held as a
-collections.Counter, so the denominator's constant term is 1 and each
-atom is a non-zero-divisor on polynomials in hbar.  Zero-testing
-therefore reduces to zero-testing the numerator, and sums go through
-the multiset least common multiple, Counter's |.  The
+the algebra's product table in int numerators; its denominator is a
+formal multiset of atoms (1 - u*hbar^l)^mult with u a unit of the
+algebra, held as a collections.Counter, so the denominator's constant
+term is 1 and each atom is a non-zero-divisor on polynomials in hbar.
+Zero-testing therefore reduces to zero-testing the numerator, and sums
+go through the multiset least common multiple, Counter's |.  The
 difference operators act coefficientwise: the k-th factor operator
 multiplies the degree-(d1,d2) coefficient by (1 - u_k*hbar^{d_k}), a
 Novikov-variable factor shifts the degree, and a global hbar power
@@ -23,9 +23,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .catalog import milnor_f2_poly, ring
-from .core import (ZERO, Arithmetic, Mono, NovikovSeries, Polynomial, VariableSet,
+from .core import (Arithmetic, Mono, NovikovSeries, Polynomial, VariableSet,
                    binomial, evaluate, joined_vars)
-from .quotient import AlgebraElement, PresentedAlgebra, _by_classical
+from .quotient import AlgebraElement, PresentedAlgebra, _int_groups, _over
 from .report import Check
 
 # denominator multiset: (kind, level) -> multiplicity, kind one of L1, L2, L1L2
@@ -51,6 +51,7 @@ class HbarPoly(Polynomial):
     """
 
     __slots__ = ("ring",)
+    _space_slots = ("vars", "ring")
 
     def __init__(self, ring_: PresentedAlgebra, terms: Dict[Mono, Fraction]):
         if len(ring_.q_vars):  # the product caps no q-degree
@@ -104,7 +105,11 @@ class HbarPoly(Polynomial):
         return HbarPoly(self.ring, terms)
 
     def _coerce(self, other):
-        return other if isinstance(other, HbarPoly) else None
+        if isinstance(other, HbarPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return HbarPoly.const(self.ring, other)
+        return None
 
     def _one(self) -> "HbarPoly":
         return HbarPoly.one(self.ring)
@@ -117,20 +122,23 @@ class HbarPoly(Polynomial):
             return NotImplemented
         self._check_same(other)
         ring_, k = self.ring, len(self.ring.gens)
-        terms: Dict[Mono, Fraction] = {}
-        right = _by_classical(other, k)
-        for ma, left_h in _by_classical(self, k).items():
+        # entry den -> key -> int numerator over Da*Db*den
+        buckets: Dict[int, Dict[Mono, int]] = {}
+        Da, left = _int_groups(self.terms, k)
+        Db, right = _int_groups(other.terms, k)
+        for ma, left_h in left.items():
             for mb, right_h in right.items():
-                coeff: Dict[int, Fraction] = {}  # hbar coefficient of m_a * m_b
+                coeff: Dict[int, int] = {}  # hbar coefficient of m_a * m_b
                 for _, ha, ca in left_h:
                     for _, hb, cb in right_h:
-                        coeff[ha + hb] = coeff.get(ha + hb, ZERO) + ca * cb
-                entry = ring_._product_entry(ma, mb)
+                        coeff[ha + hb] = coeff.get(ha + hb, 0) + ca * cb
+                den, entry = ring_._product_entry(ma, mb)
+                terms = buckets.setdefault(den, {})
                 for h, c in coeff.items():
                     for _, _, me, ce in entry:
                         key = me + (h,)
-                        terms[key] = terms.get(key, ZERO) + c * ce
-        return HbarPoly(ring_, terms)
+                        terms[key] = terms.get(key, 0) + c * ce
+        return self._trusted(_over(buckets, Da * Db))
 
     __pow__ = Arithmetic.__pow__  # hbar is not Laurent
 
@@ -188,7 +196,11 @@ class HbarFraction(Arithmetic):
         return self.numer.is_zero()
 
     def _coerce(self, other):
-        return other if isinstance(other, HbarFraction) else None
+        if isinstance(other, HbarFraction):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return HbarFraction(HbarPoly.const(self.ring, other))
+        return None
 
     def _one(self) -> "HbarFraction":
         return HbarFraction.one(self.ring)
@@ -225,7 +237,8 @@ class HbarFraction(Arithmetic):
         return HbarFraction(self.numer * p, self.denom)
 
     def __eq__(self, other):
-        if not isinstance(other, HbarFraction):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return (self - other).is_zero()
 

@@ -36,17 +36,27 @@ product term's key is their concatenation.  This is exact: reduction is
 linear, q-monomials are central, and no rewrite lowers q-degree, so an
 entry reduced at the ring's truncation holds every term that survives
 the q-degree cap.
+
+The products and the rewriting run in int.  An entry is stored as (den,
+rows) with int numerators over den, the lcm of its denominators; every
+catalog rule is monic and integral, so den is 1 on every catalog ring.
+_int_groups groups a factor over D, the lcm of its denominators, so a
+product sums int numerators, one bucket per entry den, and builds one
+Fraction per output key over D_a*D_b*den.  The rule rows hold int
+coefficients wherever they are integral, and _reduce_terms scales its
+input to int numerators, rewrites, and divides once at the end; a ring
+with a non-integral rule runs the same loop with Fraction coefficients.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .core import (
     ONE,
-    ZERO,
     Arithmetic,
     InternalError,
     Mono,
@@ -60,7 +70,6 @@ from .core import (
 )
 from .groebner import (
     GroebnerData,
-    _lead_row,
     _reduce,
     divide,
     groebner,
@@ -70,6 +79,8 @@ from .groebner import (
 from .report import Check
 
 QPoly = Dict[Mono, Fraction]  # truncated polynomial in the q variables
+# a product-table entry: (den, [(deg q, q, m, c)]), the int numerators c over den
+Entry = Tuple[int, List[Tuple[int, Mono, Mono, int]]]
 
 
 class Presentation:
@@ -162,12 +173,14 @@ class AlgebraElement(Arithmetic):
             return NotImplemented
         ring = self.ring
         trunc, k = ring.trunc, len(ring.gens)
-        terms: Dict[Mono, Fraction] = {}
-        right = _by_classical(other.nf, k)
-        for ma, left_q in _by_classical(self.nf, k).items():
+        # entry den -> key -> int numerator over Da*Db*den
+        buckets: Dict[int, Dict[Mono, int]] = {}
+        Da, left = _int_groups(self.nf.terms, k)
+        Db, right = _int_groups(other.nf.terms, k)
+        for ma, left_q in left.items():
             for mb, right_q in right.items():
                 # truncated q-coefficient of the pair m_a * m_b
-                coeff: Dict[Mono, Tuple[int, Fraction]] = {}
+                coeff: Dict[Mono, Tuple[int, int]] = {}
                 for qa, da, ca in left_q:
                     for qb, db, cb in right_q:
                         d = da + db
@@ -178,7 +191,8 @@ class AlgebraElement(Arithmetic):
                         coeff[qm] = (d, ca * cb if old is None else old[1] + ca * cb)
                 if not coeff:
                     continue
-                entry = ring._product_entry(ma, mb)
+                den, entry = ring._product_entry(ma, mb)
+                terms = buckets.setdefault(den, {})
                 for qm, (d, c) in coeff.items():
                     if not c:
                         continue
@@ -187,8 +201,8 @@ class AlgebraElement(Arithmetic):
                         if de > room:
                             break
                         key = me + mono_mul(qm, qe)
-                        terms[key] = terms.get(key, ZERO) + c * ce
-        return AlgebraElement(ring, NovikovSeries(ring.gens, ring.q_vars, trunc, terms))
+                        terms[key] = terms.get(key, 0) + c * ce
+        return AlgebraElement(ring, self.nf._trusted(_over(buckets, Da * Db)))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -203,17 +217,37 @@ class AlgebraElement(Arithmetic):
         return "AlgebraElement(%s)" % self.render()
 
 
-def _by_classical(series: Polynomial,
-                  k: int) -> Dict[Mono, List[Tuple[Mono, int, Fraction]]]:
-    """The terms grouped by classical monomial, key[:k]: m -> [(q, deg q, c)].
+def _numerators(terms: Dict[Mono, Fraction]) -> Tuple[int, Dict[Mono, int]]:
+    """(D, {m: c*D}): the terms as int numerators over D, the lcm of their denominators."""
+    D = math.lcm(*[c.denominator for c in terms.values()])
+    return D, {m: c.numerator * (D // c.denominator) for m, c in terms.items()}
+
+
+def _int_groups(terms: Dict[Mono, Fraction],
+                k: int) -> Tuple[int, Dict[Mono, List[Tuple[Mono, int, int]]]]:
+    """(D, groups): the int numerators over D grouped by classical monomial
+    key[:k]: m -> [(q, deg q, c*D)].
 
     q is the rest of the key: q exponents, or a jfun.HbarPoly's hbar exponent.
     """
-    groups: Dict[Mono, List[Tuple[Mono, int, Fraction]]] = {}
-    for m, c in series.terms.items():
+    D, nums = _numerators(terms)
+    groups: Dict[Mono, List[Tuple[Mono, int, int]]] = {}
+    for m, c in nums.items():
         qm = m[k:]
         groups.setdefault(m[:k], []).append((qm, sum(qm), c))
-    return groups
+    return D, groups
+
+
+def _over(buckets: Dict[int, Dict[Mono, int]], D: int) -> Dict[Mono, Fraction]:
+    """The terms sum_den num / (D*den) of int numerators bucketed by den."""
+    terms: Dict[Mono, Fraction] = {}
+    for den, nums in buckets.items():
+        for key, num in nums.items():
+            if num:
+                c = Fraction(num, D * den)
+                old = terms.get(key)
+                terms[key] = c if old is None else old + c
+    return terms
 
 
 class PresentedAlgebra:
@@ -237,7 +271,8 @@ class PresentedAlgebra:
         self.basis_monos: List[Mono] = standard_monomials(self.gdata)
         self._basis_index = {m: i for i, m in enumerate(self.basis_monos)}
 
-        # rule i is the relation sum_j u_ij r_j, monic at lm(g_i)
+        # rule i is the relation sum_j u_ij r_j, monic at lm(g_i), with
+        # int coefficients wherever they are integral
         qz = self.q_vars.zero_mono()
         zero = NovikovSeries.zero(self.gens, self.q_vars, trunc)
         self._rows = []
@@ -245,7 +280,9 @@ class PresentedAlgebra:
             row = sum((u * r for u, r in zip(us, self.relations) if not u.is_zero()), zero)
             if row.classical_part() != g:
                 raise InternalError("quantum correction with classical terms")
-            self._rows.append(_lead_row(g.leading()[0] + qz, row, i))
+            self._rows.append((g.leading()[0] + qz,
+                               [(m, c.numerator if c.denominator == 1 else c)
+                                for m, c in row.terms.items()], i))
         k = len(self.gens)
         # the default strategy takes the first matching rule under the
         # display order; the alternate one the last, smallest classical
@@ -254,9 +291,9 @@ class PresentedAlgebra:
         self._alternate = (self._rows[::-1],
                            lambda m: (grevlex_key(m[:k]), grevlex_desc_key(m[k:])))
 
-        # (m_a, m_b) with m_a <= m_b -> normal form of m_a*m_b as
-        # [(deg q, q, m, c)] sorted by q-degree; see _product_entry
-        self._products: Dict[Tuple[Mono, Mono], List[Tuple[int, Mono, Mono, Fraction]]] = {}
+        # (m_a, m_b) with m_a <= m_b -> normal form of m_a*m_b as (den,
+        # [(deg q, q, m, c)]) sorted by q-degree, c/den; see _product_entry
+        self._products: Dict[Tuple[Mono, Mono], Entry] = {}
 
     @property
     def label(self) -> str:
@@ -313,18 +350,26 @@ class PresentedAlgebra:
 
     def _reduce_terms(self, terms: Dict[Mono, Fraction],
                       strategy: str = "default") -> Dict[Mono, Fraction]:
+        """The normal form of a term map, rewritten over int numerators."""
         rows, key = self._default if strategy == "default" else self._alternate
-        return _reduce(terms, rows, key=key, cap=(len(self.gens), self.trunc))
+        D, nums = _numerators(terms)
+        nf = _reduce(nums, rows, key=key, cap=(len(self.gens), self.trunc))
+        return {m: Fraction(c, D) for m, c in nf.items()}
 
-    def _product_entry(self, ma: Mono, mb: Mono) -> List[Tuple[int, Mono, Mono, Fraction]]:
-        """Normal form of the standard-monomial product ma*mb, reduced on first use."""
+    def _product_entry(self, ma: Mono, mb: Mono) -> Entry:
+        """Normal form of the standard-monomial product ma*mb, reduced on first use.
+
+        (den, rows): rows [(deg q, q, m, c)] sorted by q-degree, with int
+        numerators c over den, the lcm of the normal form's denominators.
+        """
         pair = (ma, mb) if ma <= mb else (mb, ma)
         entry = self._products.get(pair)
         if entry is None:
             k = len(self.gens)
-            nf = self._reduce_terms({mono_mul(ma, mb) + self.q_vars.zero_mono(): ONE})
-            entry = sorted(((sum(m[k:]), m[k:], m[:k], c) for m, c in nf.items()),
-                           key=lambda t: t[0])
+            den, nf = _numerators(self._reduce_terms(
+                {mono_mul(ma, mb) + self.q_vars.zero_mono(): ONE}))
+            entry = den, sorted(((sum(m[k:]), m[k:], m[:k], c) for m, c in nf.items()),
+                                key=lambda t: t[0])
             self._products[pair] = entry
         return entry
 
@@ -355,8 +400,9 @@ class PresentedAlgebra:
         for i in range(len(monos)):
             for j in range(i, len(monos)):
                 coords: Dict[int, QPoly] = {}
-                for _, qm, mm, c in self._product_entry(monos[i], monos[j]):
-                    coords.setdefault(index[mm], {})[qm] = c
+                den, entry = self._product_entry(monos[i], monos[j])
+                for _, qm, mm, c in entry:
+                    coords.setdefault(index[mm], {})[qm] = Fraction(c, den)
                 table[(i, j)] = coords
         return table
 

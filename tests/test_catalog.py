@@ -3,6 +3,7 @@
 import pytest
 
 from qchar.catalog import (
+    FAMILIES,
     RingId,
     fl_specialization_check,
     make_presentation,
@@ -168,6 +169,33 @@ def test_relations_reduce_to_zero(family, n, m, trunc):
     R = ring(family, n, m, trunc)
     for rel in R.relations:
         assert R.reduce(rel).is_zero()
+
+
+# every catalog rule is monic with integer coefficients, so the rule rows
+# and the product table are integral and a product sums its int
+# numerators in one bucket; a family with a rational rule shows up here
+INTEGRAL_INSTANCES = [
+    (family, n, m, trunc)
+    for family, sizes in [("qh_pn", [(1, None), (3, None)]), ("qk_pn", [(1, None), (3, None)]),
+                          ("qh_fl", [(3, None), (4, None)]), ("qk_fl", [(3, None), (4, None)]),
+                          ("qh_milnor", [(3, 3), (4, 3)]), ("qk_milnor", [(3, 3), (4, 3)]),
+                          ("k_milnor", [(3, 3), (4, 3)]), ("k_pnxpm", [(1, 1), (2, 3)])]
+    for n, m in sizes
+    for trunc in ([0] if family in ("k_milnor", "k_pnxpm") else [1, 3])]
+
+
+def test_integral_instances_cover_every_family():
+    assert {family for family, _, _, _ in INTEGRAL_INSTANCES} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family,n,m,trunc", INTEGRAL_INSTANCES)
+def test_rule_rows_and_structure_constants_are_integral(family, n, m, trunc):
+    R = ring(family, n, m, trunc)
+    assert all(type(c) is int for _, row, _ in R._rows for _, c in row)
+    table = R.structure_constants()
+    assert all(den == 1 for den, _ in R._products.values())
+    assert all(c.denominator == 1 for coords in table.values()
+               for qp in coords.values() for c in qp.values())
 
 
 @pytest.mark.parametrize("family,n,m", [("qk_milnor", 4, 3), ("qk_milnor", 3, 3),

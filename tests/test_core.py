@@ -485,3 +485,48 @@ def test_series_var_is_gen():
     with pytest.raises(TypeError, match="gen"):
         NovikovSeries.var(VariableSet(["x"]), "x")
     assert NovikovSeries.var(MAIN_X, QQ, 2, "x") == NovikovSeries.gen(MAIN_X, QQ, 2, "x")
+
+
+def test_public_constructors_keep_their_checks():
+    # sums and products skip the term checks; these entry points do not
+    # (a negative non-Laurent exponent: test_negative_exponent_rejected_without_laurent_flag)
+    with pytest.raises(ValueError, match="wrong length"):
+        Polynomial(XY, {(1,): 1})
+    with pytest.raises(ValueError, match="wrong length"):
+        NovikovSeries(LX, QQ, 2, {(1,): 1})
+    with pytest.raises(ValueError, match="non-Laurent variable 'x'"):
+        NovikovSeries(MAIN_X, QQ, 2, {(-1, 0): 1})
+    with pytest.raises(ValueError, match="non-Laurent variable 'Q'"):
+        NovikovSeries(LX, QQ, 2, {(-1, -1): 1})
+    x = P(XY, "x")
+    with pytest.raises(ValueError, match="wrong length"):
+        x.mul_mono((1,))
+    with pytest.raises(ValueError, match="non-Laurent variable 'x'"):
+        x.mul_mono((-2, 0))
+    with pytest.raises(ValueError, match="non-Laurent variable 'Q'"):
+        NovikovSeries.gen(LX, QQ, 2, "x").mul_mono((0, -1))
+
+
+def test_sums_and_products_skip_the_term_checks(monkeypatch):
+    from qchar.catalog import ring
+    from qchar.jfun import HbarPoly
+
+    x, y = P(XY, "x"), P(XY, "y")
+    polys = (x + 2 * y, x * x - Fraction(1, 3))
+    s = NovikovSeries.gen(MAIN_XY, Q12, 2, "x") + NovikovSeries.q_gen(MAIN_XY, Q12, 2, "Q1")
+    series = (s, s * s - 1)
+    R = ring("k_milnor", 3, 3)
+    elements = (R.generator("x") + 2, R.generator("y") - R.generator("x"))
+    hbar_polys = (HbarPoly.atom(R, "L1", 1), HbarPoly.atom(R, "L1L2", 2))
+    calls = []
+    check = VariableSet.check_mono
+    monkeypatch.setattr(VariableSet, "check_mono",
+                        lambda self, mono: calls.append(mono) or check(self, mono))
+    for a, b in (polys, series, elements, hbar_polys):
+        for c in (a + b, a - b, -a, a * b, a.scale(Fraction(2, 3)), 3 * a, a * 3):
+            assert type(c) is type(a)
+            if not isinstance(c, Polynomial):
+                c = c.nf
+            assert c._space() == (a if isinstance(a, Polynomial) else a.nf)._space()
+            assert all(type(v) is Fraction and v for v in c.terms.values())
+    assert calls == []

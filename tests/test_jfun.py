@@ -112,6 +112,39 @@ def test_scalars_multiply_on_either_side():
             x * 1.5
 
 
+def test_scalars_add_and_compare_on_either_side():
+    R = _kring()
+    p = HbarPoly.atom(R, "L1", 1)  # 1 - x*hbar
+    f, g = HbarFraction(p), HbarFraction(p, {("L2", 1): 1})
+    x_hbar = HbarPoly.lift(R.generator("x"), 1)
+    assert p + 1 == 1 + p == HbarPoly.const(R, 2) - x_hbar
+    assert p - 1 == -x_hbar and 1 - p == x_hbar
+    assert p + F(1, 2) == HbarPoly.const(R, F(3, 2)) - x_hbar
+    assert (f + 1).render() == (1 + f).render() == HbarFraction(p + 1).render()
+    assert f - 1 == HbarFraction(-x_hbar) and 1 - f == HbarFraction(x_hbar)
+    assert g + 1 == 1 + g == HbarFraction(p + HbarPoly.atom(R, "L2", 1), g.denom)
+    assert R.one() == 1 and HbarPoly.one(R) == 1 and HbarFraction(HbarPoly.one(R)) == 1
+    assert HbarPoly.one(R) != 2 and g != 1 and HbarFraction(x_hbar) != 0
+    for x in (p, f):
+        for other in ("a", 1.5):
+            with pytest.raises(TypeError):
+                x + other
+            with pytest.raises(TypeError):
+                other - x
+        assert x != "a"
+
+
+def test_hbar_poly_constructor_keeps_its_checks():
+    # sums and products skip the term checks; the constructor and shift do not
+    R = _kring()  # keys: the exponents of x and y, then of hbar
+    with pytest.raises(ValueError, match="wrong length"):
+        HbarPoly(R, {(0, 0): 1})
+    with pytest.raises(ValueError, match="hbar"):
+        HbarPoly(R, {(0, 0, -1): 1})
+    with pytest.raises(ValueError, match="hbar"):
+        (HbarPoly.atom(R, "L1", 1) * HbarPoly.atom(R, "L2", 2)).shift(-1)
+
+
 def test_ring_with_novikov_variables_rejected():
     # the product caps no q-degree, so a quantum ring is refused up front
     with pytest.raises(ValueError, match="Novikov"):
