@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from operator import add, le, neg, sub
 from typing import Dict, Iterable, Tuple
 
 Rational = Fraction
@@ -65,7 +66,7 @@ def grevlex_key(mono: Mono):
     nonzero exponent difference is negative compares larger.  max() over
     these keys picks the grevlex leading monomial.
     """
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+    return (sum(mono), tuple(map(neg, reversed(mono))))
 
 
 def grevlex_desc_key(mono: Mono):
@@ -122,16 +123,16 @@ def evaluate(terms: Dict[Mono, Fraction], names, values, one):
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
     # Multiply monomials by adding exponents component-wise.
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
     """Does a divide b, all exponents of b - a nonnegative."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b: Mono, a: Mono) -> Mono:
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def _clean_terms(vars: VariableSet, terms, k: int, trunc: int) -> Dict[Mono, Fraction]:

@@ -13,6 +13,21 @@ S-polynomial and tail reductions of Buchberger, divide and normal_form
 under descending grevlex, and the rewriting of the quotient rings
 (quotient.PresentedAlgebra._reduce_terms), which passes its rule rows
 in its own order, its own heap key and a q-degree cap.
+
+Divisibility tests go through masks first.  A monomial's mask is an int
+holding a thermometer code of seven bits per variable: bit 7*i + t is
+set when e_i > t.  If a divides b, every bit of mask(a) is in mask(b),
+so a divisor scan skips a candidate when mask(a) & ~mask(b) is nonzero
+and calls mono_divides only on the candidates that pass; an exponent
+above 7 only makes the mask coarser.  Reducer rows carry the mask of
+their leading monomial, and Buchberger keeps one per leading monomial.
+mask(lcm(a, b)) is mask(a) | mask(b), which prefilters the chain
+criterion's scan, and a and b are coprime exactly when their masks share
+no bit.  The masks assume nonnegative exponents: groebner, divide and
+normal_form work in the polynomial ring and raise ValueError on a
+negative exponent (a Laurent element must have its denominators
+cleared first, as mirror.MembershipContext does) and on an operand
+over another variable set.
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import (
     InternalError,
@@ -71,24 +86,52 @@ class GroebnerData:
     steps: int = 0
 
     def leading_monomials(self) -> List[Mono]:
-        return [lm for lm, _, _ in self.lead_rows]
+        return [row[0] for row in self.lead_rows]
 
     @cached_property
     def lead_rows(self) -> List[LeadRow]:
         """Reducer rows of the basis, built once and shared by every normal form."""
-        return [_lead_row(g.leading()[0], g, i) for i, g in enumerate(self.basis)]
+        return [_lead_row(g.leading()[0], g.terms.items(), i)
+                for i, g in enumerate(self.basis)]
 
 
 def lcm_mono(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-# (leading monomial, term items, reducer id) of one monic reducer
-LeadRow = Tuple[Mono, List[Tuple[Mono, Fraction]], int]
+_THERMO = [(1 << t) - 1 for t in range(8)]  # the low t bits set
 
 
-def _lead_row(lm: Mono, g: Polynomial, gid: int) -> LeadRow:
-    return (lm, list(g.terms.items()), gid)
+def mono_mask(mono: Mono) -> int:
+    """The divisibility mask of a nonnegative monomial: bit 7*i + t is set when e_i > t."""
+    mask = 0
+    for e in reversed(mono):
+        mask = (mask << 7) | _THERMO[e if e < 7 else 7]
+    return mask
+
+
+# (leading monomial, term items, reducer id, mask of the leading monomial)
+# of one monic reducer
+LeadRow = Tuple[Mono, List[Tuple[Mono, Fraction]], int, int]
+
+
+def _lead_row(lm: Mono, items: Iterable[Tuple[Mono, Fraction]], gid: int) -> LeadRow:
+    return (lm, list(items), gid, mono_mask(lm))
+
+
+def _check_operands(vars: VariableSet, *polys: Polynomial) -> None:
+    """The ideal routines work in the polynomial ring over `vars`: refuse
+    an operand over other variables or with a negative exponent."""
+    for p in polys:
+        if p.vars != vars:
+            raise ValueError("operands over different variable sets")
+        if any(vars.laurent):
+            for m in p.terms:
+                if min(m) < 0:
+                    raise ValueError(
+                        "negative exponent in monomial %s: the ideal routines work in "
+                        "the polynomial ring; clear denominators first"
+                        % vars.render_mono(m))
 
 
 def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
@@ -98,8 +141,12 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
             cap: Optional[Tuple[int, int]] = None) -> Dict[Mono, Fraction]:
     """Full normal form of the term map `terms` against monic reducer rows.
 
-    `rows` are (leading monomial, term items, reducer id); a term is
-    rewritten by the first row whose leading monomial divides it.  The
+    `rows` are _lead_row tuples (leading monomial, term items, reducer
+    id, mask); a term is rewritten by the first row whose leading
+    monomial divides it.  The scan for that row computes the term's
+    mask once and calls mono_divides only on the rows whose mask lies
+    inside it (see the module docstring), so the mask never changes
+    which row is found; exponents must be nonnegative.  The
     working terms live in a dict, their order in a heap keyed by `key`
     (ascending), with lazy deletion: a popped monomial whose term has
     since cancelled is skipped.  The first dividing row is memoised per
@@ -125,8 +172,9 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
             continue
         hit = hits.get(mono)
         if hit is None:
+            outside = ~mono_mask(mono)
             for row in rows:
-                if mono_divides(row[0], mono):
+                if not row[3] & outside and mono_divides(row[0], mono):
                     hit = hits[mono] = row
                     break
             else:
@@ -134,7 +182,7 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
                 continue
         if budget is not None:
             budget.spend()
-        lm, gterms, gid = hit
+        lm, gterms, gid, _ = hit
         quot = mono_div(mono, lm)
         for m, c in gterms:
             if m == lm:
@@ -168,10 +216,11 @@ def divide(p: Polynomial, d: Polynomial) -> Tuple[Polynomial, Polynomial]:
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    _check_operands(d.vars, p, d)
     lm, lc = d.leading()
     inv = 1 / lc
     usage: Dict[int, Dict[Mono, Fraction]] = {}
-    rem = _reduce(p.terms, [_lead_row(lm, d.scale(inv), 0)], usage=usage)
+    rem = _reduce(p.terms, [_lead_row(lm, d.scale(inv).terms.items(), 0)], usage=usage)
     return Polynomial(p.vars, usage.get(0, {})).scale(inv), Polynomial(p.vars, rem)
 
 
@@ -194,9 +243,7 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
     if not rels:
         raise ValueError("cannot build a basis from no relations")
     vars = rels[0].vars
-    for r in rels:
-        if r.vars != vars:
-            raise ValueError("relations over different variable sets")
+    _check_operands(vars, *rels)
     budget = _Budget(step_cap)
 
     def unit_row(j, scale):
@@ -216,8 +263,10 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
         raise ValueError("all relations are zero")
 
     lms = [g.leading()[0] for g in gens]
-    # one reducer row per generator, extended as generators are added
-    lead_rows = [_lead_row(lm, g, i) for i, (lm, g) in enumerate(zip(lms, gens))]
+    # one reducer row per generator, extended as generators are added;
+    # sevs[i] is the mask of lms[i]
+    lead_rows = [_lead_row(lm, g.terms.items(), i) for i, (lm, g) in enumerate(zip(lms, gens))]
+    sevs = [row[3] for row in lead_rows]
     pairs: List[Tuple] = []
     pending = set()
 
@@ -233,14 +282,16 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
     while pairs:
         _, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
+        if not sevs[i] & sevs[j]:
+            continue  # coprime leading monomials reduce to zero
         lm_i, lm_j = lms[i], lms[j]
         lcm = lcm_mono(lm_i, lm_j)
-        if lcm == mono_mul(lm_i, lm_j):
-            continue  # coprime leading monomials reduce to zero
-        # chain criterion: a third divisor whose pairs are both settled
+        # chain criterion: a third divisor whose pairs are both settled;
+        # a divisor of lcm has its mask inside sevs[i] | sevs[j]
+        outside = ~(sevs[i] | sevs[j])
         settled = False
-        for k in range(len(gens)):
-            if k == i or k == j:
+        for k, sev in enumerate(sevs):
+            if sev & outside or k == i or k == j:
                 continue
             if (mono_divides(lms[k], lcm)
                     and (min(i, k), max(i, k)) not in pending
@@ -266,7 +317,8 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
         k = len(gens)
         gens.append(nf.scale(scale))
         lms.append(gens[k].leading()[0])
-        lead_rows.append(_lead_row(lms[k], gens[k], k))
+        lead_rows.append(_lead_row(lms[k], gens[k].terms.items(), k))
+        sevs.append(lead_rows[k][3])
         for t in range(k):
             push_pair(t, k)
 
@@ -274,7 +326,7 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
     # equal leading monomials (duplicate inputs) keep the first
     keep = []
     for a in range(len(gens)):
-        if any(b != a and mono_divides(lms[b], lms[a])
+        if any(b != a and not sevs[b] & ~sevs[a] and mono_divides(lms[b], lms[a])
                and (lms[b] != lms[a] or b < a) for b in range(len(gens))):
             continue
         keep.append(a)
@@ -312,6 +364,7 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
 def normal_form(p: Polynomial, gdata: GroebnerData,
                 step_cap: Optional[int] = None) -> Polynomial:
     """Remainder of p modulo the reduced basis; zero iff p is in the ideal."""
+    _check_operands(gdata.vars, p)
     return Polynomial(p.vars, _reduce(p.terms, gdata.lead_rows, _Budget(step_cap)))
 
 

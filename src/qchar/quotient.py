@@ -70,6 +70,7 @@ from .core import (
 )
 from .groebner import (
     GroebnerData,
+    _lead_row,
     _reduce,
     divide,
     groebner,
@@ -280,9 +281,9 @@ class PresentedAlgebra:
             row = sum((u * r for u, r in zip(us, self.relations) if not u.is_zero()), zero)
             if row.classical_part() != g:
                 raise InternalError("quantum correction with classical terms")
-            self._rows.append((g.leading()[0] + qz,
-                               [(m, c.numerator if c.denominator == 1 else c)
-                                for m, c in row.terms.items()], i))
+            self._rows.append(_lead_row(g.leading()[0] + qz,
+                                        [(m, c.numerator if c.denominator == 1 else c)
+                                         for m, c in row.terms.items()], i))
         k = len(self.gens)
         # the default strategy takes the first matching rule under the
         # display order; the alternate one the last, smallest classical

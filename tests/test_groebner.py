@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qchar.core import Polynomial, VariableSet
+from qchar.mirror import jacobi_context, jacobi_relations, laurent_vars
 from qchar.groebner import (
     StepCapExceeded,
     divide,
@@ -114,7 +115,7 @@ def test_lead_rows_built_once_per_basis():
     rows = g.lead_rows
     assert normal_form(x ** 5 + x * y, g) == x * y + x
     assert g.lead_rows is rows
-    assert [(lm, dict(terms)) for lm, terms, _ in rows] == \
+    assert [(lm, dict(terms)) for lm, terms, *_ in rows] == \
         [(b.leading()[0], b.terms) for b in g.basis]
 
 
@@ -162,3 +163,54 @@ def test_random_ideal_combinations_reduce_to_zero(rels, p1, p2):
     assert normal_form(combo, g).is_zero()
     nf = normal_form(p1, g)
     assert normal_form(nf, g) == nf
+
+
+LXY = VariableSet(["x", "y"], laurent=[True, True])
+
+
+def test_groebner_refuses_laurent_input():
+    x, y = Polynomial.var(LXY, "x"), Polynomial.var(LXY, "y")
+    # in the Laurent ring this ideal is (x - 1, y - 1); read as a
+    # polynomial ideal it used to give the basis ['1 - x^-1*y']
+    with pytest.raises(ValueError, match="negative exponent"):
+        groebner([x ** -1 * y - 1, y ** 2 - x])
+
+
+def test_divide_and_normal_form_refuse_laurent_input():
+    x, y = Polynomial.var(LXY, "x"), Polynomial.var(LXY, "y")
+    g = groebner([x * y - 1, y ** 2 - x])  # nonnegative exponents are accepted
+    assert normal_form(x * y, g) == Polynomial.const(LXY, 1)
+    with pytest.raises(ValueError, match="negative exponent"):
+        normal_form(x ** -1, g)
+    with pytest.raises(ValueError, match="negative exponent"):
+        divide(x ** -1 * y, y)
+    with pytest.raises(ValueError, match="negative exponent"):
+        divide(x, x * y ** -2 + 1)
+
+
+def test_membership_context_clears_denominators_first():
+    # mirror's Laurent elements reach normal_form only through the
+    # denominator-clearing embedding, over a non-Laurent variable set
+    ctx = jacobi_context(3)
+    assert not any(ctx.vars.laurent)
+    q1 = Polynomial.var(laurent_vars(3), "q1")
+    rel = jacobi_relations(3)[0]  # x1 - x1^-1*x2 - x1^-1*q2
+    assert min(min(m) for m in rel.terms) < 0
+    assert ctx.contains(rel * q1 ** -1)[0]
+    assert not ctx.contains(q1 ** -1)[0]
+
+
+def test_ideal_routines_refuse_operands_over_other_variables():
+    x, y = gens2(XY)
+    yx = VariableSet(["y", "x"])
+    y_, x_ = gens2(yx)
+    # these used to read exponent vectors by position: x^2 / y gave
+    # quotient x and remainder 0, and x^2 modulo (y^2 - 1) gave 1
+    with pytest.raises(ValueError, match="different variable sets"):
+        divide(x ** 2, y_)
+    with pytest.raises(ValueError, match="different variable sets"):
+        normal_form(x ** 2, groebner([y_ ** 2 - 1]))
+    with pytest.raises(ValueError, match="different variable sets"):
+        groebner([x ** 2, y_ - x_])
+    with pytest.raises(ValueError, match="different variable sets"):
+        normal_form(Polynomial.var(VariableSet(["x", "y", "z"]), "z"), groebner([x - y]))

@@ -29,7 +29,8 @@ ZERO = Fraction(0)
 
 def frozen_reduce_terms(ring, terms, strategy="default"):
     rows, key = ring._default if strategy == "default" else ring._alternate
-    rows = [(lm, [(m, Fraction(c)) for m, c in row], rid) for lm, row, rid in rows]
+    rows = [(lm, [(m, Fraction(c)) for m, c in row], rid, *mask)
+            for lm, row, rid, *mask in rows]
     return _reduce(terms, rows, key=key, cap=(len(ring.gens), ring.trunc))
 
 
@@ -207,7 +208,7 @@ def test_reduce_terms_matches_frozen_fraction_rewrite(name, big, strategy, seed)
 def test_rational_ring_keeps_fraction_rows_and_entries():
     # the non-integral rules run the same loop with Fraction coefficients
     ring = rational_ring(2)
-    coeffs = [c for _, row, _ in ring._rows for _, c in row]
+    coeffs = [c for _, row, *_ in ring._rows for _, c in row]
     assert any(type(c) is Fraction for c in coeffs)
     assert all(type(c) is int for c in coeffs if Fraction(c).denominator == 1)
     x, y = ring.generator("x"), ring.generator("y")

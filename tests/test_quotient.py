@@ -208,7 +208,7 @@ def scan_reduce_terms(ring, terms, strategy="default"):
         if rule is None:
             emit(mm, qm, coeff)
             continue
-        lm, row_terms, _ = rule
+        lm, row_terms, *_ = rule
         quot = mono_div(key, lm)
 
         def bump(k, delta):
@@ -255,8 +255,8 @@ def test_rule_rows_are_the_quantum_relations(family, n, m, trunc):
     ring = catalog_ring(family, n, m, trunc=trunc)
     gdata = ring.gdata
     relations = ring.presentation.relations_at(trunc)
-    assert [rid for _, _, rid in ring._rows] == list(range(len(gdata.basis)))
-    for (lead, row_terms, i) in ring._rows:
+    assert [rid for _, _, rid, *_ in ring._rows] == list(range(len(gdata.basis)))
+    for (lead, row_terms, i, *_) in ring._rows:
         g = gdata.basis[i]
         row = NovikovSeries(ring.gens, ring.q_vars, trunc, dict(row_terms))
         assert lead == g.leading()[0] + ring.q_vars.zero_mono()
