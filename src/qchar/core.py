@@ -27,16 +27,21 @@ only drops zero coefficients.  The zero
 polynomial / series is the one with an empty term map.  The monomial
 order is grevlex throughout; grevlex_key (ascending), grevlex_desc_key
 (descending) and NovikovSeries._order_key, which joins the two on the
-main and q slices of a key, are the only order keys.  evaluate is the
-one substitution routine, for polynomials and for ring maps alike.
+main and q slices of a key, are the only order keys.  MonomialOrder
+states the same orders as integer weight rows and packs a monomial into
+one int that compares as the row values do; the reduction loop
+(groebner._reduce) and the quotient rings' product kernel compute on
+those ints, and keys are tuples again at their boundary.  evaluate is
+the one substitution routine, for polynomials and for ring maps alike.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from fractions import Fraction
-from operator import add, le, neg, sub
+from operator import add, le, mul, neg, sub
 from typing import Dict, Iterable, Tuple
 
 Rational = Fraction
@@ -75,6 +80,86 @@ def grevlex_desc_key(mono: Mono):
     The reversed-exponent tuple recovers the monomial.
     """
     return (-sum(mono), tuple(reversed(mono)))
+
+
+class MonomialOrder:
+    """A monomial order as integer weight rows, compared lexicographically,
+    and its packed form: one nonnegative int per monomial.
+
+    Row i weighs a monomial e as w_i . e.  The packed form holds
+    w_i . e + OFF in a field of WIDTH bits, row 0 in the most significant
+    field, followed by n fields holding e_1, ..., e_n themselves.  Every
+    variable has a row that is a signed unit vector on it (the constructor
+    checks), so the weight rows already tell distinct monomials apart and
+    the trailing fields never decide a comparison; unpack reads the
+    exponents off them.  While every field stays inside its WIDTH bits,
+    comparing two packed ints compares the rows lexicographically, and
+    packing is affine:
+        pack(a*b) == pack(a) + pack(b) - C,
+    so a product of packed monomials is an int sum, never a new tuple.
+    check(total) raises ValueError unless every nonnegative exponent
+    vector of total degree at most `total` fits the fields: a caller
+    checks the largest degree it can reach before it packs, so a field
+    never wraps.
+    """
+
+    WIDTH = 16  # one signed short per field: unpack reads them with struct
+    OFF = 1 << (WIDTH - 1)
+
+    def __init__(self, rows):
+        self.rows = tuple(tuple(row) for row in rows)
+        n = len(self.rows[0]) if self.rows else 0
+        for j in range(n):
+            if not any(abs(row[j]) == 1 and sum(map(abs, row)) == 1 for row in self.rows):
+                raise ValueError("no weight row is a unit vector on exponent %d" % j)
+        fields = self.rows + tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+        shifts = [self.WIDTH * (len(fields) - 1 - f) for f in range(len(fields))]
+        # pack(e) = C + sum_j e_j * cols[j]
+        self.cols = tuple(sum(row[j] << s for row, s in zip(fields, shifts))
+                          for j in range(n))
+        self.C = sum(self.OFF << s for s in shifts)
+        self._maxw = max((abs(w) for row in self.rows for w in row), default=1)
+        # P ^ C holds each field as a signed big-endian short
+        self._fields = struct.Struct(">%dh" % len(fields)).unpack
+        self._nbytes = 2 * len(fields)
+        self._first = len(self.rows)
+
+    @classmethod
+    def grevlex(cls, *blocks) -> "MonomialOrder":
+        """Blocks compared in turn, grevlex inside each.
+
+        A block is (size, descending): a descending block ranks its
+        grevlex-largest monomial first, as grevlex_desc_key does, an
+        ascending one its smallest, as grevlex_key does.
+        """
+        n = sum(size for size, _ in blocks)
+        rows, start = [], 0
+        for size, descending in blocks:
+            if size:
+                t = -1 if descending else 1
+                rows.append([t if start <= j < start + size else 0 for j in range(n)])
+                for v in reversed(range(start, start + size)):
+                    rows.append([-t if j == v else 0 for j in range(n)])
+            start += size
+        return cls(rows)
+
+    def pack(self, mono: Mono) -> int:
+        return sum(map(mul, mono, self.cols), self.C)
+
+    def unpack(self, packed: int) -> Mono:
+        return self._fields((packed ^ self.C).to_bytes(self._nbytes, "big"))[self._first:]
+
+    def check(self, total: int) -> None:
+        """Raise ValueError unless exponents of total degree <= total pack exactly."""
+        if total * self._maxw >= self.OFF:
+            raise ValueError("monomials of total degree %d do not fit the %d-bit fields "
+                             "of a packed monomial" % (total, self.WIDTH))
+
+
+@functools.lru_cache(maxsize=None)
+def grevlex_desc_order(n: int) -> MonomialOrder:
+    """Descending grevlex on n variables: rows -deg, then e_n, ..., e_1."""
+    return MonomialOrder.grevlex((n, True))
 
 
 def power_by_squaring(base, e: int, one):
@@ -520,8 +605,9 @@ class NovikovSeries(Polynomial):
 
     def _order_key(self, mono):
         # main part by descending grevlex, then q part by ascending grevlex:
-        # grevlex_desc_key(main) + grevlex_key(q), inline because the
-        # default reduction keys its heap with it
+        # grevlex_desc_key(main) + grevlex_key(q), which the quotient
+        # rings' default strategy packs as MonomialOrder.grevlex((k, True),
+        # (len(q), False))
         k = len(self.main_vars)
         mm, qm = mono[:k], mono[k:]
         return (-sum(mm), mm[::-1], sum(qm), tuple(-e for e in reversed(qm)))

@@ -12,7 +12,24 @@ _reduce is the one normal-form loop of the package.  It serves the
 S-polynomial and tail reductions of Buchberger, divide and normal_form
 under descending grevlex, and the rewriting of the quotient rings
 (quotient.PresentedAlgebra._reduce_terms), which passes its rule rows
-in its own order, its own heap key and a q-degree cap.
+in its own order, its own order object and a q-degree cap.
+
+Inside the loop a monomial is one int, its packed key under a
+core.MonomialOrder: integer comparison is the order, and a monomial
+times a quotient is an int sum.  A reducer row is packed once, when it
+is built (_lead_row): per generator in Buchberger, per basis in
+GroebnerData.lead_rows, per ring and strategy in the quotient rings.
+It carries its leading monomial's packed key and every other term m as
+(pack(m) - pack(lm), qdeg(m) - qdeg(lm), c), so rewriting a popped
+monomial P adds pack(m) - pack(lm) to P and compares the q-degree
+difference with the room the cap leaves.  Every key stays a tuple of
+exponents at the boundary: a monomial is unpacked once, when it is first
+popped, and the result and usage come out as tuples.  The packing never
+wraps: _reduce bounds the total degree any call can reach before it
+starts (a grevlex rewrite never raises it; a quotient rewrite raises it
+only through a row term of positive q-degree, at most trunc times, each
+time by at most the rows' excess) and raises ValueError if the order's
+fields cannot hold that degree.
 
 Divisibility tests go through masks first.  A monomial's mask is an int
 holding a thermometer code of seven bits per variable: bit 7*i + t is
@@ -40,15 +57,16 @@ from itertools import product
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import (
+    ZERO,
     InternalError,
     Mono,
+    MonomialOrder,
     Polynomial,
     VariableSet,
-    grevlex_desc_key,
+    grevlex_desc_order,
     grevlex_key,
     mono_div,
     mono_divides,
-    mono_mul,
 )
 
 
@@ -110,13 +128,44 @@ def mono_mask(mono: Mono) -> int:
     return mask
 
 
-# (leading monomial, term items, reducer id, mask of the leading monomial)
-# of one monic reducer
-LeadRow = Tuple[Mono, List[Tuple[Mono, Fraction]], int, int]
+# one monic reducer: (leading monomial lm, term items, reducer id, mask of
+# lm, packing, packed lm, rel, excess).  packing is (order, k): rel lists
+# the terms m != lm as (pack(m) - pack(lm), qdeg(m) - qdeg(lm), c) under
+# that order, with qdeg summing the exponents from slot k on, and excess is
+# the most a term with qdeg(m) > qdeg(lm) adds to the total degree
+LeadRow = Tuple[Mono, List[Tuple[Mono, Fraction]], int, int,
+                Tuple[MonomialOrder, int], int, List[Tuple[int, int, Fraction]], int]
 
 
-def _lead_row(lm: Mono, items: Iterable[Tuple[Mono, Fraction]], gid: int) -> LeadRow:
-    return (lm, list(items), gid, mono_mask(lm))
+def _lead_row(lm: Mono, items: Iterable[Tuple[Mono, Fraction]], gid: int,
+              order: Optional[MonomialOrder] = None, k: Optional[int] = None) -> LeadRow:
+    """The reducer row of a monic element led by lm, packed once under `order`
+    (descending grevlex by default) with q-degrees from slot k on (none by
+    default).
+
+    No term may have less q-degree than lm, and a term of the same
+    q-degree may not have more total degree: _reduce bounds the degrees
+    it can reach by that.
+    """
+    items = list(items)
+    if order is None:
+        order = grevlex_desc_order(len(lm))
+    if k is None:
+        k = len(lm)
+    order.check(max(sum(m) for m, _ in items))
+    plm, dlm, qlm = order.pack(lm), sum(lm), sum(lm[k:])
+    rel, excess = [], 0
+    for m, c in items:
+        if m == lm:
+            continue
+        dq, rise = sum(m[k:]) - qlm, sum(m) - dlm
+        if dq < 0 or (dq == 0 and rise > 0):
+            raise ValueError("term %r of a reducer row outranks its leading monomial %r"
+                             % (m, lm))
+        if rise > excess:
+            excess = rise
+        rel.append((order.pack(m) - plm, dq, c))
+    return (lm, items, gid, mono_mask(lm), (order, k), plm, rel, excess)
 
 
 def _check_operands(vars: VariableSet, *polys: Polynomial) -> None:
@@ -137,75 +186,119 @@ def _check_operands(vars: VariableSet, *polys: Polynomial) -> None:
 def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
             budget: Optional[_Budget] = None,
             usage: Optional[Dict[int, Dict[Mono, Fraction]]] = None,
-            key=grevlex_desc_key,
+            order: Optional[MonomialOrder] = None,
             cap: Optional[Tuple[int, int]] = None) -> Dict[Mono, Fraction]:
     """Full normal form of the term map `terms` against monic reducer rows.
 
-    `rows` are _lead_row tuples (leading monomial, term items, reducer
-    id, mask); a term is rewritten by the first row whose leading
-    monomial divides it.  The scan for that row computes the term's
-    mask once and calls mono_divides only on the rows whose mask lies
-    inside it (see the module docstring), so the mask never changes
-    which row is found; exponents must be nonnegative.  The
-    working terms live in a dict, their order in a heap keyed by `key`
-    (ascending), with lazy deletion: a popped monomial whose term has
-    since cancelled is skipped.  The first dividing row is memoised per
-    monomial when it is popped, and a term of a monomial already known
-    irreducible goes straight to the result.  With cap = (k, trunc), a
-    term whose exponents from slot k on sum above trunc is dropped.  When
-    `usage` is given it accumulates, per reducer id, the factor s with
+    `rows` are _lead_row tuples packed under `order` (descending grevlex
+    by default) with the cap's k (the number of variables without a cap).
+    A term is rewritten by the first row whose leading monomial divides
+    it.  The scan for that row unpacks the term and computes its mask
+    once, and calls mono_divides only on the rows whose mask lies inside
+    it (see the module docstring), so the mask never changes which row is
+    found; exponents must be nonnegative.
+
+    Inside the loop a monomial is its packed int (core.MonomialOrder).
+    The working terms live in a dict keyed by it, their order in a heap of
+    the ints themselves (ascending), with lazy deletion: a popped monomial
+    whose term has since cancelled is skipped.  The first dividing row is
+    memoised per monomial when it is popped, with the room left under the
+    cap; a rewrite then adds each row term's packed difference to the
+    popped int and compares its q-degree difference with that room.  A
+    term of a monomial already known irreducible goes straight to the
+    result.  With cap = (k, trunc), a term whose exponents from slot k on
+    sum above trunc is dropped.  The result keys are the tuples the
+    irreducible monomials were unpacked to; `usage` is unpacked at the
+    end.
+
+    The packing is exact: before the loop, the largest total degree the
+    call can reach is checked against the order's field width, and a
+    bound that does not fit raises ValueError.  A rewrite by a term with
+    no more q-degree than the row's leading monomial never raises the
+    total degree (the rows are led by their largest such term), and any
+    other term raises the q-degree, which the cap holds to trunc; so no
+    chain of rewrites raises it more than trunc times, each time by at
+    most the rows' excess.  Without a cap every row term is of the first
+    kind, and the reachable degree is the input's.
+
+    When `usage` is given it accumulates, per reducer id, the factor s with
         terms == result + sum_id s_id * reducer_id.
     The loop only adds, subtracts and multiplies coefficients, so ints
     and Fractions both work: the quotient rings rewrite int numerators.
     """
-    zero = Fraction(0)
-    work = {m: c for m, c in terms.items() if c}
-    heap = [(key(m), m) for m in work]
+    if not terms:
+        return {}
+    n = len(next(iter(terms)))
+    if order is None:
+        order = grevlex_desc_order(n)
+    if cap is None:
+        # rows packed with no q-slice never raise the total degree
+        qk, trunc, excess = n, 0, 0
+    else:
+        qk, trunc = cap
+        excess = max([row[7] for row in rows], default=0)
+    # a row is used only after its packing is checked, so the bound holds
+    packing = (order, qk)
+    if n and min(map(min, terms)) < 0:
+        raise ValueError("negative exponent in a term to reduce")
+    order.check(max(map(sum, terms)) + trunc * excess)
+
+    pack, unpack, C = order.pack, order.unpack, order.C
+    work = {pack(m): c for m, c in terms.items() if c}
+    heap = list(work)
     heapq.heapify(heap)
-    out: Dict[Mono, Fraction] = {}  # holds every monomial known irreducible
-    hits: Dict[Mono, LeadRow] = {}
-    qk, trunc = cap if cap is not None else (0, None)
+    # every monomial known irreducible -> [its exponent tuple, coefficient]
+    out: Dict[int, List] = {}
+    # packed monomial -> (rel, room under the cap, reducer id, packed quotient)
+    hits: Dict[int, Tuple[List[Tuple[int, int, Fraction]], int, int, int]] = {}
+    packed_usage: Dict[int, Dict[int, Fraction]] = {}
+    heappop, heappush, work_get, work_pop = heapq.heappop, heapq.heappush, work.get, work.pop
     while heap:
-        mono = heapq.heappop(heap)[1]
-        coeff = work.pop(mono, None)
+        P = heappop(heap)
+        coeff = work_pop(P, None)
         if coeff is None:
             continue
-        hit = hits.get(mono)
+        hit = hits.get(P)
         if hit is None:
+            mono = unpack(P)
             outside = ~mono_mask(mono)
             for row in rows:
                 if not row[3] & outside and mono_divides(row[0], mono):
-                    hit = hits[mono] = row
+                    if row[4] != packing:
+                        raise ValueError("reducer row packed for another order or cap")
+                    hit = hits[P] = (row[6], trunc - sum(mono[qk:]), row[2], P - row[5] + C)
                     break
             else:
-                out[mono] = coeff
+                out[P] = [mono, coeff]
                 continue
         if budget is not None:
             budget.spend()
-        lm, gterms, gid, _ = hit
-        quot = mono_div(mono, lm)
-        for m, c in gterms:
-            if m == lm:
+        rel, room, gid, pquot = hit
+        for d, dq, c in rel:
+            if dq > room:
                 continue
-            m2 = mono_mul(m, quot)
-            if trunc is not None and sum(m2[qk:]) > trunc:
-                continue
-            old = work.get(m2)
+            P2 = P + d
+            old = work_get(P2)
             if old is not None:
                 v = old - coeff * c
                 if v:
-                    work[m2] = v
+                    work[P2] = v
                 else:
-                    del work[m2]
-            elif m2 in out:
-                out[m2] -= coeff * c
+                    del work[P2]
+            elif P2 in out:
+                out[P2][1] -= coeff * c
             else:
-                work[m2] = -coeff * c
-                heapq.heappush(heap, (key(m2), m2))
+                work[P2] = -coeff * c
+                heappush(heap, P2)
         if usage is not None:
-            slot = usage.setdefault(gid, {})
-            slot[quot] = slot.get(quot, zero) + coeff
-    return {m: c for m, c in out.items() if c}
+            slot = packed_usage.setdefault(gid, {})
+            slot[pquot] = slot.get(pquot, ZERO) + coeff
+    for gid, packed in packed_usage.items():
+        slot = usage.setdefault(gid, {})
+        for pquot, s in packed.items():
+            quot = unpack(pquot)
+            slot[quot] = slot.get(quot, ZERO) + s
+    return {mono: c for mono, c in out.values() if c}
 
 
 def divide(p: Polynomial, d: Polynomial) -> Tuple[Polynomial, Polynomial]:

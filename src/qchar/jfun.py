@@ -135,7 +135,7 @@ class HbarPoly(Polynomial):
                 den, entry = ring_._product_entry(ma, mb)
                 terms = buckets.setdefault(den, {})
                 for h, c in coeff.items():
-                    for _, _, me, ce in entry:
+                    for _, _, me, ce, _ in entry:
                         key = me + (h,)
                         terms[key] = terms.get(key, 0) + c * ce
         return self._trusted(_over(buckets, Da * Db))

@@ -12,13 +12,21 @@ q-degree cap at the ring's truncation; this module holds no reduction
 loop of its own.  Every rewrite strictly drops the (classical monomial,
 q-degree) measure, so reduction terminates at any truncation order.
 
-The default strategy keys the loop's heap with the display order (the
+The default strategy orders the loop's heap by the display order (the
 largest classical monomial first, ties by lowest q-degree) and takes
 the first matching rule.  The alternate strategy takes the rows
-reversed, so the last matching rule wins, with its own key: the
+reversed, so the last matching rule wins, with its own order: the
 smallest classical monomial first, ties by highest q-degree.  The two
 strategies share no order or rule choice, so comparing their normal
-forms (confluence_check) is an independent check of the rules.
+forms (confluence_check) is an independent check of the rules.  Each
+order is a core.MonomialOrder of two grevlex blocks, classical then q,
+and each strategy's rows are packed under its order once, when the ring
+is built: inside _reduce a key is one int, and a rewrite is an int sum
+plus one comparison of q-degrees against the cap.  Every rule is led by
+a q-free monomial, so a rewrite raises the classical degree only
+through a row term of positive q-degree, which happens at most trunc
+times in a chain; _reduce checks the degree that bound allows against
+the packed field width before it starts, so a key never wraps.
 
 An element is held as its normal form: a NovikovSeries at the ring's
 truncation whose classical monomials are standard monomials.  Reduction
@@ -35,7 +43,12 @@ entry; entries and groups keep classical and q monomials apart, and a
 product term's key is their concatenation.  This is exact: reduction is
 linear, q-monomials are central, and no rewrite lowers q-degree, so an
 entry reduced at the ring's truncation holds every term that survives
-the q-degree cap.
+the q-degree cap.  An entry row also holds the key m+q packed under the
+default order, and a factor's q-monomials are packed the same way
+without the order's constant, so the product key of m+q and a q-monomial
+is one int sum; _over unpacks each output key once.  The ring checks
+when it is built that a standard monomial times a q-monomial within the
+cap fits the packed fields.
 
 The products and the rewriting run in int.  An entry is stored as (den,
 rows) with int numerators over den, the lcm of its denominators; every
@@ -53,6 +66,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Tuple
 
 from .core import (
@@ -60,11 +74,11 @@ from .core import (
     Arithmetic,
     InternalError,
     Mono,
+    MonomialOrder,
     NovikovSeries,
     Polynomial,
     VariableSet,
     _render_terms,
-    grevlex_desc_key,
     grevlex_key,
     mono_mul,
 )
@@ -80,8 +94,9 @@ from .groebner import (
 from .report import Check
 
 QPoly = Dict[Mono, Fraction]  # truncated polynomial in the q variables
-# a product-table entry: (den, [(deg q, q, m, c)]), the int numerators c over den
-Entry = Tuple[int, List[Tuple[int, Mono, Mono, int]]]
+# a product-table entry: (den, [(deg q, q, m, c, packed m+q)]), the int
+# numerators c over den, the keys packed under the ring's default order
+Entry = Tuple[int, List[Tuple[int, Mono, Mono, int, int]]]
 
 
 class Presentation:
@@ -174,20 +189,27 @@ class AlgebraElement(Arithmetic):
             return NotImplemented
         ring = self.ring
         trunc, k = ring.trunc, len(ring.gens)
-        # entry den -> key -> int numerator over Da*Db*den
-        buckets: Dict[int, Dict[Mono, int]] = {}
+        order = ring._default[1]
+        # entry den -> packed key -> int numerator over Da*Db*den
+        buckets: Dict[int, Dict[int, int]] = {}
         Da, left = _int_groups(self.nf.terms, k)
         Db, right = _int_groups(other.nf.terms, k)
+        # a q-monomial as the linear part of its packed key, so that
+        # packed(m + qe) + linear(qm) is the packed key of m + qe + qm
+        qcols = order.cols[k:]
+        right = {mb: [(sum(map(mul, qb, qcols)), db, cb) for qb, db, cb in right_q]
+                 for mb, right_q in right.items()}
         for ma, left_q in left.items():
+            left_q = [(sum(map(mul, qa, qcols)), da, ca) for qa, da, ca in left_q]
             for mb, right_q in right.items():
                 # truncated q-coefficient of the pair m_a * m_b
-                coeff: Dict[Mono, Tuple[int, int]] = {}
+                coeff: Dict[int, Tuple[int, int]] = {}
                 for qa, da, ca in left_q:
                     for qb, db, cb in right_q:
                         d = da + db
                         if d > trunc:
                             continue
-                        qm = mono_mul(qa, qb)
+                        qm = qa + qb
                         old = coeff.get(qm)
                         coeff[qm] = (d, ca * cb if old is None else old[1] + ca * cb)
                 if not coeff:
@@ -198,12 +220,12 @@ class AlgebraElement(Arithmetic):
                     if not c:
                         continue
                     room = trunc - d
-                    for de, qe, me, ce in entry:
+                    for de, _, _, ce, pe in entry:
                         if de > room:
                             break
-                        key = me + mono_mul(qm, qe)
+                        key = pe + qm
                         terms[key] = terms.get(key, 0) + c * ce
-        return AlgebraElement(ring, self.nf._trusted(_over(buckets, Da * Db)))
+        return AlgebraElement(ring, self.nf._trusted(_over(buckets, Da * Db, order.unpack)))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -239,13 +261,16 @@ def _int_groups(terms: Dict[Mono, Fraction],
     return D, groups
 
 
-def _over(buckets: Dict[int, Dict[Mono, int]], D: int) -> Dict[Mono, Fraction]:
-    """The terms sum_den num / (D*den) of int numerators bucketed by den."""
+def _over(buckets: Dict[int, Dict], D: int, unpack=None) -> Dict[Mono, Fraction]:
+    """The terms sum_den num / (D*den) of int numerators bucketed by den,
+    with each key unpacked when `unpack` is given."""
     terms: Dict[Mono, Fraction] = {}
     for den, nums in buckets.items():
         for key, num in nums.items():
             if num:
                 c = Fraction(num, D * den)
+                if unpack is not None:
+                    key = unpack(key)
                 old = terms.get(key)
                 terms[key] = c if old is None else old + c
     return terms
@@ -272,28 +297,35 @@ class PresentedAlgebra:
         self.basis_monos: List[Mono] = standard_monomials(self.gdata)
         self._basis_index = {m: i for i, m in enumerate(self.basis_monos)}
 
+        # the default strategy takes the first matching rule under the
+        # display order (NovikovSeries._order_key); the alternate one the
+        # last, smallest classical monomial first and ties by highest
+        # q-degree.  Each packs its rows once, here.
+        k, nq = len(self.gens), len(self.q_vars)
+        default = MonomialOrder.grevlex((k, True), (nq, False))
+        alternate = MonomialOrder.grevlex((k, False), (nq, True))
+        # a product key is a standard monomial times a q-monomial in the cap
+        default.check(max(map(sum, self.basis_monos), default=0) + trunc)
+
         # rule i is the relation sum_j u_ij r_j, monic at lm(g_i), with
         # int coefficients wherever they are integral
         qz = self.q_vars.zero_mono()
         zero = NovikovSeries.zero(self.gens, self.q_vars, trunc)
-        self._rows = []
+        rules = []
         for i, (g, us) in enumerate(zip(self.gdata.basis, self.gdata.cofactors)):
             row = sum((u * r for u, r in zip(us, self.relations) if not u.is_zero()), zero)
             if row.classical_part() != g:
                 raise InternalError("quantum correction with classical terms")
-            self._rows.append(_lead_row(g.leading()[0] + qz,
-                                        [(m, c.numerator if c.denominator == 1 else c)
-                                         for m, c in row.terms.items()], i))
-        k = len(self.gens)
-        # the default strategy takes the first matching rule under the
-        # display order; the alternate one the last, smallest classical
-        # monomial first and ties by highest q-degree
-        self._default = (self._rows, zero._order_key)
-        self._alternate = (self._rows[::-1],
-                           lambda m: (grevlex_key(m[:k]), grevlex_desc_key(m[k:])))
+            rules.append((g.leading()[0] + qz, [(m, c.numerator if c.denominator == 1 else c)
+                                                 for m, c in row.terms.items()], i))
+        self._rows = [_lead_row(lm, items, i, default, k) for lm, items, i in rules]
+        self._default = (self._rows, default)
+        self._alternate = ([_lead_row(lm, items, i, alternate, k)
+                            for lm, items, i in reversed(rules)], alternate)
 
         # (m_a, m_b) with m_a <= m_b -> normal form of m_a*m_b as (den,
-        # [(deg q, q, m, c)]) sorted by q-degree, c/den; see _product_entry
+        # [(deg q, q, m, c, packed m+q)]) sorted by q-degree, c/den; see
+        # _product_entry
         self._products: Dict[Tuple[Mono, Mono], Entry] = {}
 
     @property
@@ -352,25 +384,32 @@ class PresentedAlgebra:
     def _reduce_terms(self, terms: Dict[Mono, Fraction],
                       strategy: str = "default") -> Dict[Mono, Fraction]:
         """The normal form of a term map, rewritten over int numerators."""
-        rows, key = self._default if strategy == "default" else self._alternate
+        if strategy == "default":
+            rows, order = self._default
+        elif strategy == "alternate":
+            rows, order = self._alternate
+        else:
+            raise ValueError("unknown rewrite strategy %r: use 'default' or 'alternate'"
+                             % (strategy,))
         D, nums = _numerators(terms)
-        nf = _reduce(nums, rows, key=key, cap=(len(self.gens), self.trunc))
+        nf = _reduce(nums, rows, order=order, cap=(len(self.gens), self.trunc))
         return {m: Fraction(c, D) for m, c in nf.items()}
 
     def _product_entry(self, ma: Mono, mb: Mono) -> Entry:
         """Normal form of the standard-monomial product ma*mb, reduced on first use.
 
-        (den, rows): rows [(deg q, q, m, c)] sorted by q-degree, with int
-        numerators c over den, the lcm of the normal form's denominators.
+        (den, rows): rows [(deg q, q, m, c, packed m+q)] sorted by
+        q-degree, with int numerators c over den, the lcm of the normal
+        form's denominators, and keys packed under the default order.
         """
         pair = (ma, mb) if ma <= mb else (mb, ma)
         entry = self._products.get(pair)
         if entry is None:
-            k = len(self.gens)
+            k, pack = len(self.gens), self._default[1].pack
             den, nf = _numerators(self._reduce_terms(
                 {mono_mul(ma, mb) + self.q_vars.zero_mono(): ONE}))
-            entry = den, sorted(((sum(m[k:]), m[k:], m[:k], c) for m, c in nf.items()),
-                                key=lambda t: t[0])
+            entry = den, sorted(((sum(m[k:]), m[k:], m[:k], c, pack(m))
+                                 for m, c in nf.items()), key=lambda t: t[0])
             self._products[pair] = entry
         return entry
 
@@ -378,14 +417,15 @@ class PresentedAlgebra:
         series = self.series(x)  # rejects an element of another ring
         if isinstance(x, AlgebraElement) and strategy == "default":
             return x
-        nf = self._reduce_terms(series.terms, strategy)
-        return AlgebraElement(self, NovikovSeries(self.gens, self.q_vars, self.trunc, nf))
+        # the normal form's keys come from checked input or checked rows
+        return AlgebraElement(self, series._trusted(self._reduce_terms(series.terms, strategy)))
 
     # matrices and tables
 
     def basis_element(self, i: int) -> AlgebraElement:
         key = self.basis_monos[i] + self.q_vars.zero_mono()
-        return AlgebraElement(self, NovikovSeries(self.gens, self.q_vars, self.trunc, {key: 1}))
+        zero = NovikovSeries.zero(self.gens, self.q_vars, self.trunc)
+        return AlgebraElement(self, zero._trusted({key: ONE}))
 
     def mult_matrix(self, a: AlgebraElement) -> List[List[Polynomial]]:
         """M[i][j] = coefficient of basis i in a * basis j, over q_vars."""
@@ -402,7 +442,7 @@ class PresentedAlgebra:
             for j in range(i, len(monos)):
                 coords: Dict[int, QPoly] = {}
                 den, entry = self._product_entry(monos[i], monos[j])
-                for _, qm, mm, c in entry:
+                for _, qm, mm, c, _ in entry:
                     coords.setdefault(index[mm], {})[qm] = Fraction(c, den)
                 table[(i, j)] = coords
         return table

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from qchar.catalog import ring as catalog_ring
 from qchar.core import NovikovSeries, VariableSet, mono_mul
-from qchar.groebner import _reduce
+from qchar.groebner import _lead_row, _reduce
 from qchar.jfun import HbarPoly
 from qchar.quotient import AlgebraElement, PresentedAlgebra, Presentation
 
@@ -28,10 +28,11 @@ ZERO = Fraction(0)
 
 
 def frozen_reduce_terms(ring, terms, strategy="default"):
-    rows, key = ring._default if strategy == "default" else ring._alternate
-    rows = [(lm, [(m, Fraction(c)) for m, c in row], rid, *mask)
-            for lm, row, rid, *mask in rows]
-    return _reduce(terms, rows, key=key, cap=(len(ring.gens), ring.trunc))
+    rows, order = ring._default if strategy == "default" else ring._alternate
+    k = len(ring.gens)
+    rows = [_lead_row(lm, [(m, Fraction(c)) for m, c in row], rid, order, k)
+            for lm, row, rid, *_ in rows]
+    return _reduce(terms, rows, order=order, cap=(k, ring.trunc))
 
 
 def frozen_entry(ring, ma, mb):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from qchar.catalog import FAMILIES, ring
 from qchar.core import (
     InternalError,
+    NovikovSeries,
     Polynomial,
     VariableSet,
     grevlex_desc_key,
@@ -67,6 +68,17 @@ def frozen_grevlex_key(mono):
 
 def frozen_lead_row(lm, g, gid):
     return (lm, list(g.terms.items()), gid)
+
+
+def frozen_alternate_key(k):
+    return lambda m: (grevlex_key(m[:k]), grevlex_desc_key(m[k:]))
+
+
+def frozen_strategy_key(R, strategy):
+    """The heap keys the quotient rings passed before the order object."""
+    if strategy == "default":
+        return NovikovSeries.zero(R.gens, R.q_vars, R.trunc)._order_key
+    return frozen_alternate_key(len(R.gens))
 
 
 def frozen_reduce(terms, rows, budget=None, usage=None, key=grevlex_desc_key, cap=None):
@@ -320,9 +332,9 @@ def test_map_helpers_match_frozen_generator_versions(ab):
 
 def test_rows_carry_the_mask_of_their_leading_monomial():
     R = ring("qk_milnor", 4, 3, 3)
-    assert all(mask == mono_mask(lm) for lm, _, _, mask in R._rows)
+    assert all(mask == mono_mask(lm) for lm, _, _, mask, *_ in R._rows)
     gdata = jacobi_context(3).gdata
-    assert all(mask == mono_mask(lm) for lm, _, _, mask in gdata.lead_rows)
+    assert all(mask == mono_mask(lm) for lm, _, _, mask, *_ in gdata.lead_rows)
 
 
 # ------------------------------------------------------- frozen oracles
@@ -417,11 +429,12 @@ def test_reduce_terms_matches_frozen_unmasked_reduce(which, strategy, seed):
     family, n, m, trunc = which
     R = ring(family, n, m, trunc)
     terms = R.random_series(random.Random(seed)).terms
-    rows, key = R._default if strategy == "default" else R._alternate
+    rows, order = R._default if strategy == "default" else R._alternate
+    key = frozen_strategy_key(R, strategy)
     cap = (len(R.gens), R.trunc)
     b_new, b_old = _Budget(None), _Budget(None)
     us_new, us_old = {}, {}
-    new = _reduce(terms, rows, b_new, us_new, key=key, cap=cap)
+    new = _reduce(terms, rows, b_new, us_new, order=order, cap=cap)
     old = frozen_reduce(terms, [row[:3] for row in rows], b_old, us_old, key=key, cap=cap)
     assert list(new.items()) == list(old.items())
     assert us_new == us_old

@@ -351,6 +351,34 @@ def test_reduce_rejects_element_of_another_ring():
             catalog_ring("qh_pn", 2, trunc=2).reduce(other, strategy)
 
 
+def test_reduce_rejects_an_unknown_strategy():
+    R = catalog_ring("qh_fl", 3, trunc=2)
+    s = R.random_series(random.Random(1))
+    for x in (s, R.generator("h1")):  # a series, and an element's early return
+        with pytest.raises(ValueError, match="'bogus'.*'default' or 'alternate'"):
+            R.reduce(x, strategy="bogus")
+
+
+def test_reduce_and_basis_elements_skip_the_term_checks(monkeypatch):
+    # the normal form's keys come from checked input or checked rows
+    R = catalog_ring("qk_milnor", 4, 3, trunc=3)
+    series = [R.random_series(random.Random(seed)) for seed in range(5)]
+    expected = [R.reduce(s, strategy).nf.terms for s in series
+                for strategy in ("default", "alternate")]
+    calls = []
+    check = VariableSet.check_mono
+    monkeypatch.setattr(VariableSet, "check_mono",
+                        lambda self, mono: calls.append(mono) or check(self, mono))
+    got = [R.reduce(s, strategy) for s in series for strategy in ("default", "alternate")]
+    basis = [R.basis_element(i) for i in range(R.classical_dim())]
+    assert calls == []
+    assert [e.nf.terms for e in got] == expected
+    for e in got + basis:
+        assert e.nf._space() == (R.gens, R.q_vars, R.trunc)
+        assert all(type(c) is Fraction and c for c in e.nf.terms.values())
+    assert [b.nf.terms for b in basis] == [{m + R.q_vars.zero_mono(): 1} for m in R.basis_monos]
+
+
 def test_presentation_rejects_zero_classical_part():
     x = NovikovSeries.gen(X, Q, 2, "x")
     q = NovikovSeries.q_gen(X, Q, 2, "Q")
