@@ -5,8 +5,19 @@ Every basis element g can carry a cofactor row u with
 and that identity is checked exactly when the basis is built; a
 failure raises InternalError.  The monomial order is graded reverse
 lexicographic for the declared variable order throughout; bases are
-reduced and monic.  Pair selection uses the normal strategy (smallest
-lcm first) with the coprimality and chain criteria.
+reduced and monic.
+
+Every generator, input or new, enters through the Gebauer-Moeller update
+(J. Symbolic Comput. 6, 1988).  Of its new pairs it drops those whose lcm
+another new pair's lcm properly divides (criterion M), and of those
+sharing an lcm keeps the oldest, or none if one is coprime (criterion F
+and the product criterion).  It drops an old pair whose lcm the new
+leading monomial divides, unless its lcm with either member equals that
+lcm (criterion B).  A generator whose leading monomial a newer one
+divides leaves the active set; S-polynomials reduce against the active
+rows only.  Pairs are taken smallest lcm first (the normal strategy);
+each pair's lcm is computed once, at push, and its S-polynomial is summed
+from the two generators' packed rows and enters _reduce packed.
 
 _reduce is the one normal-form loop of the package.  It serves the
 S-polynomial and tail reductions of Buchberger, divide and normal_form
@@ -38,13 +49,13 @@ so a divisor scan skips a candidate when mask(a) & ~mask(b) is nonzero
 and calls mono_divides only on the candidates that pass; an exponent
 above 7 only makes the mask coarser.  Reducer rows carry the mask of
 their leading monomial, and Buchberger keeps one per leading monomial.
-mask(lcm(a, b)) is mask(a) | mask(b), which prefilters the chain
-criterion's scan, and a and b are coprime exactly when their masks share
-no bit.  The masks assume nonnegative exponents: groebner, divide and
-normal_form work in the polynomial ring and raise ValueError on a
-negative exponent (a Laurent element must have its denominators
-cleared first, as mirror.MembershipContext does) and on an operand
-over another variable set.
+mask(lcm(a, b)) is mask(a) | mask(b), which prefilters the pair
+criteria's divisibility tests, and a and b are coprime exactly when
+their masks share no bit.  The masks assume nonnegative exponents:
+groebner, divide and normal_form work in the polynomial ring and raise
+ValueError on a negative exponent (a Laurent element must have its
+denominators cleared first, as mirror.MembershipContext does) and on an
+operand over another variable set.
 """
 
 from __future__ import annotations
@@ -187,7 +198,8 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
             budget: Optional[_Budget] = None,
             usage: Optional[Dict[int, Dict[Mono, Fraction]]] = None,
             order: Optional[MonomialOrder] = None,
-            cap: Optional[Tuple[int, int]] = None) -> Dict[Mono, Fraction]:
+            cap: Optional[Tuple[int, int]] = None,
+            degree: Optional[int] = None) -> Dict[Mono, Fraction]:
     """Full normal form of the term map `terms` against monic reducer rows.
 
     `rows` are _lead_row tuples packed under `order` (descending grevlex
@@ -221,6 +233,9 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
     most the rows' excess.  Without a cap every row term is of the first
     kind, and the reachable degree is the input's.
 
+    With `degree` given, `terms` is already keyed by packed ints under
+    `order`, of total degree at most `degree`: Buchberger's S-polynomials.
+
     When `usage` is given it accumulates, per reducer id, the factor s with
         terms == result + sum_id s_id * reducer_id.
     The loop only adds, subtracts and multiplies coefficients, so ints
@@ -228,23 +243,27 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
     """
     if not terms:
         return {}
-    n = len(next(iter(terms)))
-    if order is None:
-        order = grevlex_desc_order(n)
+    packed = degree is not None
+    if not packed:
+        n = len(next(iter(terms)))
+        if order is None:
+            order = grevlex_desc_order(n)
+        if n and min(map(min, terms)) < 0:
+            raise ValueError("negative exponent in a term to reduce")
+        degree = max(map(sum, terms))
     if cap is None:
         # rows packed with no q-slice never raise the total degree
-        qk, trunc, excess = n, 0, 0
+        qk, trunc, excess = len(order.cols), 0, 0
     else:
         qk, trunc = cap
         excess = max([row[7] for row in rows], default=0)
     # a row is used only after its packing is checked, so the bound holds
     packing = (order, qk)
-    if n and min(map(min, terms)) < 0:
-        raise ValueError("negative exponent in a term to reduce")
-    order.check(max(map(sum, terms)) + trunc * excess)
+    order.check(degree + trunc * excess)
 
     pack, unpack, C = order.pack, order.unpack, order.C
-    work = {pack(m): c for m, c in terms.items() if c}
+    work = ({P: c for P, c in terms.items() if c} if packed
+            else {pack(m): c for m, c in terms.items() if c})
     heap = list(work)
     heapq.heapify(heap)
     # every monomial known irreducible -> [its exponent tuple, coefficient]
@@ -265,7 +284,7 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
             for row in rows:
                 if not row[3] & outside and mono_divides(row[0], mono):
                     if row[4] != packing:
-                        raise ValueError("reducer row packed for another order or cap")
+                        raise InternalError("reducer row packed for another order or cap")
                     hit = hits[P] = (row[6], trunc - sum(mono[qk:]), row[2], P - row[5] + C)
                     break
             else:
@@ -339,90 +358,71 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
     _check_operands(vars, *rels)
     budget = _Budget(step_cap)
 
-    def unit_row(j, scale):
-        row = [Polynomial.zero(vars) for _ in rels]
-        row[j] = Polynomial.const(vars, scale)
-        return row
+    order = grevlex_desc_order(len(vars))
+    lead_rows: List[LeadRow] = []  # one reducer row per generator
+    sevs: List[int] = []  # sevs[i] is the mask of the leading monomial of gens[i]
+    pairs: List[Tuple[int, int, int, Mono]] = []  # heap of (-pack(lcm), i, j, lcm)
+    active: List[LeadRow] = []  # rows of the generators no newer leading monomial divides
+
+    def add(g):
+        """Append the monic generator g: the Gebauer-Moeller update (module docstring)."""
+        k, lm = len(gens), g.leading()[0]
+        gens.append(g)
+        lead_rows.append(_lead_row(lm, g.terms.items(), k))
+        sevs.append(sev := lead_rows[k][3])
+        new = sorted([(lcm_mono(row[0], lm), row[3] | sev, row[2]) for row in active],
+                     key=lambda e: sum(e[0]))
+        # by degree, so each lcm is tested only against earlier survivors of M
+        kept_m: List[Tuple[Mono, int]] = []
+        first: Dict[Mono, Optional[int]] = {}  # lcm -> oldest pair, None if one is coprime
+        for lcm, mask, t in new:
+            if not any(not m2 & ~mask and l2 != lcm and mono_divides(l2, lcm)
+                       for l2, m2 in kept_m):
+                kept_m.append((lcm, mask))
+                first[lcm] = None if not sevs[t] & sev else first.get(lcm, t)
+        pairs[:] = [p for p in pairs if sev & ~(sevs[p[1]] | sevs[p[2]])
+                    or not mono_divides(lm, p[3]) or lcm_mono(lead_rows[p[1]][0], lm) == p[3]
+                    or lcm_mono(lead_rows[p[2]][0], lm) == p[3]]
+        heapq.heapify(pairs)
+        for lcm, t in first.items():
+            if t is not None:
+                heapq.heappush(pairs, (-order.pack(lcm), t, k, lcm))
+        active[:] = [row for row in active if sev & ~row[3] or not mono_divides(lm, row[0])]
+        active.append(lead_rows[k])
 
     gens: List[Polynomial] = []
     rows: List[List[Polynomial]] = []
     for j, r in enumerate(rels):
-        if r.is_zero():
-            continue
-        lc = r.leading()[1]
-        gens.append(r.scale(Fraction(1) / lc))
-        rows.append(unit_row(j, Fraction(1) / lc) if track_cofactors else [])
+        if not r.is_zero():
+            scale = Fraction(1) / r.leading()[1]
+            rows.append([Polynomial.const(vars, scale if t == j else 0) for t in range(len(rels))]
+                        if track_cofactors else [])
+            add(r.scale(scale))
     if not gens:
         raise ValueError("all relations are zero")
 
-    lms = [g.leading()[0] for g in gens]
-    # one reducer row per generator, extended as generators are added;
-    # sevs[i] is the mask of lms[i]
-    lead_rows = [_lead_row(lm, g.terms.items(), i) for i, (lm, g) in enumerate(zip(lms, gens))]
-    sevs = [row[3] for row in lead_rows]
-    pairs: List[Tuple] = []
-    pending = set()
-
-    def push_pair(i, j):
-        key = (grevlex_key(lcm_mono(lms[i], lms[j])), i, j)
-        heapq.heappush(pairs, key)
-        pending.add((i, j))
-
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            push_pair(i, j)
-
     while pairs:
-        _, i, j = heapq.heappop(pairs)
-        pending.discard((i, j))
-        if not sevs[i] & sevs[j]:
-            continue  # coprime leading monomials reduce to zero
-        lm_i, lm_j = lms[i], lms[j]
-        lcm = lcm_mono(lm_i, lm_j)
-        # chain criterion: a third divisor whose pairs are both settled;
-        # a divisor of lcm has its mask inside sevs[i] | sevs[j]
-        outside = ~(sevs[i] | sevs[j])
-        settled = False
-        for k, sev in enumerate(sevs):
-            if sev & outside or k == i or k == j:
-                continue
-            if (mono_divides(lms[k], lcm)
-                    and (min(i, k), max(i, k)) not in pending
-                    and (min(j, k), max(j, k)) not in pending):
-                settled = True
-                break
-        if settled:
-            continue
-        mi, mj = mono_div(lcm, lm_i), mono_div(lcm, lm_j)
-        spoly = gens[i].mul_mono(mi) - gens[j].mul_mono(mj)
+        negp, i, j, lcm = heapq.heappop(pairs)
+        # a term m of gens[i] times lcm / lm_i packs to pack(lcm) + pack(m) - pack(lm_i)
+        spoly = {d - negp: c for d, _, c in lead_rows[i][6]}
+        for d, _, c in lead_rows[j][6]:
+            spoly[d - negp] = spoly.get(d - negp, ZERO) - c
         usage: Optional[Dict[int, Dict[Mono, Fraction]]] = {} if track_cofactors else None
-        nf = Polynomial(vars, _reduce(spoly.terms, lead_rows, budget, usage))
+        nf = Polynomial(vars, _reduce(spoly, active, budget, usage, order, degree=sum(lcm)))
         if nf.is_zero():
             continue
-        lc = nf.leading()[1]
-        scale = Fraction(1) / lc
+        scale = Fraction(1) / nf.leading()[1]
         if track_cofactors:
+            mi, mj = mono_div(lcm, lead_rows[i][0]), mono_div(lcm, lead_rows[j][0])
             cof = [a.mul_mono(mi) - b.mul_mono(mj) for a, b in zip(rows[i], rows[j])]
-            cof = _apply_usage(cof, usage, rows)
-            rows.append([c.scale(scale) for c in cof])
+            rows.append([c.scale(scale) for c in _apply_usage(cof, usage, rows)])
         else:
             rows.append([])
-        k = len(gens)
-        gens.append(nf.scale(scale))
-        lms.append(gens[k].leading()[0])
-        lead_rows.append(_lead_row(lms[k], gens[k].terms.items(), k))
-        sevs.append(lead_rows[k][3])
-        for t in range(k):
-            push_pair(t, k)
+        add(nf.scale(scale))
 
-    # minimal set: drop any leading monomial divisible by another; for
-    # equal leading monomials (duplicate inputs) keep the first
-    keep = []
-    for a in range(len(gens)):
-        if any(b != a and not sevs[b] & ~sevs[a] and mono_divides(lms[b], lms[a])
-               and (lms[b] != lms[a] or b < a) for b in range(len(gens))):
-            continue
-        keep.append(a)
+    # minimal set: an active input may have a leading monomial an older one divides
+    keep = [a[2] for a in active if not any(b is not a and not b[3] & ~a[3]
+                                            and mono_divides(b[0], a[0]) for b in active)]
 
     # tail reduction against the other survivors gives the reduced basis
     reduced: List[Tuple[Polynomial, List[Polynomial]]] = []

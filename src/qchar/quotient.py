@@ -512,6 +512,7 @@ def det_bareiss(entries: List[List[Polynomial]]) -> Polynomial:
 
     Divisions are exact at every step (Bareiss), which is sound here
     because the entries live in an integral domain; truncate afterwards.
+    A remainder would break that invariant and raises InternalError.
     """
     n = len(entries)
     if n == 0:
@@ -529,7 +530,9 @@ def det_bareiss(entries: List[List[Polynomial]]) -> Polynomial:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                M[i][j] = poly_div_exact(M[i][j] * M[k][k] - M[i][k] * M[k][j], prev)
+                M[i][j], rem = divide(M[i][j] * M[k][k] - M[i][k] * M[k][j], prev)
+                if not rem.is_zero():
+                    raise InternalError("inexact Bareiss division by %s" % prev.render())
             M[i][k] = Polynomial.zero(vars)
         prev = M[k][k]
     return M[n - 1][n - 1].scale(sign)

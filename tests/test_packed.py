@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from qchar import groebner as groebner_module
 from qchar.catalog import ring
 from qchar.core import (
+    InternalError,
     MonomialOrder,
     NovikovSeries,
     VariableSet,
@@ -134,9 +135,9 @@ def test_reduce_refuses_rows_packed_for_another_order_or_cap():
     R = ring("qh_fl", 3, None, 2)
     terms = {(3, 0, 0, 0): 1}
     rows, order = R._default
-    with pytest.raises(ValueError, match="another order or cap"):
+    with pytest.raises(InternalError, match="another order or cap"):
         _reduce(terms, rows, order=R._alternate[1], cap=(2, 2))
-    with pytest.raises(ValueError, match="another order or cap"):
+    with pytest.raises(InternalError, match="another order or cap"):
         _reduce(terms, rows, order=order)
 
 
@@ -162,15 +163,24 @@ def test_every_jacobi_3_reduction_matches_the_frozen_loop(monkeypatch):
     rels = jacobi_context(3).gdata.relations
     live, seen = groebner_module._reduce, []
 
-    def checked(terms, rows, budget=None, usage=None, order=None, cap=None):
-        assert order is None and cap is None and usage == {}
-        _assert_matches_frozen(terms, rows)
-        seen.append(len(rows))
-        return live(terms, rows, budget, usage, order, cap)
+    def checked(terms, rows, budget=None, usage=None, order=None, cap=None, degree=None):
+        assert cap is None and usage == {}
+        if degree is None:
+            assert order is None
+            _assert_matches_frozen(terms, rows)
+        else:  # an S-polynomial, packed under descending grevlex
+            assert order is grevlex_desc_order(len(rows[0][0]))
+            unpacked = {order.unpack(P): c for P, c in terms.items()}
+            assert max(map(sum, unpacked)) <= degree
+            _assert_matches_frozen(unpacked, rows)
+            assert list(live(terms, rows, None, {}, order, None, degree).items()) == \
+                list(_reduce(unpacked, rows).items())
+        seen.append(degree)
+        return live(terms, rows, budget, usage, order, cap, degree)
 
     monkeypatch.setattr(groebner_module, "_reduce", checked)
     gdata = groebner(rels)  # with cofactors
-    assert gdata.steps == 154 and len(seen) > 50
+    assert gdata.steps == 155 and len(seen) > 50 and seen.count(None) == len(gdata.basis)
 
 
 def _boundary_series(R, rng):
