@@ -13,11 +13,15 @@ another new pair's lcm properly divides (criterion M), and of those
 sharing an lcm keeps the oldest, or none if one is coprime (criterion F
 and the product criterion).  It drops an old pair whose lcm the new
 leading monomial divides, unless its lcm with either member equals that
-lcm (criterion B).  A generator whose leading monomial a newer one
-divides leaves the active set; S-polynomials reduce against the active
-rows only.  Pairs are taken smallest lcm first (the normal strategy);
-each pair's lcm is computed once, at push, and its S-polynomial is summed
-from the two generators' packed rows and enters _reduce packed.
+lcm (criterion B).  Without cofactors, new pairs and S-polynomial
+reductions take the active generators, those whose leading monomial no
+newer one properly divides.  Cofactor rows are not unique and the
+quotient rings build their rules from them, so with cofactors both take
+every generator, oldest first, which gives the rows of the plain
+chain-criterion Buchberger (the oracle of tests/test_masks.py).  Pairs
+are taken smallest lcm first (the normal strategy); each pair's lcm is
+computed once, at push, and its S-polynomial is summed from the two
+generators' packed rows and enters _reduce packed.
 
 _reduce is the one normal-form loop of the package.  It serves the
 S-polynomial and tail reductions of Buchberger, divide and normal_form
@@ -360,18 +364,18 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
 
     order = grevlex_desc_order(len(vars))
     lead_rows: List[LeadRow] = []  # one reducer row per generator
-    sevs: List[int] = []  # sevs[i] is the mask of the leading monomial of gens[i]
     pairs: List[Tuple[int, int, int, Mono]] = []  # heap of (-pack(lcm), i, j, lcm)
-    active: List[LeadRow] = []  # rows of the generators no newer leading monomial divides
+    active: List[LeadRow] = []  # generators no newer leading monomial properly divides
+    pool = lead_rows if track_cofactors else active  # what pairs and reductions take
 
     def add(g):
         """Append the monic generator g: the Gebauer-Moeller update (module docstring)."""
         k, lm = len(gens), g.leading()[0]
-        gens.append(g)
-        lead_rows.append(_lead_row(lm, g.terms.items(), k))
-        sevs.append(sev := lead_rows[k][3])
-        new = sorted([(lcm_mono(row[0], lm), row[3] | sev, row[2]) for row in active],
+        sev = (row := _lead_row(lm, g.terms.items(), k))[3]
+        new = sorted([(lcm_mono(r[0], lm), r[3] | sev, r[2]) for r in pool],
                      key=lambda e: sum(e[0]))
+        gens.append(g)
+        lead_rows.append(row)
         # by degree, so each lcm is tested only against earlier survivors of M
         kept_m: List[Tuple[Mono, int]] = []
         first: Dict[Mono, Optional[int]] = {}  # lcm -> oldest pair, None if one is coprime
@@ -379,16 +383,16 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
             if not any(not m2 & ~mask and l2 != lcm and mono_divides(l2, lcm)
                        for l2, m2 in kept_m):
                 kept_m.append((lcm, mask))
-                first[lcm] = None if not sevs[t] & sev else first.get(lcm, t)
-        pairs[:] = [p for p in pairs if sev & ~(sevs[p[1]] | sevs[p[2]])
+                first[lcm] = None if not lead_rows[t][3] & sev else first.get(lcm, t)
+        pairs[:] = [p for p in pairs if sev & ~(lead_rows[p[1]][3] | lead_rows[p[2]][3])
                     or not mono_divides(lm, p[3]) or lcm_mono(lead_rows[p[1]][0], lm) == p[3]
                     or lcm_mono(lead_rows[p[2]][0], lm) == p[3]]
         heapq.heapify(pairs)
         for lcm, t in first.items():
             if t is not None:
                 heapq.heappush(pairs, (-order.pack(lcm), t, k, lcm))
-        active[:] = [row for row in active if sev & ~row[3] or not mono_divides(lm, row[0])]
-        active.append(lead_rows[k])
+        active[:] = [r for r in active if sev & ~r[3] or r[0] == lm or not mono_divides(lm, r[0])]
+        active.append(row)
 
     gens: List[Polynomial] = []
     rows: List[List[Polynomial]] = []
@@ -408,7 +412,7 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
         for d, _, c in lead_rows[j][6]:
             spoly[d - negp] = spoly.get(d - negp, ZERO) - c
         usage: Optional[Dict[int, Dict[Mono, Fraction]]] = {} if track_cofactors else None
-        nf = Polynomial(vars, _reduce(spoly, active, budget, usage, order, degree=sum(lcm)))
+        nf = Polynomial(vars, _reduce(spoly, pool, budget, usage, order, degree=sum(lcm)))
         if nf.is_zero():
             continue
         scale = Fraction(1) / nf.leading()[1]
@@ -420,9 +424,9 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
             rows.append([])
         add(nf.scale(scale))
 
-    # minimal set: an active input may have a leading monomial an older one divides
-    keep = [a[2] for a in active if not any(b is not a and not b[3] & ~a[3]
-                                            and mono_divides(b[0], a[0]) for b in active)]
+    # minimal set, oldest of equals kept: an input's leading monomial may be another's multiple
+    keep = [a[2] for a in active if not any(not b[3] & ~a[3] and mono_divides(b[0], a[0])
+                                            and (b[0] != a[0] or b[2] < a[2]) for b in active)]
 
     # tail reduction against the other survivors gives the reduced basis
     reduced: List[Tuple[Polynomial, List[Polynomial]]] = []
@@ -443,12 +447,8 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
     if track_cofactors:
         # the cofactor identity is part of the construction contract
         for g, row in zip(basis, cofactors):
-            acc = Polynomial.zero(vars)
-            for u, r in zip(row, rels):
-                acc = acc + u * r
-            if acc != g:
-                raise InternalError(
-                    "cofactor identity failed for basis element %s" % g.render())
+            if sum((u * r for u, r in zip(row, rels)), Polynomial.zero(vars)) != g:
+                raise InternalError("cofactor identity failed for basis element %s" % g.render())
 
     return GroebnerData(vars=vars, basis=basis, cofactors=cofactors,
                         relations=rels, steps=budget.steps)

@@ -530,9 +530,10 @@ def det_bareiss(entries: List[List[Polynomial]]) -> Polynomial:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                M[i][j], rem = divide(M[i][j] * M[k][k] - M[i][k] * M[k][j], prev)
-                if not rem.is_zero():
-                    raise InternalError("inexact Bareiss division by %s" % prev.render())
+                try:
+                    M[i][j] = poly_div_exact(M[i][j] * M[k][k] - M[i][k] * M[k][j], prev)
+                except ValueError as e:
+                    raise InternalError("inexact Bareiss division by %s" % prev.render()) from e
             M[i][k] = Polynomial.zero(vars)
         prev = M[k][k]
     return M[n - 1][n - 1].scale(sign)
