@@ -384,10 +384,12 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
                        for l2, m2 in kept_m):
                 kept_m.append((lcm, mask))
                 first[lcm] = None if not lead_rows[t][3] & sev else first.get(lcm, t)
-        pairs[:] = [p for p in pairs if sev & ~(lead_rows[p[1]][3] | lead_rows[p[2]][3])
-                    or not mono_divides(lm, p[3]) or lcm_mono(lead_rows[p[1]][0], lm) == p[3]
-                    or lcm_mono(lead_rows[p[2]][0], lm) == p[3]]
-        heapq.heapify(pairs)
+        kept = [p for p in pairs if sev & ~(lead_rows[p[1]][3] | lead_rows[p[2]][3])
+                or not mono_divides(lm, p[3]) or lcm_mono(lead_rows[p[1]][0], lm) == p[3]
+                or lcm_mono(lead_rows[p[2]][0], lm) == p[3]]
+        if len(kept) < len(pairs):  # criterion B dropped a pair; keys are unique
+            pairs[:] = kept
+            heapq.heapify(pairs)
         for lcm, t in first.items():
             if t is not None:
                 heapq.heappush(pairs, (-order.pack(lcm), t, k, lcm))

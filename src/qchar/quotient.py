@@ -498,6 +498,10 @@ class PresentedAlgebra:
 
 # ------------------------------------------------------------------
 # the two determinant algorithms over polynomials in the q variables
+#
+# Each routine here skips zero entries, which changes no result, and the
+# two routes stay independent: Bareiss divides exactly over untruncated
+# polynomials, expansion never divides and works in truncated arithmetic.
 
 def poly_div_exact(num: Polynomial, den: Polynomial) -> Polynomial:
     """Exact quotient in the polynomial ring; error if division leaves a rest."""
@@ -513,6 +517,8 @@ def det_bareiss(entries: List[List[Polynomial]]) -> Polynomial:
     Divisions are exact at every step (Bareiss), which is sound here
     because the entries live in an integral domain; truncate afterwards.
     A remainder would break that invariant and raises InternalError.
+    A zero multiplier M[i][k] leaves the numerator M[i][j]*M[k][k], and
+    a zero numerator is stored without a division.
     """
     n = len(entries)
     if n == 0:
@@ -528,14 +534,21 @@ def det_bareiss(entries: List[List[Polynomial]]) -> Polynomial:
                 return Polynomial.zero(vars)
             M[k], M[swap] = M[swap], M[k]
             sign = -sign
+        pivot, top = M[k][k], M[k]
         for i in range(k + 1, n):
+            row, mult = M[i], M[i][k]
             for j in range(k + 1, n):
-                try:
-                    M[i][j] = poly_div_exact(M[i][j] * M[k][k] - M[i][k] * M[k][j], prev)
-                except ValueError as e:
-                    raise InternalError("inexact Bareiss division by %s" % prev.render()) from e
-            M[i][k] = Polynomial.zero(vars)
-        prev = M[k][k]
+                num = row[j] * pivot
+                if mult.terms and top[j].terms:
+                    num = num - mult * top[j]
+                if num.terms:
+                    try:
+                        num = poly_div_exact(num, prev)
+                    except ValueError as e:
+                        raise InternalError("inexact Bareiss division by %s" % prev.render()) from e
+                row[j] = num
+            row[k] = Polynomial.zero(vars)
+        prev = pivot
     return M[n - 1][n - 1].scale(sign)
 
 
@@ -550,33 +563,39 @@ def det_expansion(entries: List[List[Polynomial]], trunc: int) -> Polynomial:
         raise ValueError("empty matrix")
     zero = Polynomial.zero(entries[0][0].vars)
     dp = {0: Polynomial.const(zero.vars, 1)}
-    for r in range(n):
+    for row in entries:
+        nonzero = [(j, 1 << j, p) for j, p in enumerate(row) if p.terms]
         new_dp: Dict[int, Polynomial] = {}
         for mask, sub in dp.items():
-            cols = [j for j in range(n) if mask & (1 << j)]
-            for j in range(n):
-                if mask & (1 << j) or entries[r][j].is_zero():
+            for j, bit, p in nonzero:
+                if mask & bit:
                     continue
-                contrib = (entries[r][j] * sub).truncate(trunc)
+                contrib = (p * sub).truncate(trunc)
                 # parity of the number of used columns to the right of j
-                if sum(1 for c in cols if c > j) % 2:
+                if (mask >> (j + 1)).bit_count() % 2:
                     contrib = -contrib
-                m2 = mask | (1 << j)
-                new_dp[m2] = new_dp.get(m2, zero) + contrib
-        dp = {m: v for m, v in new_dp.items() if not v.is_zero()}
+                new_dp[mask | bit] = new_dp.get(mask | bit, zero) + contrib
+        dp = {m: v for m, v in new_dp.items() if v.terms}
         if not dp:
             return zero
     return dp.get((1 << n) - 1, zero)
 
 
 def mat_pow(A: List[List[Polynomial]], e: int, trunc: int) -> List[List[Polynomial]]:
-    """A**e for e >= 1, entries truncated above total degree trunc."""
+    """A**e for e >= 1, entries truncated above total degree trunc.
+
+    Each product entry sums over the nonzero entries of A's column and
+    skips a zero left factor.
+    """
     if e < 1:
         raise ValueError("matrix power wants a positive exponent")
     n = len(A)
+    if n == 0:
+        raise ValueError("empty matrix")
     zero = Polynomial.zero(A[0][0].vars)
+    cols = [[(k, A[k][j]) for k in range(n) if A[k][j].terms] for j in range(n)]
     out = A
     for _ in range(e - 1):
-        out = [[sum((out[i][k] * A[k][j] for k in range(n)), zero).truncate(trunc)
-                for j in range(n)] for i in range(n)]
-    return out
+        out = [[sum((row[k] * a for k, a in col if row[k].terms), zero).truncate(trunc)
+                for col in cols] for row in out]
+    return out if e > 1 else [[p.truncate(trunc) for p in row] for row in A]

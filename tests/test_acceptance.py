@@ -121,7 +121,7 @@ def test_A09_mirror_memberships():
 
 def test_A10_nonzerodivisor_direct():
     with Stopwatch(60):
-        for n in (3, 4):
+        for n in (3, 4, 5):
             for item in mirror.direct_nzd_check(n, 6):
                 assert item.passed, "n=%d %s: %s" % (n, item.name, item.detail)
 

@@ -10,11 +10,13 @@ bases of mirror's ideal_equality_attempt at n=3 and n=4 and on random
 ideals (against sympy).  With cofactors it takes every generator, and
 the cofactor rows, which the quotient rings build their rules from, must
 be the frozen ones: on the same random ideals, and with the frozen steps
-on the two largest catalog rings the tests build.
+on the two largest catalog rings the tests build.  The track-free
+steps and bases of the Jacobi ideal at n=3..5 are pinned.
 Two broken internal invariants must raise InternalError, which the CLI
 reports with exit 1, not as bad input.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -41,6 +43,24 @@ def test_ideal_equality_bases_match_frozen_groebner(n, monkeypatch):
     assert len(built) == 2 and all(c.passed for c in checks)
     for gdata in built:
         _assert_same_basis(gdata, frozen_groebner(gdata.relations, track_cofactors=False))
+
+
+# sha256 of each track-free Jacobi basis, its rendered elements one per line
+JACOBI_BASIS_SHA256 = {
+    3: "4a3f5eea6da195ae324ba3aff56fc7a1c80aeea8bc56124fa90a840ec505d84d",
+    4: "bd3e9cdb1a2687e6105959f96814d6f17064747ed248cdad30f6f713ac288ba0",
+    5: "546cda3319064a38398fdeb9b00d5d684d7ba30446b377fe251834049a38e107",
+}
+
+
+@pytest.mark.parametrize("n, steps, size", [(3, 155, 17), (4, 1853, 48), (5, 14785, 92)])
+def test_track_free_jacobi_steps_and_bases_pinned(n, steps, size):
+    # criterion B re-heapifies only when it drops a pair; the heap keys
+    # are unique, so the pop order, the step count and the basis must not move
+    gdata = mirror.jacobi_context(n).gdata
+    text = "\n".join(g.render() for g in gdata.basis)
+    assert (gdata.steps, len(gdata.basis)) == (steps, size)
+    assert hashlib.sha256(text.encode()).hexdigest() == JACOBI_BASIS_SHA256[n]
 
 
 @pytest.mark.parametrize("family,n,m,steps", [("qk_fl", 5, None, 8), ("k_milnor", 5, 5, 8)])
