@@ -2,10 +2,11 @@
 
 Coefficients are arbitrary-precision rationals (fractions.Fraction) at
 every boundary: each term map a constructor or operator returns holds
-Fractions.  Inside the quotient rings' product kernels and rewriting
-(quotient, jfun) they travel as Python ints over one common
-denominator, and a Fraction is built once per output term.  No floating
-point anywhere.  A monomial is a tuple of integer exponents
+Fractions.  Inside the reduction loop and the quotient rings' product
+kernels (groebner, quotient, jfun) a reducer row or product-table entry
+holds a coefficient as a Python int wherever it is integral, a factor
+travels as ints over one common denominator, and a Fraction is built
+once per output term.  No floating point anywhere.  A monomial is a tuple of integer exponents
 indexed by an ordered variable set, with a per-variable Laurent flag
 deciding whether negative exponents are legal.  A NovikovSeries is
 polynomial in its main variables and truncated in its Novikov (q)

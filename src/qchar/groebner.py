@@ -37,7 +37,9 @@ GroebnerData.lead_rows, per ring and strategy in the quotient rings.
 It carries its leading monomial's packed key and every other term m as
 (pack(m) - pack(lm), qdeg(m) - qdeg(lm), c), so rewriting a popped
 monomial P adds pack(m) - pack(lm) to P and compares the q-degree
-difference with the room the cap leaves.  Every key stays a tuple of
+difference with the room the cap leaves.  The coefficient c is an int
+wherever it is integral and a Fraction otherwise, so the loop computes
+in int wherever the data allow.  Every key stays a tuple of
 exponents at the boundary: a monomial is unpacked once, when it is first
 popped, and the result and usage come out as tuples.  The packing never
 wraps: _reduce bounds the total degree any call can reach before it
@@ -69,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .core import (
     ZERO,
@@ -83,6 +85,9 @@ from .core import (
     mono_div,
     mono_divides,
 )
+
+
+Coeff = Union[int, Fraction]
 
 
 class StepCapExceeded(RuntimeError):
@@ -147,22 +152,30 @@ def mono_mask(mono: Mono) -> int:
 # lm, packing, packed lm, rel, excess).  packing is (order, k): rel lists
 # the terms m != lm as (pack(m) - pack(lm), qdeg(m) - qdeg(lm), c) under
 # that order, with qdeg summing the exponents from slot k on, and excess is
-# the most a term with qdeg(m) > qdeg(lm) adds to the total degree
-LeadRow = Tuple[Mono, List[Tuple[Mono, Fraction]], int, int,
-                Tuple[MonomialOrder, int], int, List[Tuple[int, int, Fraction]], int]
+# the most a term with qdeg(m) > qdeg(lm) adds to the total degree.  A
+# coefficient c, in items and in rel, is an int when it is integral and a
+# Fraction otherwise (exact_coeff).
+LeadRow = Tuple[Mono, List[Tuple[Mono, Coeff]], int, int,
+                Tuple[MonomialOrder, int], int, List[Tuple[int, int, Coeff]], int]
 
 
-def _lead_row(lm: Mono, items: Iterable[Tuple[Mono, Fraction]], gid: int,
+def exact_coeff(c: Coeff) -> Coeff:
+    """c as an int when it is integral, else the Fraction c: the one form
+    of a reducer row's and a product-table entry's coefficients."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _lead_row(lm: Mono, items: Iterable[Tuple[Mono, Coeff]], gid: int,
               order: Optional[MonomialOrder] = None, k: Optional[int] = None) -> LeadRow:
     """The reducer row of a monic element led by lm, packed once under `order`
     (descending grevlex by default) with q-degrees from slot k on (none by
-    default).
+    default), each coefficient put in its exact_coeff form.
 
     No term may have less q-degree than lm, and a term of the same
     q-degree may not have more total degree: _reduce bounds the degrees
     it can reach by that.
     """
-    items = list(items)
+    items = [(m, exact_coeff(c)) for m, c in items]
     if order is None:
         order = grevlex_desc_order(len(lm))
     if k is None:
@@ -242,8 +255,10 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
 
     When `usage` is given it accumulates, per reducer id, the factor s with
         terms == result + sum_id s_id * reducer_id.
-    The loop only adds, subtracts and multiplies coefficients, so ints
-    and Fractions both work: the quotient rings rewrite int numerators.
+    The loop only adds, subtracts and multiplies coefficients, and ints
+    and Fractions mix exactly: the rows hold an int wherever a
+    coefficient is integral (exact_coeff), so Buchberger's S-polynomials
+    start in int, and the quotient rings rewrite int numerators.
     """
     if not terms:
         return {}
@@ -412,7 +427,7 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
         # a term m of gens[i] times lcm / lm_i packs to pack(lcm) + pack(m) - pack(lm_i)
         spoly = {d - negp: c for d, _, c in lead_rows[i][6]}
         for d, _, c in lead_rows[j][6]:
-            spoly[d - negp] = spoly.get(d - negp, ZERO) - c
+            spoly[d - negp] = spoly.get(d - negp, 0) - c
         usage: Optional[Dict[int, Dict[Mono, Fraction]]] = {} if track_cofactors else None
         nf = Polynomial(vars, _reduce(spoly, pool, budget, usage, order, degree=sum(lcm)))
         if nf.is_zero():

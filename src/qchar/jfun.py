@@ -25,7 +25,8 @@ from typing import Dict, List, Optional, Tuple
 from .catalog import milnor_f2_poly, ring
 from .core import (Arithmetic, Mono, NovikovSeries, Polynomial, VariableSet,
                    binomial, evaluate, joined_vars)
-from .quotient import AlgebraElement, PresentedAlgebra, _int_groups, _over
+from .groebner import Coeff
+from .quotient import AlgebraElement, PresentedAlgebra, _int_groups
 from .report import Check
 
 # denominator multiset: (kind, level) -> multiplicity, kind one of L1, L2, L1L2
@@ -122,8 +123,7 @@ class HbarPoly(Polynomial):
             return NotImplemented
         self._check_same(other)
         ring_, k = self.ring, len(self.ring.gens)
-        # entry den -> key -> int numerator over Da*Db*den
-        buckets: Dict[int, Dict[Mono, int]] = {}
+        terms: Dict[Mono, Coeff] = {}  # key -> numerator over Da*Db
         Da, left = _int_groups(self.terms, k)
         Db, right = _int_groups(other.terms, k)
         for ma, left_h in left.items():
@@ -132,13 +132,13 @@ class HbarPoly(Polynomial):
                 for _, ha, ca in left_h:
                     for _, hb, cb in right_h:
                         coeff[ha + hb] = coeff.get(ha + hb, 0) + ca * cb
-                den, entry = ring_._product_entry(ma, mb)
-                terms = buckets.setdefault(den, {})
+                entry = ring_._product_entry(ma, mb)
                 for h, c in coeff.items():
                     for _, _, me, ce, _ in entry:
                         key = me + (h,)
                         terms[key] = terms.get(key, 0) + c * ce
-        return self._trusted(_over(buckets, Da * Db))
+        D = Da * Db
+        return self._trusted({key: Fraction(num, D) for key, num in terms.items() if num})
 
     __pow__ = Arithmetic.__pow__  # hbar is not Laurent
 

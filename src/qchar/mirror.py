@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple, Union
 
-from .core import Mono, Polynomial, VariableSet
-from .catalog import ring
+from .core import Mono, Polynomial, VariableSet, evaluate
+from .catalog import make_presentation, ring
 from .groebner import GroebnerData, StepCapExceeded, groebner, normal_form
 from .quotient import det_bareiss, det_expansion, mat_pow
 from .report import Check
@@ -137,17 +137,13 @@ def jacobi_context(n: int, step_cap: int = DEFAULT_STEP_CAP) -> MembershipContex
 
 
 def flag_relation_images(n: int) -> Dict[str, Polynomial]:
-    """The two quantum flag relations evaluated at the mirror images."""
-    img = phi_images(n)
-    h1, h2 = img["h1"], img["h2"]
-    vars = laurent_vars(n)
-    q1 = Polynomial.var(vars, "q1")
-    q2 = Polynomial.var(vars, "q2")
-    f1 = h2 ** n - q2 * (h1 + h2)
-    f2 = -q1 - ((-1) ** (n - 1)) * q2
-    for l in range(n):
-        f2 = f2 + ((-1) ** (n - 1 - l)) * h1 ** l * h2 ** (n - 1 - l)
-    return {"f1_q": f1, "f2_q": f2}
+    """The two relations of the catalog's qh_fl presentation evaluated at
+    the mirror images, with q1 and q2 sent to themselves."""
+    pres, vars = make_presentation("qh_fl", n), laurent_vars(n)
+    values = dict(phi_images(n), q1=Polynomial.var(vars, "q1"), q2=Polynomial.var(vars, "q2"))
+    names, one = pres.gens.names + pres.q_vars.names, Polynomial.const(vars, 1)
+    return {name: evaluate(terms, names, values, one)
+            for name, terms in zip(pres.relation_names, pres.relation_terms)}
 
 
 def _membership(name: str, p: Polynomial,

@@ -46,19 +46,18 @@ entry reduced at the ring's truncation holds every term that survives
 the q-degree cap.  An entry row also holds the key m+q packed under the
 default order, and a factor's q-monomials are packed the same way
 without the order's constant, so the product key of m+q and a q-monomial
-is one int sum; _over unpacks each output key once.  The ring checks
+is one int sum, and each output key is unpacked once.  The ring checks
 when it is built that a standard monomial times a q-monomial within the
 cap fits the packed fields.
 
-The products and the rewriting run in int.  An entry is stored as (den,
-rows) with int numerators over den, the lcm of its denominators; every
-catalog rule is monic and integral, so den is 1 on every catalog ring.
-_int_groups groups a factor over D, the lcm of its denominators, so a
-product sums int numerators, one bucket per entry den, and builds one
-Fraction per output key over D_a*D_b*den.  The rule rows hold int
-coefficients wherever they are integral, and _reduce_terms scales its
-input to int numerators, rewrites, and divides once at the end; a ring
-with a non-integral rule runs the same loop with Fraction coefficients.
+The products and the rewriting run in int.  Rule rows and table entries
+hold a coefficient as an int wherever it is integral (groebner's
+exact_coeff), and every catalog rule is monic and integral.  _int_groups
+groups a factor over D, the lcm of its denominators, so a product sums
+int numerators into one dict and builds one Fraction per output key
+over D_a*D_b.  _reduce_terms scales its input to int numerators,
+rewrites, and divides once at the end; a ring with a non-integral rule
+runs the same loops with Fraction coefficients where they are needed.
 """
 
 from __future__ import annotations
@@ -83,10 +82,12 @@ from .core import (
     mono_mul,
 )
 from .groebner import (
+    Coeff,
     GroebnerData,
     _lead_row,
     _reduce,
     divide,
+    exact_coeff,
     groebner,
     is_zero_dimensional,
     standard_monomials,
@@ -94,9 +95,9 @@ from .groebner import (
 from .report import Check
 
 QPoly = Dict[Mono, Fraction]  # truncated polynomial in the q variables
-# a product-table entry: (den, [(deg q, q, m, c, packed m+q)]), the int
-# numerators c over den, the keys packed under the ring's default order
-Entry = Tuple[int, List[Tuple[int, Mono, Mono, int, int]]]
+# a product-table entry: [(deg q, q, m, c, packed m+q)], c in its
+# exact_coeff form, the keys packed under the ring's default order
+Entry = List[Tuple[int, Mono, Mono, Coeff, int]]
 
 
 class Presentation:
@@ -190,8 +191,7 @@ class AlgebraElement(Arithmetic):
         ring = self.ring
         trunc, k = ring.trunc, len(ring.gens)
         order = ring._default[1]
-        # entry den -> packed key -> int numerator over Da*Db*den
-        buckets: Dict[int, Dict[int, int]] = {}
+        terms: Dict[int, Coeff] = {}  # packed key -> numerator over Da*Db
         Da, left = _int_groups(self.nf.terms, k)
         Db, right = _int_groups(other.nf.terms, k)
         # a q-monomial as the linear part of its packed key, so that
@@ -214,8 +214,7 @@ class AlgebraElement(Arithmetic):
                         coeff[qm] = (d, ca * cb if old is None else old[1] + ca * cb)
                 if not coeff:
                     continue
-                den, entry = ring._product_entry(ma, mb)
-                terms = buckets.setdefault(den, {})
+                entry = ring._product_entry(ma, mb)
                 for qm, (d, c) in coeff.items():
                     if not c:
                         continue
@@ -225,7 +224,9 @@ class AlgebraElement(Arithmetic):
                             break
                         key = pe + qm
                         terms[key] = terms.get(key, 0) + c * ce
-        return AlgebraElement(ring, self.nf._trusted(_over(buckets, Da * Db, order.unpack)))
+        D, unpack = Da * Db, order.unpack
+        return AlgebraElement(ring, self.nf._trusted(
+            {unpack(key): Fraction(num, D) for key, num in terms.items() if num}))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -261,21 +262,6 @@ def _int_groups(terms: Dict[Mono, Fraction],
     return D, groups
 
 
-def _over(buckets: Dict[int, Dict], D: int, unpack=None) -> Dict[Mono, Fraction]:
-    """The terms sum_den num / (D*den) of int numerators bucketed by den,
-    with each key unpacked when `unpack` is given."""
-    terms: Dict[Mono, Fraction] = {}
-    for den, nums in buckets.items():
-        for key, num in nums.items():
-            if num:
-                c = Fraction(num, D * den)
-                if unpack is not None:
-                    key = unpack(key)
-                old = terms.get(key)
-                terms[key] = c if old is None else old + c
-    return terms
-
-
 class PresentedAlgebra:
     """Quotient of the truncated series ring by a quantum presentation."""
 
@@ -307,8 +293,7 @@ class PresentedAlgebra:
         # a product key is a standard monomial times a q-monomial in the cap
         default.check(max(map(sum, self.basis_monos), default=0) + trunc)
 
-        # rule i is the relation sum_j u_ij r_j, monic at lm(g_i), with
-        # int coefficients wherever they are integral
+        # rule i is the relation sum_j u_ij r_j, monic at lm(g_i)
         qz = self.q_vars.zero_mono()
         zero = NovikovSeries.zero(self.gens, self.q_vars, trunc)
         rules = []
@@ -316,15 +301,14 @@ class PresentedAlgebra:
             row = sum((u * r for u, r in zip(us, self.relations) if not u.is_zero()), zero)
             if row.classical_part() != g:
                 raise InternalError("quantum correction with classical terms")
-            rules.append((g.leading()[0] + qz, [(m, c.numerator if c.denominator == 1 else c)
-                                                 for m, c in row.terms.items()], i))
+            rules.append((g.leading()[0] + qz, row.terms.items(), i))
         self._rows = [_lead_row(lm, items, i, default, k) for lm, items, i in rules]
         self._default = (self._rows, default)
         self._alternate = ([_lead_row(lm, items, i, alternate, k)
                             for lm, items, i in reversed(rules)], alternate)
 
-        # (m_a, m_b) with m_a <= m_b -> normal form of m_a*m_b as (den,
-        # [(deg q, q, m, c, packed m+q)]) sorted by q-degree, c/den; see
+        # (m_a, m_b) with m_a <= m_b -> normal form of m_a*m_b as
+        # [(deg q, q, m, c, packed m+q)] sorted by q-degree; see
         # _product_entry
         self._products: Dict[Tuple[Mono, Mono], Entry] = {}
 
@@ -398,18 +382,16 @@ class PresentedAlgebra:
     def _product_entry(self, ma: Mono, mb: Mono) -> Entry:
         """Normal form of the standard-monomial product ma*mb, reduced on first use.
 
-        (den, rows): rows [(deg q, q, m, c, packed m+q)] sorted by
-        q-degree, with int numerators c over den, the lcm of the normal
-        form's denominators, and keys packed under the default order.
+        [(deg q, q, m, c, packed m+q)] sorted by q-degree, with c in its
+        exact_coeff form and keys packed under the default order.
         """
         pair = (ma, mb) if ma <= mb else (mb, ma)
         entry = self._products.get(pair)
         if entry is None:
             k, pack = len(self.gens), self._default[1].pack
-            den, nf = _numerators(self._reduce_terms(
-                {mono_mul(ma, mb) + self.q_vars.zero_mono(): ONE}))
-            entry = den, sorted(((sum(m[k:]), m[k:], m[:k], c, pack(m))
-                                 for m, c in nf.items()), key=lambda t: t[0])
+            nf = self._reduce_terms({mono_mul(ma, mb) + self.q_vars.zero_mono(): ONE})
+            entry = sorted(((sum(m[k:]), m[k:], m[:k], exact_coeff(c), pack(m))
+                            for m, c in nf.items()), key=lambda t: t[0])
             self._products[pair] = entry
         return entry
 
@@ -441,9 +423,8 @@ class PresentedAlgebra:
         for i in range(len(monos)):
             for j in range(i, len(monos)):
                 coords: Dict[int, QPoly] = {}
-                den, entry = self._product_entry(monos[i], monos[j])
-                for _, qm, mm, c, _ in entry:
-                    coords.setdefault(index[mm], {})[qm] = Fraction(c, den)
+                for _, qm, mm, c, _ in self._product_entry(monos[i], monos[j]):
+                    coords.setdefault(index[mm], {})[qm] = Fraction(c)
                 table[(i, j)] = coords
         return table
 
@@ -503,14 +484,6 @@ class PresentedAlgebra:
 # two routes stay independent: Bareiss divides exactly over untruncated
 # polynomials, expansion never divides and works in truncated arithmetic.
 
-def poly_div_exact(num: Polynomial, den: Polynomial) -> Polynomial:
-    """Exact quotient in the polynomial ring; error if division leaves a rest."""
-    quot, rem = divide(num, den)
-    if not rem.is_zero():
-        raise ValueError("inexact polynomial division")
-    return quot
-
-
 def det_bareiss(entries: List[List[Polynomial]]) -> Polynomial:
     """Fraction-free determinant over an exact polynomial ring.
 
@@ -542,10 +515,9 @@ def det_bareiss(entries: List[List[Polynomial]]) -> Polynomial:
                 if mult.terms and top[j].terms:
                     num = num - mult * top[j]
                 if num.terms:
-                    try:
-                        num = poly_div_exact(num, prev)
-                    except ValueError as e:
-                        raise InternalError("inexact Bareiss division by %s" % prev.render()) from e
+                    num, rem = divide(num, prev)
+                    if rem.terms:
+                        raise InternalError("inexact Bareiss division by %s" % prev.render())
                 row[j] = num
             row[k] = Polynomial.zero(vars)
         prev = pivot

@@ -36,6 +36,12 @@ def test_divide_leaves_the_normal_form_as_remainder():
         divide(x, Polynomial.zero(XY))
 
 
+def test_divide_an_exact_multiple_leaves_no_remainder():
+    x, y = gens2(XY)
+    assert divide(x ** 2 - y ** 2, x - y) == (x + y, Polynomial.zero(XY))
+    assert not divide(x ** 2 + 1, x - y)[1].is_zero()
+
+
 def test_single_relation_is_its_own_basis():
     x, _ = gens2(XY)
     g = groebner([(1 - x) ** 3])

@@ -10,16 +10,19 @@ on rings whose rules are not integral, and on operands whose
 denominators are large and coprime.
 """
 
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qchar import groebner
 from qchar.catalog import ring as catalog_ring
-from qchar.core import NovikovSeries, VariableSet, mono_mul
-from qchar.groebner import _lead_row, _reduce
+from qchar.core import NovikovSeries, Polynomial, VariableSet, mono_mul
+from qchar.groebner import _reduce
 from qchar.jfun import HbarPoly
+from qchar.mirror import jacobi_context
 from qchar.quotient import AlgebraElement, PresentedAlgebra, Presentation
 
 ZERO = Fraction(0)
@@ -29,10 +32,9 @@ ZERO = Fraction(0)
 
 def frozen_reduce_terms(ring, terms, strategy="default"):
     rows, order = ring._default if strategy == "default" else ring._alternate
-    k = len(ring.gens)
-    rows = [_lead_row(lm, [(m, Fraction(c)) for m, c in row], rid, order, k)
-            for lm, row, rid, *_ in rows]
-    return _reduce(terms, rows, order=order, cap=(k, ring.trunc))
+    rows = [row[:1] + ([(m, Fraction(c)) for m, c in row[1]],) + row[2:6]
+            + ([(d, dq, Fraction(c)) for d, dq, c in row[6]],) + row[7:] for row in rows]
+    return _reduce(terms, rows, order=order, cap=(len(ring.gens), ring.trunc))
 
 
 def frozen_entry(ring, ma, mb):
@@ -158,17 +160,10 @@ def _hbar_poly(ring, rng, big):
     return HbarPoly(ring, _coefficients(terms, rng, big))
 
 
-def _assert_same(got, expected, ordered=True):
+def _assert_same(got, expected):
     assert got == expected
     assert all(type(c) is Fraction for c in got.values())
-    if ordered:
-        assert list(got) == list(expected)  # the same emission order
-
-
-def _one_bucket(ring):
-    # a product emits in the frozen order when every entry has one den;
-    # over several, a key first met in a later bucket moves back
-    return all(den == 1 for den, _ in ring._products.values())
+    assert list(got) == list(expected)  # the same emission order
 
 
 # ------------------------------------------------------------------ tests
@@ -181,7 +176,7 @@ def test_element_product_matches_frozen_fraction_product(name, big, seed):
     ring = SERIES_RINGS[name]()
     rng = random.Random(seed)
     a, b = _element(ring, rng, big), _element(ring, rng, big)
-    _assert_same((a * b).nf.terms, frozen_element_mul(a, b), _one_bucket(ring))
+    _assert_same((a * b).nf.terms, frozen_element_mul(a, b))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -191,7 +186,7 @@ def test_hbar_product_matches_frozen_fraction_product(name, big, seed):
     ring = HBAR_RINGS[name]()
     rng = random.Random(seed)
     p, r = _hbar_poly(ring, rng, big), _hbar_poly(ring, rng, big)
-    _assert_same((p * r).terms, frozen_hbar_mul(p, r), _one_bucket(ring))
+    _assert_same((p * r).terms, frozen_hbar_mul(p, r))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -216,7 +211,43 @@ def test_rational_ring_keeps_fraction_rows_and_entries():
     assert (x * x).render() == "1/2*y*q + 1/2"
     assert (y * y).render() == "1/3*x - 1/6*q"
     table = ring.structure_constants()
-    assert sorted({den for den, _ in ring._products.values()}) == [1, 2, 6, 12]
+    assert sorted({math.lcm(*[Fraction(c).denominator for _, _, _, c, _ in entry])
+                   for entry in ring._products.values()}) == [1, 2, 6, 12]
     for (i, j), coords in table.items():
         nf = ring.reduce(ring.basis_element(i).nf * ring.basis_element(j).nf).coords
         assert coords == nf
+
+
+# ------------------------------------------------ the coefficient form
+
+
+def _exact_form(coeffs):
+    # an int when integral, a Fraction otherwise; both forms present
+    assert all(type(c) is (int if Fraction(c).denominator == 1 else Fraction) for c in coeffs)
+    assert {type(c) for c in coeffs} == {int, Fraction}
+
+
+def test_rows_and_entries_hold_int_where_integral(monkeypatch):
+    rows = list(jacobi_context(3).gdata.lead_rows)
+    divide_rows = []
+
+    def spy(terms, reducers, *args, **kwargs):
+        divide_rows.extend(reducers)
+        return reduce_(terms, reducers, *args, **kwargs)
+
+    reduce_ = groebner._reduce
+    monkeypatch.setattr(groebner, "_reduce", spy)
+    x, y = (Polynomial.var(XY, name) for name in XY.names)
+    groebner.divide(x ** 3 + y, 2 * x + 4 * y - 1)  # monic row x + 2y - 1/2
+    monkeypatch.undo()
+    assert len(divide_rows) == 1
+    rings = [make() for make in {**SERIES_RINGS, **HBAR_RINGS}.values()]
+    rows += divide_rows
+    rows += [row for R in rings for row in R._default[0] + R._alternate[0]]
+    # every LeadRow coefficient, in items and in rel
+    _exact_form([c for row in rows for _, c in row[1]] + [c for row in rows for *_, c in row[6]])
+    entries = []
+    for R in rings:
+        R.structure_constants()
+        entries += [c for entry in R._products.values() for _, _, _, c, _ in entry]
+    _exact_form(entries)

@@ -27,7 +27,6 @@ from qchar.quotient import (
     Presentation,
     det_bareiss,
     det_expansion,
-    poly_div_exact,
 )
 
 X = VariableSet(["x"])
@@ -411,16 +410,6 @@ def test_structure_constants_cover_upper_triangle():
 
 
 # ------------------------------------------------------- determinants
-
-def test_poly_div_exact():
-    vars = VariableSet(["x", "y"])
-    x, y = Polynomial.var(vars, "x"), Polynomial.var(vars, "y")
-    assert poly_div_exact(x ** 2 - y ** 2, x - y) == x + y
-    with pytest.raises(ValueError):
-        poly_div_exact(x ** 2 + 1, x - y)
-    with pytest.raises(ZeroDivisionError):
-        poly_div_exact(x, Polynomial.zero(vars))
-
 
 def test_determinant_frozen_two_by_two():
     ring = qh_line(2)

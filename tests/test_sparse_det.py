@@ -101,7 +101,7 @@ def _random_sparse(rng, n):
 
 def test_random_sparse_matrices_match_the_dense_routines(monkeypatch):
     divisions, dense_divisions = [], []
-    exact, dense_divide = quotient.poly_div_exact, divide
+    exact, dense_divide = quotient.divide, divide
 
     def counting(num, den):
         divisions.append(num)
@@ -111,7 +111,7 @@ def test_random_sparse_matrices_match_the_dense_routines(monkeypatch):
         dense_divisions.append(num)
         return dense_divide(num, den)
 
-    monkeypatch.setattr(quotient, "poly_div_exact", counting)
+    monkeypatch.setattr(quotient, "divide", counting)
     monkeypatch.setitem(globals(), "divide", dense_counting)
     rng = random.Random(16)
     zero_dets = swaps = zero_multipliers = 0
