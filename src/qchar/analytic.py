@@ -5,13 +5,19 @@ h-generators by summing c_k times the k-th quantum power of the class.
 The sum terminates because high powers of a nilpotent-mod-Novikov class
 pick up more Novikov degree than the truncation order keeps; a class
 that is not nilpotent mod Novikov is rejected with ValueError.
+
+A power f(alpha)^e is evaluated as the one series f**e at alpha, whose
+coefficients come from f's by J.C.P. Miller's recurrence
+(UnivariateSeries.power).  That is exact: alpha is nilpotent in the
+truncated ring, so x -> alpha is a ring map from truncated power series
+and (f**e)(alpha) = f(alpha)^e, with no products of dense elements.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List
+from typing import Dict, List
 
 from .core import Polynomial
 from .quotient import AlgebraElement, PresentedAlgebra
@@ -20,43 +26,77 @@ TAGS = ("exp_neg", "one_minus_exp_over_x", "x_over_one_minus_exp")
 
 
 class UnivariateSeries:
-    """Taylor coefficients at 0, computed on demand for the named tags.
+    """Taylor coefficients at 0, computed on demand and cached.
 
     exp_neg               e^{-x}:        c_k = (-1)^k / k!
     one_minus_exp_over_x  (1-e^{-x})/x:  c_k = (-1)^k / (k+1)!
     x_over_one_minus_exp  x/(1-e^{-x}):  inverse of the previous one
+
+    power(e) is the series f**e, with its own cache.
     """
 
     def __init__(self, tag: str):
         if tag not in TAGS:
             raise ValueError("unknown series tag %r" % tag)
         self._cache: List[Fraction] = []
+        self._powers: Dict[int, SeriesPower] = {}
         self.tag = tag
 
-    def _extend(self, upto: int) -> None:
-        k = len(self._cache)
-        while k <= upto:
-            if self.tag == "exp_neg":
-                c = Fraction((-1) ** k, math.factorial(k))
-            elif self.tag == "one_minus_exp_over_x":
-                c = Fraction((-1) ** k, math.factorial(k + 1))
-            elif k == 0:  # x_over_one_minus_exp: invert, constant term 1/a_0
-                c = Fraction(1)
-            else:
-                a = [Fraction((-1) ** i, math.factorial(i + 1)) for i in range(k + 1)]
-                c = -sum((a[i] * self._cache[k - i] for i in range(1, k + 1)),
-                         Fraction(0))
-            self._cache.append(c)
-            k += 1
+    def _next(self, k: int) -> Fraction:
+        """Coefficient k, given the cached coefficients below it."""
+        if self.tag == "exp_neg":
+            return Fraction((-1) ** k, math.factorial(k))
+        if self.tag == "one_minus_exp_over_x":
+            return Fraction((-1) ** k, math.factorial(k + 1))
+        if k == 0:  # x_over_one_minus_exp: invert, constant term 1/a_0
+            return Fraction(1)
+        a = [Fraction((-1) ** i, math.factorial(i + 1)) for i in range(k + 1)]
+        return -sum((a[i] * self._cache[k - i] for i in range(1, k + 1)), Fraction(0))
 
     def coeff(self, k: int) -> Fraction:
         if k < 0:
             raise ValueError("coefficient index must be nonnegative")
-        self._extend(k)
-        return self._cache[k]
+        cache = self._cache
+        while len(cache) <= k:
+            cache.append(self._next(len(cache)))
+        return cache[k]
 
     def coeffs(self, upto: int) -> List[Fraction]:
         return [self.coeff(k) for k in range(upto + 1)]
+
+    def power(self, e: int) -> "SeriesPower":
+        """The series f**e, built once per exponent and extended on demand."""
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("power must be a nonnegative integer, got %r" % (e,))
+        p = self._powers.get(e)
+        if p is None:
+            p = self._powers[e] = SeriesPower(self, e)
+        return p
+
+
+class SeriesPower(UnivariateSeries):
+    """f**e by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
+
+    With g = f**e, x*g' * f = e * g * x*f' gives
+        g_0 = f_0**e,  g_k = sum_{j=1..k} ((e+1)*j - k) * f_j * g_{k-j} / (k*f_0),
+    so each coefficient costs k products of cached ones, with no truncated
+    multiplication of series.  The recurrence needs f_0 != 0, which every
+    named tag has.
+    """
+
+    def __init__(self, base: UnivariateSeries, e: int):
+        self._cache = []
+        self._powers = {}
+        self.tag = base.tag
+        self.base = base
+        self.exponent = e
+
+    def _next(self, k: int) -> Fraction:
+        f, e, g = self.base.coeff, self.exponent, self._cache
+        if k == 0:
+            return f(0) ** e
+        s = sum(((e + 1) * j - k) * f(j) * g[k - j] for j in range(1, k + 1))
+        return s / (k * f(0))
 
 
 def series_coeffs(tag: str, upto: int) -> List[Fraction]:
@@ -131,8 +171,7 @@ def quantum_todd_pn(n: int, trunc: int) -> AlgebraElement:
     from .catalog import ring as make
 
     R = make("qh_pn", n, trunc=trunc)
-    base = eval_deg2(XOME, R.generator("h"), R)
-    return base ** (n + 1)
+    return eval_deg2(XOME.power(n + 1), R.generator("h"), R)
 
 
 def quantum_todd_factor(a: int, ring: PresentedAlgebra, exponent: int) -> AlgebraElement:
@@ -143,6 +182,6 @@ def quantum_todd_factor(a: int, ring: PresentedAlgebra, exponent: int) -> Algebr
         raise ValueError("ring %r has no h1, h2 generators" % ring.label)
     ha = ring.generator("h%d" % a)
     hsum = ring.generator("h1") + ring.generator("h2")
-    left = eval_deg2(OMEOX, ha, ring) ** exponent
+    left = eval_deg2(OMEOX.power(exponent), ha, ring)
     right = eval_deg2(XOME, hsum, ring)
     return left * right

@@ -7,6 +7,7 @@ import pytest
 from qchar.analytic import (
     EXP_NEG,
     OMEOX,
+    TAGS,
     XOME,
     UnivariateSeries,
     eval_deg2,
@@ -61,6 +62,65 @@ def test_series_argument_validation():
         UnivariateSeries("cosh")
     with pytest.raises(ValueError):
         series_coeffs("exp_neg", -1)
+
+
+# ------------------------------------------------------------ series powers
+
+
+def _naive_power(c, e, upto):
+    # e-fold truncated convolution, starting from the series 1
+    out = [F(1)] + [F(0)] * upto
+    for _ in range(e):
+        out = [sum((out[i] * c[k - i] for i in range(k + 1)), F(0))
+               for k in range(upto + 1)]
+    return out
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_series_power_matches_truncated_convolution(tag):
+    N = 12
+    base = UnivariateSeries(tag)
+    c = base.coeffs(N)
+    for e in range(7):
+        assert base.power(e).coeffs(N) == _naive_power(c, e, N), (tag, e)
+
+
+def test_series_power_is_cached_and_extends_on_demand():
+    base = UnivariateSeries("one_minus_exp_over_x")
+    p = base.power(3)
+    assert base.power(3) is p
+    head = p.coeffs(4)
+    assert p.coeffs(9)[:5] == head
+    assert p.coeff(9) == _naive_power(base.coeffs(9), 3, 9)[9]
+
+
+def test_series_power_rejects_negative_exponent():
+    for e in (-1, -3):
+        with pytest.raises(ValueError):
+            OMEOX.power(e)
+    with pytest.raises(ValueError):
+        OMEOX.power(1.5)
+    R = ring("qh_fl", 3, trunc=1)
+    with pytest.raises(ValueError):
+        quantum_todd_factor(1, R, -1)
+
+
+@pytest.mark.parametrize("family,n,m,D,gen", [
+    ("qh_pn", 2, None, 2, "h"),
+    ("qh_pn", 4, None, 1, "h"),
+    ("qh_fl", 3, None, 2, "h1"),
+    ("qh_fl", 4, None, 1, "h2"),
+    ("qh_fl", 5, None, 3, "h1"),
+    ("qh_milnor", 4, 3, 2, "h1"),
+    ("qh_milnor", 5, 4, 2, "h2"),
+])
+def test_eval_of_series_power_equals_power_of_eval(family, n, m, D, gen):
+    # the oracle: the k-th power of the evaluated series, by squaring
+    R = ring(family, n, m, D)
+    h = R.generator(gen)
+    for f in (EXP_NEG, OMEOX, XOME):
+        for e in range(5):
+            assert eval_deg2(f.power(e), h, R) == eval_deg2(f, h, R) ** e
 
 
 # ---------------------------------------------------------------- evaluation

@@ -11,6 +11,7 @@ from qchar.catalog import make_presentation, milnor_f2_poly, ring
 from qchar.chern import (
     QuantumChernMap,
     build_qch,
+    classical_limit_images,
     qch_apply,
     solve_unique_novikov_image,
     verify_classical_limit,
@@ -18,6 +19,7 @@ from qchar.chern import (
     verify_relations,
 )
 from qchar.core import Polynomial
+from qchar.quotient import AlgebraElement
 
 F = Fraction
 
@@ -116,6 +118,75 @@ def test_classical_limit(space, n, m):
     check = verify_classical_limit(build_qch(space, n, m, trunc=1))
     assert check.name == "classical limit"
     assert check.passed, check.detail
+
+
+def _frozen_full_truncation_limits(qmap):
+    # the route before the q-free ring: multiply the images at the map's
+    # truncation, then keep the classical part of each
+    source0 = qmap.source_ring(0)
+    src_gens = source0.gens.names
+    images = {source0.gens.zero_mono(): qmap.target.one()}
+
+    def image(mono):
+        if mono not in images:
+            i = next(i for i, e in enumerate(mono) if e)
+            smaller = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+            images[mono] = image(smaller) * qmap.gen_images[src_gens[i]]
+        return images[mono]
+
+    return {mono: image(mono).classical_part() for mono in source0.basis_monos}
+
+
+_LIMIT_CASES = ([("pn", n, None) for n in range(1, 5)]
+                + [("fl", n, None) for n in range(3, 6)]
+                + [("milnor", 4, 3), ("milnor", 5, 4)])
+
+
+@pytest.mark.parametrize("space,n,m", _LIMIT_CASES)
+def test_q_free_limit_matches_full_truncation_route(space, n, m):
+    for D in range(1, 5):
+        qmap = build_qch(space, n, m, trunc=D)
+        frozen = _frozen_full_truncation_limits(qmap)
+        got = classical_limit_images(qmap)
+        assert list(got) == list(frozen)
+        for mono, img in got.items():
+            assert img.ring.trunc == 0
+            assert img.classical_part() == frozen[mono], (space, n, m, D, mono)
+
+
+def test_classical_limit_multiplies_nothing_at_the_map_truncation(monkeypatch):
+    qmap = build_qch("milnor", 5, 4, trunc=3)
+    rings = []
+    real_mul = AlgebraElement.__mul__
+
+    def spy(self, other):
+        rings.append(self.ring)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", spy)
+    check = verify_classical_limit(qmap)
+    assert check.passed, check.detail
+    assert rings, "the spy saw no product"
+    assert all(R.trunc == 0 for R in rings)
+    assert not any(R is qmap.target for R in rings)
+
+
+def test_corrupted_generator_image_fails_classical_limit():
+    # x -> e^{-2 h1} on the flag n=3: the relations are not consulted here,
+    # the classical limit alone must catch it
+    qmap = build_qch("fl", 3, trunc=2)
+    R = qmap.target
+    bad_x = eval_deg2(EXP_NEG, R.generator("h1").scale(2), R)
+    bad = QuantumChernMap(qmap.space, qmap.source, R, dict(qmap.gen_images, x=bad_x),
+                          qmap.novikov_images, qmap.trunc)
+    check = verify_classical_limit(bad)
+    assert check.name == "classical limit"
+    assert not check.passed
+    assert "x: map limit " in check.detail and ", character " in check.detail
+    # monomials free of x keep their images and still agree
+    assert "1: limits agree" in check.detail
+    assert "y: limits agree" in check.detail
+    assert verify_classical_limit(qmap).passed
 
 
 def test_classical_square_of_generator():
