@@ -12,7 +12,10 @@ comparing its Novikov-free limit with the classical Chern character.
 The limit is computed in the q-free (trunc-0) target ring from the
 classical parts of the generator images, so nothing at the map's
 truncation is multiplied only to be thrown away; that is exact because
-no rewrite lowers the q-degree (classical_limit_images).
+no rewrite lowers the q-degree (classical_limit_images).  The source's
+classical basis comes from a Groebner basis of its presentation's
+classical relations (QuantumChernMap.source_basis): the check reads
+no other part of a source ring, so it builds none.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from .analytic import EXP_NEG, OMEOX, XOME, eval_deg2
 from .catalog import RingId, make_presentation, ring
 from .core import Mono, NovikovSeries, Polynomial, evaluate
+from .groebner import groebner, standard_monomials
 from .quotient import AlgebraElement, Presentation, PresentedAlgebra
 from .report import Check
 
@@ -46,6 +50,13 @@ class QuantumChernMap:
     @cached_property
     def source_presentation(self) -> Presentation:
         return make_presentation(self.source.family, self.source.n, self.source.m)
+
+    @cached_property
+    def source_basis(self) -> List[Mono]:
+        """The classical basis of the source, source_ring(0).basis_monos,
+        from the Groebner basis of the classical relations alone."""
+        classical = [r.classical_part() for r in self.source_presentation.relations_at(0)]
+        return standard_monomials(groebner(classical, track_cofactors=False))
 
     def source_ring(self, trunc: Optional[int] = None) -> PresentedAlgebra:
         t = self.trunc if trunc is None else trunc
@@ -125,11 +136,10 @@ def classical_limit_images(qmap: QuantumChernMap) -> Dict[Mono, AlgebraElement]:
     factors, and the classical part of an image at the map's truncation
     is the trunc-0 product of the classical parts.
     """
-    source0 = qmap.source_ring(0)
+    gens = qmap.source_presentation.gens
     target0 = ring(_TARGET_FAMILY[qmap.space], qmap.source.n, qmap.source.m, 0)
-    src_gens = source0.gens.names
-    gen_images = [target0.reduce(qmap.gen_images[g].classical_part()) for g in src_gens]
-    images = {source0.gens.zero_mono(): target0.one()}
+    gen_images = [target0.reduce(qmap.gen_images[g].classical_part()) for g in gens.names]
+    images = {gens.zero_mono(): target0.one()}
 
     def image(mono):
         if mono not in images:
@@ -138,7 +148,7 @@ def classical_limit_images(qmap: QuantumChernMap) -> Dict[Mono, AlgebraElement]:
             images[mono] = image(smaller) * gen_images[i]
         return images[mono]
 
-    return {mono: image(mono) for mono in source0.basis_monos}
+    return {mono: image(mono) for mono in qmap.source_basis}
 
 
 def verify_classical_limit(qmap: QuantumChernMap) -> Check:
@@ -151,7 +161,7 @@ def verify_classical_limit(qmap: QuantumChernMap) -> Check:
     that ring.  The routes stay independent: one multiplies generator
     images, the other exponentiates the combined class.
     """
-    source0 = qmap.source_ring(0)
+    src_gens = qmap.source_presentation.gens
     target0 = ring(_TARGET_FAMILY[qmap.space], qmap.source.n, qmap.source.m, 0)
     tgt_gens = target0.gens.names
     ok = True
@@ -164,7 +174,7 @@ def verify_classical_limit(qmap: QuantumChernMap) -> Check:
                 alpha = alpha + target0.generator(tgt_gens[idx]).scale(e)
         direct = eval_deg2(EXP_NEG, alpha, target0) if not alpha.is_zero() \
             else target0.one()
-        name = source0.gens.render_mono(mono) or "1"
+        name = src_gens.render_mono(mono) or "1"
         if via_map == direct.as_series().classical_part():
             details.append("%s: limits agree" % name)
         else:

@@ -280,27 +280,19 @@ def _out_flag(p):
                    help="write the JSON certificate to this file")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="qchar",
-        description="Exact verification for quantum cohomology and "
-                    "quantum K-theory presentations.")
-    sub = top.add_subparsers(dest="group", required=True)
-
-    ring_p = sub.add_parser("ring", help="inspect a ring from the catalog")
-    ring_sub = ring_p.add_subparsers(dest="verb", required=True)
-    p = ring_sub.add_parser("show")
+def _ring_verbs(verbs):
+    p = verbs.add_parser("show")
     _ring_flags(p)
     p.set_defaults(handler=_cmd_ring_show)
-    p = ring_sub.add_parser("basis")
+    p = verbs.add_parser("basis")
     _ring_flags(p)
     p.set_defaults(handler=_cmd_ring_basis)
-    p = ring_sub.add_parser("mul")
+    p = verbs.add_parser("mul")
     _ring_flags(p)
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.set_defaults(handler=_cmd_ring_mul)
-    p = ring_sub.add_parser("table")
+    p = verbs.add_parser("table")
     _ring_flags(p)
     p.add_argument("--out", default=None)
     p.add_argument("--selfcheck-trials", type=int, default=0,
@@ -309,41 +301,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_ring_table)
 
-    qch_p = sub.add_parser("qch", help="quantum Chern character maps")
-    qch_sub = qch_p.add_subparsers(dest="verb", required=True)
-    p = qch_sub.add_parser("build")
+
+def _qch_verbs(verbs):
+    p = verbs.add_parser("build")
     _space_flags(p)
     p.set_defaults(handler=_cmd_qch_build)
-    p = qch_sub.add_parser("apply")
+    p = verbs.add_parser("apply")
     _space_flags(p)
     p.add_argument("--expr", required=True)
     p.set_defaults(handler=_cmd_qch_apply)
-    p = qch_sub.add_parser("verify")
+    p = verbs.add_parser("verify")
     _space_flags(p)
     _out_flag(p)
     p.set_defaults(handler=_cmd_qch_verify)
-    p = qch_sub.add_parser("unique")
+    p = verbs.add_parser("unique")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trunc", type=int, default=4)
     _out_flag(p)
     p.set_defaults(handler=_cmd_qch_unique)
 
-    todd_p = sub.add_parser("todd", help="quantum Todd classes")
-    todd_sub = todd_p.add_subparsers(dest="verb", required=True)
-    p = todd_sub.add_parser("pn")
+
+def _todd_verbs(verbs):
+    p = verbs.add_parser("pn")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trunc", type=int, default=4)
     p.set_defaults(handler=_cmd_todd_pn)
-    p = todd_sub.add_parser("factor")
+    p = verbs.add_parser("factor")
     _ring_flags(p, trunc_default=4)
     p.add_argument("--a", type=int, required=True, choices=(1, 2))
     p.add_argument("--exponent", type=int, required=True)
     p.set_defaults(handler=_cmd_todd_factor)
 
-    jfun_p = sub.add_parser("jfun", help="J-function coefficients and "
-                                         "difference equations")
-    jfun_sub = jfun_p.add_subparsers(dest="verb", required=True)
-    p = jfun_sub.add_parser("coeff")
+
+def _jfun_verbs(verbs):
+    p = verbs.add_parser("coeff")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d1", type=int, required=True)
@@ -351,66 +342,100 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--product", action="store_true",
                    help="use the product-space series instead")
     p.set_defaults(handler=_cmd_jfun_coeff)
-    p = jfun_sub.add_parser("verify")
+    p = verbs.add_parser("verify")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--max-deg", type=int, default=3)
     _out_flag(p)
     p.set_defaults(handler=_cmd_jfun_verify)
-    p = jfun_sub.add_parser("infinity")
+    p = verbs.add_parser("infinity")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--max-deg", type=int, default=3)
     _out_flag(p)
     p.set_defaults(handler=_cmd_jfun_infinity)
 
-    id_p = sub.add_parser("identity", help="combinatorial lemmas")
-    id_sub = id_p.add_subparsers(dest="verb", required=True)
-    p = id_sub.add_parser("binomial")
+
+def _identity_verbs(verbs):
+    p = verbs.add_parser("binomial")
     p.add_argument("--max-n", type=int, default=12)
     _out_flag(p)
     p.set_defaults(handler=_cmd_identity_binomial)
-    p = id_sub.add_parser("lemma52")
+    p = verbs.add_parser("lemma52")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _out_flag(p)
     p.set_defaults(handler=_cmd_identity_lemma52)
 
-    mir_p = sub.add_parser("mirror", help="superpotential and Jacobi ideal")
-    mir_sub = mir_p.add_subparsers(dest="verb", required=True)
-    p = mir_sub.add_parser("verify")
+
+def _mirror_verbs(verbs):
+    p = verbs.add_parser("verify")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trunc", type=int, default=3)
     p.add_argument("--step-cap", type=int, default=mirror.DEFAULT_STEP_CAP)
     _out_flag(p)
     p.set_defaults(handler=_cmd_mirror_verify)
-    p = mir_sub.add_parser("nzd")
+    p = verbs.add_parser("nzd")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trunc", type=int, default=3)
     _out_flag(p)
     p.set_defaults(handler=_cmd_mirror_nzd)
 
-    cls_p = sub.add_parser("classical", help="classical rings and the "
-                                             "classical Chern character")
-    cls_sub = cls_p.add_subparsers(dest="verb", required=True)
-    p = cls_sub.add_parser("dim")
+
+def _classical_verbs(verbs):
+    p = verbs.add_parser("dim")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.set_defaults(handler=_cmd_classical_dim)
-    p = cls_sub.add_parser("chern")
+    p = verbs.add_parser("chern")
     p.add_argument("--space", required=True, choices=chern.SPACES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--expr", required=True)
     p.set_defaults(handler=_cmd_classical_chern)
 
+
+# group -> (help, adds the group's verbs and their flags)
+_GROUPS = {
+    "ring": ("inspect a ring from the catalog", _ring_verbs),
+    "qch": ("quantum Chern character maps", _qch_verbs),
+    "todd": ("quantum Todd classes", _todd_verbs),
+    "jfun": ("J-function coefficients and difference equations", _jfun_verbs),
+    "identity": ("combinatorial lemmas", _identity_verbs),
+    "mirror": ("superpotential and Jacobi ideal", _mirror_verbs),
+    "classical": ("classical rings and the classical Chern character",
+                  _classical_verbs),
+}
+
+
+def build_parser(argv: Optional[List[str]] = None) -> argparse.ArgumentParser:
+    """The parser for argv (default sys.argv[1:]).
+
+    Every group is listed, but only the group named by argv's first
+    positional argument gets its verbs and flags: the top level takes no
+    option with a value, so that argument is the group, and the others
+    are never parsed.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    chosen = next((a for a in argv if not a.startswith("-")), None)
+    top = argparse.ArgumentParser(
+        prog="qchar",
+        description="Exact verification for quantum cohomology and "
+                    "quantum K-theory presentations.")
+    sub = top.add_subparsers(dest="group", required=True)
+    for name, (help_text, add_verbs) in _GROUPS.items():
+        group = sub.add_parser(name, help=help_text)
+        if name == chosen:
+            add_verbs(group.add_subparsers(dest="verb", required=True))
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as e:  # a parse.ParseError too

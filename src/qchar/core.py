@@ -450,7 +450,8 @@ class Polynomial(Arithmetic):
         self._check_same(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, ZERO) + c
+            old = terms.get(k)
+            terms[k] = c if old is None else old + c
         return self._trusted(terms)
 
     def __neg__(self):

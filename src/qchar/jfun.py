@@ -13,6 +13,20 @@ difference operators act coefficientwise: the k-th factor operator
 multiplies the degree-(d1,d2) coefficient by (1 - u_k*hbar^{d_k}), a
 Novikov-variable factor shifts the degree, and a global hbar power
 shifts the numerator.
+
+apply_difference expands nothing it can substitute.  Since t_k acts as
+1 - u_k*hbar^{p_k} on the source coefficient of degree (p1, p2), each
+theta polynomial is rewritten once in s_k = 1 - t_k, and then
+theta = sum c_ab * x^a*y^b * hbar^{a*p1 + b*p2}: a polynomial over
+x, y and hbar with no ring product in it.  Each output degree takes the
+Counter union of its sources' denominators, the one a chain of
+HbarFraction sums would reach; a source's multipliers are summed, times
+the atoms its denominator lacks (a binomial expansion, kept for the
+call), over x, y and hbar as well.  Only then is each x^a*y^b replaced
+by its normal form in the ring, reduced once per call, and the source
+numerator is multiplied by that in one HbarPoly product.  Every such
+piece is already over the common denominator, so HbarFraction's sum
+adds the numerators and expands no atom.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .catalog import milnor_f2_poly, ring
 from .core import (Arithmetic, Mono, NovikovSeries, Polynomial, VariableSet,
-                   binomial, evaluate, joined_vars)
+                   binomial, joined_vars)
 from .groebner import Coeff
 from .quotient import AlgebraElement, PresentedAlgebra, _int_groups
 from .report import Check
@@ -177,8 +191,14 @@ class HbarFraction(Arithmetic):
     __slots__ = ("numer", "denom")
 
     def __init__(self, numer: HbarPoly, denom: Optional[AtomSet] = None):
+        denom = Counter(denom)
+        bad = sorted((kind, level, mult) for (kind, level), mult in denom.items()
+                     if mult < 0)
+        if bad:
+            raise ValueError("negative atom multiplicity in the denominator: %s"
+                             % ", ".join("%s at level %d: %d" % b for b in bad))
         self.numer = numer
-        self.denom: Counter = +Counter(denom)
+        self.denom: Counter = +denom  # zero multiplicities drop out
 
     @property
     def ring(self) -> PresentedAlgebra:
@@ -317,10 +337,13 @@ def j_milnor(n: int, m: int, max_deg: int) -> JSeries:
     if not (n >= m >= 3):
         raise ValueError("need n >= m >= 3")
     R = ring("k_milnor", n, m)
+    # numers[t] = prod_{l <= t} (1 - x*y*hbar^l), shared by every d1 + d2 = t
+    numers = [HbarPoly.one(R)]
+    for l in range(1, max_deg + 1):
+        numers.append(numers[-1] * HbarPoly.atom(R, "L1L2", l))
     coeffs = {}
     for d1, d2 in _degree_range(max_deg):
-        numer = _atoms_product(R, {("L1L2", l): 1 for l in range(1, d1 + d2 + 1)})
-        coeffs[(d1, d2)] = HbarFraction(numer, _denominator(n, m, d1, d2))
+        coeffs[(d1, d2)] = HbarFraction(numers[d1 + d2], _denominator(n, m, d1, d2))
     return JSeries(R, max_deg, coeffs)
 
 
@@ -349,6 +372,22 @@ class DifferenceTerm:
     q_shift: Tuple[int, int]
     theta_poly: Polynomial  # in t1, t2; t_k acts as 1 - u_k*hbar^{d_k}
 
+    def __post_init__(self):
+        # the theta polynomial is read by slot: slot k must be t_k
+        if not isinstance(self.theta_poly, Polynomial) or self.theta_poly.vars != THETA_VARS:
+            raise ValueError("theta polynomial must be over %r, got %r"
+                             % (THETA_VARS, getattr(self.theta_poly, "vars", self.theta_poly)))
+        if not _is_nonnegative_int(self.hbar_power):
+            raise ValueError("hbar power must be an int >= 0, got %r" % (self.hbar_power,))
+        shift = self.q_shift
+        if not (isinstance(shift, tuple) and len(shift) == 2
+                and all(map(_is_nonnegative_int, shift))):
+            raise ValueError("Novikov shift must be two ints >= 0, got %r" % (shift,))
+
+
+def _is_nonnegative_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
 
 @dataclass
 class DifferenceExpression:
@@ -361,19 +400,79 @@ class DifferenceExpression:
         return self
 
 
-def _theta_multiplier(R: PresentedAlgebra, theta_poly: Polynomial,
-                      d1: int, d2: int) -> HbarPoly:
-    """Evaluate the theta polynomial at the degree-(d1, d2) multipliers."""
-    values = {"t1": HbarPoly.atom(R, "L1", d1), "t2": HbarPoly.atom(R, "L2", d2)}
-    return evaluate(theta_poly.terms, THETA_VARS.names, values, HbarPoly.one(R))
+# x^a*y^b*hbar^h before the ring reduces x^a*y^b; an atom's unit u is
+# x^a*y^b with (a, b) = _UNIT_EXPONENTS[kind]
+XYH = VariableSet(["x", "y", "hbar"])
+_UNIT_EXPONENTS = {"L1": (1, 0), "L2": (0, 1), "L1L2": (1, 1)}
+
+
+def _in_s(theta_poly: Polynomial) -> Dict[Tuple[int, int], Fraction]:
+    """theta(1 - s1, 1 - s2) as {(a, b): coefficient of s1^a*s2^b}."""
+    out: Dict[Tuple[int, int], Fraction] = {}
+    for (i, j), c in theta_poly.terms.items():
+        for a in range(i + 1):
+            ca = c * binomial(i, a) * (-1) ** a
+            for b in range(j + 1):
+                out[(a, b)] = out.get((a, b), 0) + ca * binomial(j, b) * (-1) ** b
+    return out
+
+
+class _Substitution:
+    """Q[x, y, hbar] -> HbarPoly over one ring, for one apply_difference call.
+
+    x^a*y^b*hbar^h goes to NF(x^a*y^b)*hbar^h, each normal form reduced
+    on first use; atom products over x, y and hbar are kept too.
+    """
+
+    def __init__(self, ring_: PresentedAlgebra):
+        self.zero = HbarPoly(ring_, {})  # refuses a ring with Novikov variables
+        self.ring = ring_
+        self._slots = (ring_.gens.index("x"), ring_.gens.index("y"))
+        self._nf: Dict[Tuple[int, int], Dict[Mono, Fraction]] = {}
+        self._atoms: Dict[frozenset, Polynomial] = {}
+
+    def _normal_form(self, a: int, b: int) -> Dict[Mono, Fraction]:
+        nf = self._nf.get((a, b))
+        if nf is None:
+            mono = [0] * len(self.ring.gens)
+            mono[self._slots[0]] += a
+            mono[self._slots[1]] += b
+            nf = self._nf[(a, b)] = self.ring.reduce(
+                Polynomial(self.ring.gens, {tuple(mono): 1})).nf.terms
+        return nf
+
+    def __call__(self, p: Polynomial) -> HbarPoly:
+        terms: Dict[Mono, Fraction] = {}
+        for (a, b, h), c in p.terms.items():
+            for m, v in self._normal_form(a, b).items():
+                key = m + (h,)
+                terms[key] = terms.get(key, 0) + c * v
+        return self.zero._trusted(terms)
+
+    def atoms(self, atoms: Counter) -> Polynomial:
+        """The product of the atoms over x, y and hbar, by the binomial theorem."""
+        key = frozenset(atoms.items())
+        out = self._atoms.get(key)
+        if out is None:
+            out = Polynomial.const(XYH, 1)
+            for (kind, level), mult in sorted(atoms.items()):
+                a, b = _UNIT_EXPONENTS[kind]
+                out = out * Polynomial(XYH, {
+                    (a * j, b * j, level * j): binomial(mult, j) * (-1) ** j
+                    for j in range(mult + 1)})
+            self._atoms[key] = out
+        return out
 
 
 def apply_difference(expr: DifferenceExpression, J: JSeries) -> JSeries:
     R = J.context
+    sub = _Substitution(R)
+    terms = [(term, _in_s(term.theta_poly)) for term in expr.terms]
     out: Dict[Tuple[int, int], HbarFraction] = {}
     for d1, d2 in _degree_range(J.max_deg):
-        acc = HbarFraction.zero(R)
-        for term in expr.terms:
+        # source degree -> the summed multipliers of its terms over x, y, hbar
+        mults: Dict[Tuple[int, int], Dict[Mono, Fraction]] = {}
+        for term, s_poly in terms:
             s1, s2 = term.q_shift
             p1, p2 = d1 - s1, d2 - s2
             if p1 < 0 or p2 < 0:
@@ -381,9 +480,20 @@ def apply_difference(expr: DifferenceExpression, J: JSeries) -> JSeries:
             src = J.coeffs.get((p1, p2))
             if src is None or src.is_zero():
                 continue
-            mult = _theta_multiplier(R, term.theta_poly, p1, p2)
-            piece = src.mul_poly(mult.shift(term.hbar_power)).scale(term.coeff)
-            acc = acc + piece
+            # s_k acts as u_k*hbar^{p_k}
+            mult = mults.setdefault((p1, p2), {})
+            for (a, b), c in s_poly.items():
+                key = (a, b, a * p1 + b * p2 + term.hbar_power)
+                mult[key] = mult.get(key, 0) + term.coeff * c
+        den: Counter = Counter()
+        for p in mults:
+            den |= J.coeffs[p].denom
+        # every piece is over den already, so the sums expand no atoms
+        acc = HbarFraction.zero(R)
+        for p, mult in mults.items():
+            src = J.coeffs[p]
+            factor = Polynomial(XYH, mult) * sub.atoms(den - src.denom)
+            acc = acc + HbarFraction(src.numer * sub(factor), den)
         out[(d1, d2)] = acc
     return JSeries(R, J.max_deg, out)
 

@@ -171,6 +171,31 @@ def test_classical_limit_multiplies_nothing_at_the_map_truncation(monkeypatch):
     assert not any(R is qmap.target for R in rings)
 
 
+@pytest.mark.parametrize("space,n,m", _LIMIT_CASES)
+def test_source_basis_is_the_trunc0_ring_basis(space, n, m):
+    qmap = build_qch(space, n, m, trunc=1)
+    assert qmap.source_basis == qmap.source_ring(0).basis_monos
+
+
+def test_classical_limit_builds_no_source_ring(monkeypatch):
+    # the basis and generator names come from the presentation alone
+    qmap = build_qch("milnor", 5, 4, trunc=3)
+    families = []
+    real_ring = chern.ring
+
+    def spy(family, *args, **kwargs):
+        families.append(family)
+        return real_ring(family, *args, **kwargs)
+
+    def refuse(self, trunc=None):
+        raise AssertionError("source ring built at trunc %r" % (trunc,))
+
+    monkeypatch.setattr(chern, "ring", spy)
+    monkeypatch.setattr(QuantumChernMap, "source_ring", refuse)
+    assert verify_classical_limit(qmap).passed
+    assert families and set(families) == {"qh_milnor"}
+
+
 def test_corrupted_generator_image_fails_classical_limit():
     # x -> e^{-2 h1} on the flag n=3: the relations are not consulted here,
     # the classical limit alone must catch it

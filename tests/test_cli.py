@@ -1,9 +1,11 @@
 """Command-line behavior: output, exit codes, certificate stability."""
 
+import argparse
 import json
 
 import pytest
 
+from qchar import cli
 from qchar.cli import main
 
 
@@ -266,3 +268,225 @@ def test_unknown_flag_rejected():
         main(["ring", "basis", "--family", "qh_pn", "--n", "1",
               "--trunc", "0", "--bogus"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------- the per-group parser
+
+
+# build_parser as it was when it built every group's verbs for every
+# command; the parser that builds only the chosen group's must answer
+# every help and usage error exactly as this one does
+def _frozen_ring_flags(p, trunc_default=2):
+    p.add_argument("--family", required=True, choices=cli.FAMILIES)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--trunc", type=int, default=trunc_default)
+
+
+def _frozen_space_flags(p, trunc_default=4):
+    p.add_argument("--space", required=True, choices=cli.chern.SPACES)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--trunc", type=int, default=trunc_default)
+
+
+def _frozen_out_flag(p):
+    p.add_argument("--out", default=None,
+                   help="write the JSON certificate to this file")
+
+
+def _frozen_build_parser():
+    top = argparse.ArgumentParser(
+        prog="qchar",
+        description="Exact verification for quantum cohomology and "
+                    "quantum K-theory presentations.")
+    sub = top.add_subparsers(dest="group", required=True)
+
+    ring_p = sub.add_parser("ring", help="inspect a ring from the catalog")
+    ring_sub = ring_p.add_subparsers(dest="verb", required=True)
+    p = ring_sub.add_parser("show")
+    _frozen_ring_flags(p)
+    p.set_defaults(handler=cli._cmd_ring_show)
+    p = ring_sub.add_parser("basis")
+    _frozen_ring_flags(p)
+    p.set_defaults(handler=cli._cmd_ring_basis)
+    p = ring_sub.add_parser("mul")
+    _frozen_ring_flags(p)
+    p.add_argument("--lhs", required=True)
+    p.add_argument("--rhs", required=True)
+    p.set_defaults(handler=cli._cmd_ring_mul)
+    p = ring_sub.add_parser("table")
+    _frozen_ring_flags(p)
+    p.add_argument("--out", default=None)
+    p.add_argument("--selfcheck-trials", type=int, default=0,
+                   help="also reduce this many random elements under two "
+                        "strategies and compare")
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(handler=cli._cmd_ring_table)
+
+    qch_p = sub.add_parser("qch", help="quantum Chern character maps")
+    qch_sub = qch_p.add_subparsers(dest="verb", required=True)
+    p = qch_sub.add_parser("build")
+    _frozen_space_flags(p)
+    p.set_defaults(handler=cli._cmd_qch_build)
+    p = qch_sub.add_parser("apply")
+    _frozen_space_flags(p)
+    p.add_argument("--expr", required=True)
+    p.set_defaults(handler=cli._cmd_qch_apply)
+    p = qch_sub.add_parser("verify")
+    _frozen_space_flags(p)
+    _frozen_out_flag(p)
+    p.set_defaults(handler=cli._cmd_qch_verify)
+    p = qch_sub.add_parser("unique")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--trunc", type=int, default=4)
+    _frozen_out_flag(p)
+    p.set_defaults(handler=cli._cmd_qch_unique)
+
+    todd_p = sub.add_parser("todd", help="quantum Todd classes")
+    todd_sub = todd_p.add_subparsers(dest="verb", required=True)
+    p = todd_sub.add_parser("pn")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--trunc", type=int, default=4)
+    p.set_defaults(handler=cli._cmd_todd_pn)
+    p = todd_sub.add_parser("factor")
+    _frozen_ring_flags(p, trunc_default=4)
+    p.add_argument("--a", type=int, required=True, choices=(1, 2))
+    p.add_argument("--exponent", type=int, required=True)
+    p.set_defaults(handler=cli._cmd_todd_factor)
+
+    jfun_p = sub.add_parser("jfun", help="J-function coefficients and "
+                                         "difference equations")
+    jfun_sub = jfun_p.add_subparsers(dest="verb", required=True)
+    p = jfun_sub.add_parser("coeff")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--d1", type=int, required=True)
+    p.add_argument("--d2", type=int, required=True)
+    p.add_argument("--product", action="store_true",
+                   help="use the product-space series instead")
+    p.set_defaults(handler=cli._cmd_jfun_coeff)
+    p = jfun_sub.add_parser("verify")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--max-deg", type=int, default=3)
+    _frozen_out_flag(p)
+    p.set_defaults(handler=cli._cmd_jfun_verify)
+    p = jfun_sub.add_parser("infinity")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--max-deg", type=int, default=3)
+    _frozen_out_flag(p)
+    p.set_defaults(handler=cli._cmd_jfun_infinity)
+
+    id_p = sub.add_parser("identity", help="combinatorial lemmas")
+    id_sub = id_p.add_subparsers(dest="verb", required=True)
+    p = id_sub.add_parser("binomial")
+    p.add_argument("--max-n", type=int, default=12)
+    _frozen_out_flag(p)
+    p.set_defaults(handler=cli._cmd_identity_binomial)
+    p = id_sub.add_parser("lemma52")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    _frozen_out_flag(p)
+    p.set_defaults(handler=cli._cmd_identity_lemma52)
+
+    mir_p = sub.add_parser("mirror", help="superpotential and Jacobi ideal")
+    mir_sub = mir_p.add_subparsers(dest="verb", required=True)
+    p = mir_sub.add_parser("verify")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--trunc", type=int, default=3)
+    p.add_argument("--step-cap", type=int, default=cli.mirror.DEFAULT_STEP_CAP)
+    _frozen_out_flag(p)
+    p.set_defaults(handler=cli._cmd_mirror_verify)
+    p = mir_sub.add_parser("nzd")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--trunc", type=int, default=3)
+    _frozen_out_flag(p)
+    p.set_defaults(handler=cli._cmd_mirror_nzd)
+
+    cls_p = sub.add_parser("classical", help="classical rings and the "
+                                             "classical Chern character")
+    cls_sub = cls_p.add_subparsers(dest="verb", required=True)
+    p = cls_sub.add_parser("dim")
+    p.add_argument("--family", required=True, choices=cli.FAMILIES)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, default=None)
+    p.set_defaults(handler=cli._cmd_classical_dim)
+    p = cls_sub.add_parser("chern")
+    p.add_argument("--space", required=True, choices=cli.chern.SPACES)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--expr", required=True)
+    p.set_defaults(handler=cli._cmd_classical_chern)
+
+    return top
+
+
+def _parser_outcome(parser, argv, capsys):
+    """(exit code, stdout, stderr, parsed namespace without the handler)."""
+    try:
+        args = vars(parser.parse_args(argv))
+        code = None
+    except SystemExit as e:
+        args, code = None, e.code
+    captured = capsys.readouterr()
+    if args is not None:
+        args["handler"] = args["handler"].__name__
+    return code, captured.out, captured.err, args
+
+
+def _frozen_groups():
+    """{group: [verb, ...]} read off the frozen parser."""
+    def choices(parser):
+        action, = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+    return {g: list(choices(p)) for g, p in choices(_frozen_build_parser()).items()}
+
+
+def _parser_cases():
+    groups = _frozen_groups()
+    cases = [["--help"], ["-h"], [], ["bogus"], ["rin"], ["bogus", "--help"]]
+    for g, verbs in groups.items():
+        cases += [[g, "--help"], [g], [g, "bogus"], ["--help", g]]
+        cases += [[g, v, "--help"] for v in verbs]
+        cases += [[g, v] for v in verbs]  # required flags missing
+    cases += [
+        ["jfun", "verify", "--n", "x", "--m", "4"],
+        ["ring", "show", "--family", "nope", "--n", "2"],
+        ["todd", "factor", "--family", "qh_pn", "--n", "2", "--a", "3",
+         "--exponent", "1"],
+        ["ring", "basis", "--family", "qh_pn", "--n", "1", "--bogus"],
+        ["mirror", "verify", "--n", "3", "--step-cap", "1.5"],
+        # parsed commands: the namespaces must match too
+        ["jfun", "verify", "--n", "4", "--m", "4", "--max-deg", "4", "--out", "-"],
+        ["ring", "table", "--family", "qk_pn", "--n", "1", "--selfcheck-trials", "3"],
+        ["qch", "verify", "--space", "fl", "--n", "3", "--trunc", "2"],
+        ["classical", "chern", "--space", "pn", "--n", "2", "--expr", "x"],
+        ["mirror", "verify", "--n", "3"],
+        ["identity", "binomial"],
+        ["todd", "pn", "--n", "2"],
+        ["--", "identity", "lemma52", "--n", "4", "--m", "3"],
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("argv", _parser_cases(), ids=" ".join)
+def test_parser_matches_the_full_parser(argv, capsys):
+    want = _parser_outcome(_frozen_build_parser(), argv, capsys)
+    got = _parser_outcome(cli.build_parser(argv), argv, capsys)
+    assert got == want
+
+
+def test_parser_builds_only_the_chosen_group():
+    def verbs(parser):
+        action, = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        return {g: [a for a in p._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+                for g, p in action.choices.items()}
+    built = verbs(cli.build_parser(["jfun", "verify", "--n", "4", "--m", "4"]))
+    assert list(built) == list(_frozen_groups())
+    assert [g for g, actions in built.items() if actions] == ["jfun"]
+    assert not any(verbs(cli.build_parser(["--help"])).values())

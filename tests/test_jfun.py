@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchar.catalog import ring
-from qchar.core import Polynomial, binomial
+from qchar.core import Polynomial, VariableSet, binomial, evaluate
 from qchar.jfun import (
     THETA_VARS,
+    _atoms_product,
     DifferenceExpression,
     HbarFraction,
     HbarPoly,
@@ -73,11 +74,10 @@ def test_shift_below_hbar_zero_raises():
     with pytest.raises(ValueError):
         HbarPoly.one(R).shift(-1)
     assert _hbar_poly(R, [R.zero(), R.one()]).shift(-1) == HbarPoly.one(R)
-    # a difference term with a negative hbar power meets the same check
-    expr = DifferenceExpression().add_term(1, -1, (0, 0),
-                                           Polynomial.const(THETA_VARS, 1))
-    with pytest.raises(ValueError):
-        apply_difference(expr, j_milnor(3, 3, 1))
+    # a difference term with a negative hbar power is refused when added
+    with pytest.raises(ValueError, match="hbar power"):
+        DifferenceExpression().add_term(1, -1, (0, 0),
+                                        Polynomial.const(THETA_VARS, 1))
 
 
 @pytest.mark.parametrize("level", [-1, -2])
@@ -431,6 +431,139 @@ def test_product_series_needs_the_correction():
     res = apply_difference(hypersurface_operator(1, n, m), J)
     xy = R.generator("x") * R.generator("y")
     assert res.coeff(0, 1) == HbarFraction(_hbar_poly(R, [R.zero(), xy]))
+
+
+# ------------------------------------- the substituted route against the old
+
+
+def _frozen_apply_difference(expr, J):
+    # the route before the s-substitution: each theta multiplier evaluated
+    # by HbarPoly products, each piece added by a chained HbarFraction sum
+    R = J.context
+    out = {}
+    for t in range(J.max_deg + 1):
+        for d1 in range(t + 1):
+            d2 = t - d1
+            acc = HbarFraction.zero(R)
+            for term in expr.terms:
+                p1, p2 = d1 - term.q_shift[0], d2 - term.q_shift[1]
+                if p1 < 0 or p2 < 0:
+                    continue
+                src = J.coeffs.get((p1, p2))
+                if src is None or src.is_zero():
+                    continue
+                values = {"t1": HbarPoly.atom(R, "L1", p1),
+                          "t2": HbarPoly.atom(R, "L2", p2)}
+                mult = evaluate(term.theta_poly.terms, THETA_VARS.names, values,
+                                HbarPoly.one(R))
+                acc = acc + src.mul_poly(mult.shift(term.hbar_power)).scale(term.coeff)
+            out[(d1, d2)] = acc
+    return out
+
+
+def _perturbed_operators(m):
+    t1 = Polynomial.var(THETA_VARS, "t1")
+    t2 = Polynomial.var(THETA_VARS, "t2")
+    one = Polynomial.const(THETA_VARS, 1)
+    off = DifferenceExpression()
+    off.add_term(1, 0, (0, 0), t2 ** (m - 1))  # exponent off by one
+    off.add_term(-1, 0, (0, 1), one)
+    off.add_term(1, 1, (0, 1), (1 - t1) * (1 - t2))
+    # a diagonal shift needs atoms of both kinds; a zero coefficient still
+    # widens the denominator, as it does in a chain of sums
+    mixed = DifferenceExpression()
+    mixed.add_term(F(2, 3), 2, (1, 1), t1 * t2 - 3 * t1 ** 2)
+    mixed.add_term(-1, 0, (0, 2), t2 ** 2)
+    mixed.add_term(1, 1, (1, 0), 1 - t2)
+    mixed.add_term(0, 0, (2, 0), one)
+    return [off, mixed]
+
+
+def _assert_same_series(got, want):
+    assert got.degrees() == sorted(want)
+    for d, f in want.items():
+        g = got.coeffs[d]
+        assert g.numer == f.numer, d
+        assert g.denom == f.denom, d
+        assert g.render() == f.render(), d
+
+
+@pytest.mark.parametrize("n,m,max_deg", [(3, 3, 2), (4, 3, 2), (4, 4, 3), (5, 5, 2)])
+def test_operators_match_the_chained_sum_route(n, m, max_deg):
+    J = j_milnor(n, m, max_deg)
+    for op in (hypersurface_operator(1, n, m), hypersurface_operator(2, n, m)):
+        _assert_same_series(apply_difference(op, J), _frozen_apply_difference(op, J))
+
+
+@pytest.mark.parametrize("n,m,max_deg", [(3, 3, 2), (4, 3, 3)])
+def test_perturbed_and_product_residuals_match_the_chained_sum_route(n, m, max_deg):
+    ops = [hypersurface_operator(1, n, m), hypersurface_operator(2, n, m)]
+    for J, exprs in ((j_milnor(n, m, max_deg), _perturbed_operators(m)),
+                     (j_product(n, m, max_deg), ops + _perturbed_operators(m))):
+        for op in exprs:
+            got = apply_difference(op, J)
+            _assert_same_series(got, _frozen_apply_difference(op, J))
+            assert not got.is_zero()
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (4, 4), (5, 3)])
+def test_milnor_numerators_match_the_per_degree_product(n, m):
+    J = j_milnor(n, m, 4)
+    R = J.context
+    for (d1, d2), f in J.coeffs.items():
+        want = _atoms_product(R, {("L1L2", l): 1 for l in range(1, d1 + d2 + 1)})
+        assert f.numer == want
+
+
+def test_theorem56_product_count(monkeypatch):
+    # one product per j_milnor numerator and per (output, source) degree
+    calls = []
+    real_mul = HbarPoly.__mul__
+
+    def spy(self, other):
+        calls.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(HbarPoly, "__mul__", spy)
+    checks = verify_theorem56(4, 4, 4)
+    assert all(c.passed for c in checks)
+    assert len(calls) == 64
+
+
+# ------------------------------------------------------ malformed operators
+
+
+@pytest.mark.parametrize("names", [["t2", "t1"], ["a"], ["t1", "t2", "t3"]])
+def test_theta_polynomial_over_other_variables_raises(names):
+    # slot k is read as t_k, so t1 over ["t2", "t1"] would act as the L2 atom
+    theta = Polynomial.var(VariableSet(names), names[0])
+    with pytest.raises(ValueError, match="theta polynomial"):
+        DifferenceExpression().add_term(1, 0, (0, 0), theta)
+
+
+@pytest.mark.parametrize("shift", [(-1, 0), (0, -2), (F(1, 2), 0), (1.0, 0), (1,), (0, 0, 0)])
+def test_bad_novikov_shift_raises(shift):
+    # a negative shift would read coefficients above max_deg as zero
+    with pytest.raises(ValueError, match="Novikov shift"):
+        DifferenceExpression().add_term(1, 0, shift, Polynomial.const(THETA_VARS, 1))
+
+
+@pytest.mark.parametrize("power", [-1, F(1, 2), 1.0])
+def test_bad_hbar_power_raises(power):
+    with pytest.raises(ValueError, match="hbar power"):
+        DifferenceExpression().add_term(1, power, (0, 0), Polynomial.const(THETA_VARS, 1))
+
+
+def test_negative_atom_multiplicity_raises():
+    R = _kring()
+    p = HbarPoly.atom(R, "L1", 1)
+    with pytest.raises(ValueError, match="negative atom multiplicity"):
+        HbarFraction(p, {("L1", 1): -2})
+    with pytest.raises(ValueError, match="negative atom multiplicity"):
+        HbarFraction(p, {("L2", 1): 1, ("L1", 2): -1})
+    # a zero multiplicity still drops out
+    f = HbarFraction(p, {("L1", 1): 0, ("L2", 2): 1})
+    assert f.denom == {("L2", 2): 1}
 
 
 # ------------------------------------------------------------ degree counts
