@@ -10,7 +10,7 @@ from .core import NovikovSeries, Polynomial, VariableSet
 from .quotient import AlgebraElement, PresentedAlgebra
 from .catalog import ring
 from .chern import QuantumChernMap, build_qch
-from .parse import ParseError, parse_element, parse_expression
+from .parse import ParseError, parse_element
 
 
 def clear_caches() -> None:
@@ -40,6 +40,5 @@ __all__ = [
     "build_qch",
     "clear_caches",
     "parse_element",
-    "parse_expression",
     "ring",
 ]

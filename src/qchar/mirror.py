@@ -12,7 +12,6 @@ clearing multiplies by a unit monomial, so it keeps membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple, Union
 
@@ -30,13 +29,7 @@ def laurent_vars(n: int) -> VariableSet:
     return VariableSet(names, laurent=[True] * len(names))
 
 
-@dataclass
-class Superpotential:
-    n: int
-    poly: Polynomial
-
-
-def build_superpotential(n: int) -> Superpotential:
+def build_superpotential(n: int) -> Polynomial:
     """Sum of consecutive ratios x_k/x_{k-1} from x_0 = 1, plus the three
     boundary terms q2/x_{n-2}, x_n/q2 and q1*q2/x_{2n-3}."""
     if n < 3:
@@ -46,7 +39,7 @@ def build_superpotential(n: int) -> Superpotential:
     x = [Polynomial.const(vars, 1)] + xs
     f = sum(x[k] * x[k - 1] ** -1 for k in range(1, 2 * n - 2))
     f = f + q2 * x[n - 2] ** -1 + x[n] * q2 ** -1 + q1 * q2 * x[2 * n - 3] ** -1
-    return Superpotential(n, f)
+    return f
 
 
 def log_derivative(p: Polynomial, name: str) -> Polynomial:
@@ -56,7 +49,7 @@ def log_derivative(p: Polynomial, name: str) -> Polynomial:
 
 
 def jacobi_relations(n: int) -> List[Polynomial]:
-    f = build_superpotential(n).poly
+    f = build_superpotential(n)
     return [log_derivative(f, "x%d" % a) for a in range(1, 2 * n - 2)]
 
 

@@ -12,14 +12,20 @@ There is no implicit multiplication and no division operator; "/" only
 occurs inside a rational literal.  Exponents are nonnegative integers.
 The grammar covers everything the canonical renderer emits, so
 rendering and parsing round-trip.
+
+Parsing and evaluation are one pass: each grammar rule returns the ring
+element it denotes, and no parse tree is built.  A token is read only
+when a rule looks at it, so errors are reported left to right: the
+first problem in the text, lexical, syntactic or an identifier the ring
+does not know, is the one raised.  `h3 + (` in a ring without h3 names
+h3 at position 1.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import Iterator, Optional, Tuple
 
 from .quotient import AlgebraElement, PresentedAlgebra
 
@@ -32,43 +38,12 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass
-class Num:
-    value: Fraction
-    pos: int
-
-
-@dataclass
-class Var:
-    name: str
-    pos: int
-
-
-@dataclass
-class Neg:
-    operand: "Node"
-
-
-@dataclass
-class BinOp:
-    op: str  # "+", "-" or "*"
-    left: "Node"
-    right: "Node"
-
-
-@dataclass
-class Pow:
-    base: "Node"
-    exponent: int
-
-
-Node = Union[Num, Var, Neg, BinOp, Pow]
-
 _TOKEN = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*^/()])")
 
 
-def _tokenize(src: str) -> List[Tuple[str, str, int]]:
-    out = []
+def _tokenize(src: str) -> Iterator[Tuple[str, str, int]]:
+    """(kind, text, 1-based position) for each token, read on demand, then
+    the end token for good."""
     i = 0
     while i < len(src):
         if src[i].isspace():
@@ -77,28 +52,29 @@ def _tokenize(src: str) -> List[Tuple[str, str, int]]:
         m = _TOKEN.match(src, i)
         if m is None:
             raise ParseError("unexpected character %r" % src[i], i + 1)
-        if m.group(1):
-            out.append(("num", m.group(1), i + 1))
-        elif m.group(2):
-            out.append(("ident", m.group(2), i + 1))
-        else:
-            out.append((m.group(3), m.group(3), i + 1))
+        kind = "num" if m.group(1) else "ident" if m.group(2) else m.group(3)
+        yield (kind, m.group(), i + 1)
         i = m.end()
-    out.append(("end", "", len(src) + 1))
-    return out
+    while True:
+        yield ("end", "", len(src) + 1)
 
 
 class _Parser:
-    def __init__(self, src: str):
+    """Recursive descent over the token stream; each rule returns its value."""
+
+    def __init__(self, src: str, algebra: PresentedAlgebra):
         self.tokens = _tokenize(src)
-        self.i = 0
+        self.tok: Optional[Tuple[str, str, int]] = None  # lexed, not consumed
+        self.algebra = algebra
 
     def peek(self) -> Tuple[str, str, int]:
-        return self.tokens[self.i]
+        if self.tok is None:
+            self.tok = next(self.tokens)
+        return self.tok
 
     def advance(self) -> Tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
+        tok = self.peek()
+        self.tok = None
         return tok
 
     def expect(self, kind: str, what: str) -> Tuple[str, str, int]:
@@ -107,41 +83,43 @@ class _Parser:
             raise ParseError("expected %s" % what, tok[2])
         return tok
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self) -> AlgebraElement:
+        value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError("unexpected %r" % tok[1], tok[2])
-        return node
+        return value
 
-    def expr(self) -> Node:
+    def expr(self) -> AlgebraElement:
         sign = None
         if self.peek()[0] in ("+", "-"):
             sign = self.advance()[0]
-        node: Node = self.term()
+        value = self.term()
         if sign == "-":
-            node = Neg(node)
+            value = -value
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.term())
-        return node
+            if self.advance()[0] == "+":
+                value = value + self.term()
+            else:
+                value = value - self.term()
+        return value
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> AlgebraElement:
+        value = self.factor()
         while self.peek()[0] == "*":
             self.advance()
-            node = BinOp("*", node, self.factor())
-        return node
+            value = value * self.factor()
+        return value
 
-    def factor(self) -> Node:
-        node = self.base()
+    def factor(self) -> AlgebraElement:
+        value = self.base()
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("num", "a nonnegative integer exponent")
-            node = Pow(node, int(tok[1]))
-        return node
+            value = value ** int(tok[1])
+        return value
 
-    def base(self) -> Node:
+    def base(self) -> AlgebraElement:
         tok = self.advance()
         if tok[0] == "num":
             value = Fraction(int(tok[1]))
@@ -151,46 +129,22 @@ class _Parser:
                 if int(den[1]) == 0:
                     raise ParseError("zero denominator", den[2])
                 value = value / int(den[1])
-            return Num(value, tok[2])
+            return self.algebra.constant(value)
         if tok[0] == "ident":
-            return Var(tok[1], tok[2])
+            algebra, name = self.algebra, tok[1]
+            if name in algebra.gens.names:
+                return algebra.generator(name)
+            if name in algebra.q_vars.names:
+                return algebra.q_element(name)
+            raise ParseError("unknown identifier %r for this ring" % name, tok[2])
         if tok[0] == "(":
-            node = self.expr()
+            value = self.expr()
             self.expect(")", "a closing parenthesis")
-            return node
+            return value
         raise ParseError("expected a number, identifier or parenthesis",
                          tok[2])
 
 
-def parse_expression(src: str) -> Node:
-    return _Parser(src).parse()
-
-
-def evaluate(node: Node, algebra: PresentedAlgebra) -> AlgebraElement:
-    if isinstance(node, Num):
-        return algebra.constant(node.value)
-    if isinstance(node, Var):
-        if node.name in algebra.gens.names:
-            return algebra.generator(node.name)
-        if node.name in algebra.q_vars.names:
-            return algebra.q_element(node.name)
-        raise ParseError("unknown identifier %r for this ring" % node.name,
-                         node.pos)
-    if isinstance(node, Neg):
-        return -evaluate(node.operand, algebra)
-    if isinstance(node, Pow):
-        return evaluate(node.base, algebra) ** node.exponent
-    if isinstance(node, BinOp):
-        left = evaluate(node.left, algebra)
-        right = evaluate(node.right, algebra)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
-    raise TypeError("not an expression node: %r" % (node,))
-
-
 def parse_element(src: str, algebra: PresentedAlgebra) -> AlgebraElement:
-    """Parse and evaluate in one go; the common entry point."""
-    return evaluate(parse_expression(src), algebra)
+    """Parse src and evaluate it in algebra, in one left-to-right pass."""
+    return _Parser(src, algebra).parse()

@@ -36,7 +36,7 @@ sums and scalar multiples of normal forms are normal forms.
 A product goes through the ring's structure constants (its
 multiplication maps) and never rewrites.  The product table maps a pair
 of standard monomials (m_a, m_b) to the normal form of m_a*m_b, reduced
-once by _reduce_terms when the pair is first multiplied; a ring builds
+once by _reduce when the pair is first multiplied; a ring builds
 no entry up front.  Each factor is grouped by classical monomial, and a
 pair of groups contributes its truncated q-coefficient times the pair's
 entry; entries and groups keep classical and q monomials apart, and a
@@ -347,6 +347,8 @@ class PresentedAlgebra:
                                  % (x.trunc, self.trunc))
             return x
         if isinstance(x, Polynomial):
+            if x.vars != self.gens:
+                raise ValueError("polynomial over wrong variable set")
             return NovikovSeries.from_polynomial(x, self.q_vars, self.trunc)
         if isinstance(x, (int, Fraction)):
             return NovikovSeries.const(self.gens, self.q_vars, self.trunc, x)
@@ -388,9 +390,10 @@ class PresentedAlgebra:
         pair = (ma, mb) if ma <= mb else (mb, ma)
         entry = self._products.get(pair)
         if entry is None:
-            k, pack = len(self.gens), self._default[1].pack
-            nf = self._reduce_terms({mono_mul(ma, mb) + self.q_vars.zero_mono(): ONE})
-            entry = sorted(((sum(m[k:]), m[k:], m[:k], exact_coeff(c), pack(m))
+            k, (rows, order) = len(self.gens), self._default
+            nf = _reduce({mono_mul(ma, mb) + self.q_vars.zero_mono(): 1}, rows,
+                         order=order, cap=(k, self.trunc))
+            entry = sorted(((sum(m[k:]), m[k:], m[:k], exact_coeff(c), order.pack(m))
                             for m, c in nf.items()), key=lambda t: t[0])
             self._products[pair] = entry
         return entry

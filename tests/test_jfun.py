@@ -582,6 +582,27 @@ def test_hbar_infinity_sample_degrees():
     assert c.passed and "degree 4 < denominator degree 6" in c.detail
 
 
+def frozen_shifted_degree(f, R, i, di):
+    """The degree as hbar_infinity_check once read it: from the product
+    of the numerator with u_i*hbar^{d_i}."""
+    return (f.numer * HbarPoly.lift(atom_unit(R, "L%d" % i), di)).degree()
+
+
+@pytest.mark.parametrize("n,m,max_deg", [(3, 3, 4), (4, 3, 4), (5, 5, 4),
+                                         (6, 4, 3), (5, 3, 5)])
+def test_hbar_infinity_degree_matches_the_product(n, m, max_deg):
+    J = j_milnor(n, m, max_deg)
+    checks = {c.name: c for c in hbar_infinity_check(n, m, max_deg)}
+    assert len(checks) == 2 * (len(J.coeffs) - 1)  # all but degree (0, 0)
+    for (d1, d2), f in J.coeffs.items():
+        if (d1, d2) == (0, 0):
+            continue
+        for i, di in ((1, d1), (2, d2)):
+            degree = frozen_shifted_degree(f, J.context, i, di)
+            detail = checks["i=%d at Q^(%d,%d)" % (i, d1, d2)].detail
+            assert detail.startswith("numerator degree %s" % degree)
+
+
 # ------------------------------------------------------------ combinatorics
 
 

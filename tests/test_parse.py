@@ -6,40 +6,37 @@ from fractions import Fraction
 import pytest
 
 from qchar.catalog import ring
-from qchar.parse import (
-    BinOp,
-    Num,
-    ParseError,
-    Pow,
-    Var,
-    evaluate,
-    parse_element,
-    parse_expression,
-)
+from qchar.parse import ParseError, parse_element
 
 
 def test_number_and_fraction():
-    node = parse_expression("5")
-    assert isinstance(node, Num) and node.value == 5
-    node = parse_expression("5/12")
-    assert node.value == Fraction(5, 12)
+    R = ring("qh_pn", 2, trunc=1)
+    assert parse_element("5", R) == R.constant(5)
+    assert parse_element("5/12", R) == R.constant(Fraction(5, 12))
 
 
 def test_binary_structure():
-    node = parse_expression("h1^2*h2 - q2")
-    assert isinstance(node, BinOp) and node.op == "-"
-    left = node.left
-    assert isinstance(left, BinOp) and left.op == "*"
-    assert isinstance(left.left, Pow) and left.left.exponent == 2
-    assert isinstance(left.left.base, Var) and left.left.base.name == "h1"
-    assert isinstance(node.right, Var) and node.right.name == "q2"
+    R = ring("qh_pn", 2, trunc=1)
+    # "^" binds tighter than "*"
+    assert parse_element("2*3^2", R) == R.constant(18)
+    h = R.generator("h")
+    assert parse_element("2*h^2", R) == 2 * h ** 2
+    # "-" and "+" associate left
+    assert parse_element("2 - 1 - 1", R).is_zero()
+    assert parse_element("1 - 2 + 3", R) == R.constant(2)
+    # a leading sign binds the first term only
+    assert parse_element("-2^2", R) == R.constant(-4)
+    assert parse_element("-2*3 + 1", R) == R.constant(-5)
 
 
 def test_parenthesized_power():
-    node = parse_expression("(1 - y)^3")
-    assert isinstance(node, Pow) and node.exponent == 3
-    inner = node.base
-    assert isinstance(inner, BinOp) and inner.op == "-"
+    R = ring("qh_pn", 2, trunc=1)
+    # parentheses group
+    assert parse_element("(1 + 1)^3", R) == R.constant(8)
+    assert parse_element("2*(3 + 1)", R) == R.constant(8)
+    assert parse_element("-(2 - 3)", R) == R.one()
+    h = R.generator("h")
+    assert parse_element("(1 - h)^3", R) == (1 - h) * (1 - h) * (1 - h)
 
 
 def test_leading_sign():
@@ -65,14 +62,34 @@ def test_whitespace_insensitive():
     ("x / y", 3),     # "/" only inside rational literals
 ])
 def test_error_positions(src, pos):
+    # a ring that knows the identifier, so the error is the one pinned
+    R = ring("qh_pn", 1, trunc=1) if "h" in src else ring("qk_pn", 1, trunc=1)
     with pytest.raises(ParseError) as err:
-        parse_expression(src)
+        parse_element(src, R)
     assert err.value.position == pos
 
 
 def test_zero_denominator():
-    with pytest.raises(ParseError):
-        parse_expression("1/0")
+    with pytest.raises(ParseError) as err:
+        parse_element("1/0", ring("qh_pn", 1, trunc=1))
+    assert "zero denominator" in str(err.value)
+    assert err.value.position == 3
+
+
+def test_errors_are_reported_left_to_right():
+    R = ring("qh_fl", 3, trunc=1)
+    cases = [
+        ("h3 + (", "unknown identifier 'h3'", 1),  # before the syntax error
+        ("h1 + (", "expected a number", 7),
+        ("h3 $", "unknown identifier 'h3'", 1),    # before the lexical error
+        ("h1 + $ + h3", "unexpected character", 6),
+        ("1/0 $", "zero denominator", 3),
+        ("h1 h3", "unexpected 'h3'", 4),           # h3 is never looked up
+    ]
+    for src, message, pos in cases:
+        with pytest.raises(ParseError) as err:
+            parse_element(src, R)
+        assert message in str(err.value) and err.value.position == pos, src
 
 
 def test_unknown_identifier():
@@ -111,14 +128,11 @@ def test_constant_round_trip():
 def test_render_parse_round_trip():
     rng = random.Random(17)
     rings = [ring("qh_pn", 2, trunc=2), ring("qk_pn", 1, trunc=2),
-             ring("qh_fl", 3, trunc=1), ring("qk_milnor", 3, 3, trunc=1)]
+             ring("qh_fl", 3, trunc=1), ring("qk_milnor", 3, 3, trunc=1),
+             # the other four catalog families
+             ring("qk_fl", 3, trunc=1), ring("qh_milnor", 4, 3, trunc=1),
+             ring("k_milnor", 3, 3), ring("k_pnxpm", 2, 2)]
     for R in rings:
         for _ in range(6):
             e = R.reduce(R.random_series(rng))
             assert parse_element(e.render(), R) == e
-
-
-def test_evaluate_rejects_foreign_node():
-    R = ring("qh_pn", 1, trunc=1)
-    with pytest.raises(TypeError):
-        evaluate("not a node", R)

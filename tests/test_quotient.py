@@ -22,6 +22,7 @@ from qchar.core import (
     mono_divides,
     mono_mul,
 )
+from qchar import quotient
 from qchar.quotient import (
     PresentedAlgebra,
     Presentation,
@@ -286,15 +287,16 @@ def test_table_product_matches_reduced_series_product(which, strategy, seed):
 
 
 def count_table_reductions(monkeypatch):
-    """Record the input of every _reduce_terms call from now on."""
+    """Record the input of every groebner._reduce call the quotient module
+    makes from now on: a table entry's, and a reduction's."""
     calls = []
-    original = PresentedAlgebra._reduce_terms
+    original = quotient._reduce
 
-    def counted(self, terms, strategy="default"):
+    def counted(terms, rows, *args, **kwargs):
         calls.append(tuple(terms))
-        return original(self, terms, strategy)
+        return original(terms, rows, *args, **kwargs)
 
-    monkeypatch.setattr(PresentedAlgebra, "_reduce_terms", counted)
+    monkeypatch.setattr(quotient, "_reduce", counted)
     return calls
 
 
@@ -348,6 +350,23 @@ def test_reduce_rejects_element_of_another_ring():
     for strategy in ("default", "alternate"):
         with pytest.raises(ValueError):
             catalog_ring("qh_pn", 2, trunc=2).reduce(other, strategy)
+
+
+def test_polynomial_over_other_variables_rejected():
+    # it used to be read slot by slot: z reduced to "z", and h*z to h^2
+    R = catalog_ring("qh_pn", 2, trunc=1)
+    h = R.generator("h")
+    z = Polynomial.var(VariableSet(["z"]), "z")
+    ab = Polynomial.var(VariableSet(["a", "b"]), "a")
+    for p in (z, ab):
+        with pytest.raises(ValueError, match="wrong variable set"):
+            R.reduce(p)
+        with pytest.raises(ValueError, match="wrong variable set"):
+            h * p
+        with pytest.raises(ValueError, match="wrong variable set"):
+            h == p
+    # a polynomial over the ring's own generators still reduces
+    assert R.reduce(Polynomial.var(H, "h") ** 3) == R.q_element("q")
 
 
 def test_reduce_rejects_an_unknown_strategy():
