@@ -62,6 +62,8 @@ class UnivariateSeries:
         return cache[k]
 
     def coeffs(self, upto: int) -> List[Fraction]:
+        if upto < 0:  # an empty list would make a comparison vacuous
+            raise ValueError("order must be nonnegative")
         return [self.coeff(k) for k in range(upto + 1)]
 
     def power(self, e: int) -> "SeriesPower":
@@ -99,12 +101,6 @@ class SeriesPower(UnivariateSeries):
         return s / (k * f(0))
 
 
-def series_coeffs(tag: str, upto: int) -> List[Fraction]:
-    if upto < 0:
-        raise ValueError("order must be nonnegative")
-    return UnivariateSeries(tag).coeffs(upto)
-
-
 EXP_NEG = UnivariateSeries("exp_neg")
 OMEOX = UnivariateSeries("one_minus_exp_over_x")
 XOME = UnivariateSeries("x_over_one_minus_exp")
@@ -115,7 +111,7 @@ def _linear_class(ring: PresentedAlgebra, alpha) -> AlgebraElement:
 
     An element or series of another ring or truncation is rejected.
     """
-    if not isinstance(alpha, (AlgebraElement, Polynomial)):  # a series is a Polynomial
+    if not isinstance(alpha, Polynomial):  # so is a series, and an element
         raise TypeError("expected a ring element, got %r" % (alpha,))
     s = ring.series(alpha)
     k = len(ring.gens)

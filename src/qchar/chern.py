@@ -96,9 +96,7 @@ def build_qch(space: str, n: int, m: Optional[int] = None,
 def qch_apply(qmap: QuantumChernMap, expr) -> AlgebraElement:
     """Substitute the map's images into an expression over the source ring."""
     pres = qmap.source_presentation
-    if isinstance(expr, AlgebraElement):
-        expr = expr.as_series()
-    # a series is a Polynomial too, so it is told apart first
+    # a series (an element is one) is a Polynomial too, so it is told apart first
     if isinstance(expr, NovikovSeries):
         if expr.main_vars != pres.gens or expr.q_vars != pres.q_vars:
             raise ValueError("expression over wrong variable sets")
@@ -175,7 +173,7 @@ def verify_classical_limit(qmap: QuantumChernMap) -> Check:
         direct = eval_deg2(EXP_NEG, alpha, target0) if not alpha.is_zero() \
             else target0.one()
         name = src_gens.render_mono(mono) or "1"
-        if via_map == direct.as_series().classical_part():
+        if via_map == direct.classical_part():
             details.append("%s: limits agree" % name)
         else:
             ok = False
@@ -217,14 +215,13 @@ def solve_unique_novikov_image(n: int, trunc: int,
 
     R0 = ring("qh_pn", n, trunc=trunc)
     shifted = {}
-    for m, c in rhs.as_series().terms.items():
+    for m, c in rhs.terms.items():
         if m[-1] < 1:  # the exponent of q, the one Novikov variable
             raise ValueError("system is inconsistent: residual term "
                              "without a Novikov factor")
         shifted[m[:-1] + (m[-1] - 1,)] = c
-    # the series drops the terms above the requested truncation
-    nf = NovikovSeries(R0.gens, R0.q_vars, trunc, shifted)
-    return AlgebraElement(R0, nf), unique
+    # the element drops the terms above the requested truncation
+    return AlgebraElement(R0, shifted), unique
 
 
 def verify_lemma_todd_simplify(n: int, trunc: int) -> List[Check]:

@@ -617,7 +617,8 @@ class NovikovSeries(Polynomial):
     # arithmetic
 
     def _coerce(self, other):
-        if isinstance(other, NovikovSeries):
+        # exact type only: an AlgebraElement's reflected operator reduces this series
+        if type(other) is NovikovSeries:
             return other
         if isinstance(other, (int, Fraction)):
             return NovikovSeries.const(self.main_vars, self.q_vars, self.trunc, other)

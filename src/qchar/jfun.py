@@ -37,8 +37,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .catalog import milnor_f2_poly, ring
-from .core import (Arithmetic, Mono, NovikovSeries, Polynomial, VariableSet,
-                   binomial, joined_vars)
+from .core import Arithmetic, Mono, Polynomial, VariableSet, binomial, joined_vars
 from .groebner import Coeff
 from .quotient import AlgebraElement, PresentedAlgebra, _int_groups
 from .report import Check
@@ -77,7 +76,7 @@ class HbarPoly(Polynomial):
     @classmethod
     def lift(cls, element: AlgebraElement, level: int = 0) -> "HbarPoly":
         """element*hbar^level."""
-        return cls(element.ring, {m + (level,): c for m, c in element.nf.terms.items()})
+        return cls(element.ring, {m + (level,): c for m, c in element.terms.items()})
 
     @classmethod
     def one(cls, ring_: PresentedAlgebra) -> "HbarPoly":
@@ -104,9 +103,7 @@ class HbarPoly(Polynomial):
 
     def coeff(self, k: int) -> AlgebraElement:
         """The coefficient of hbar^k."""
-        R = self.ring
-        return AlgebraElement(R, NovikovSeries(R.gens, R.q_vars, R.trunc, {
-            m[:-1]: c for m, c in self.terms.items() if m[-1] == k}))
+        return AlgebraElement(self.ring, {m[:-1]: c for m, c in self.terms.items() if m[-1] == k})
 
     def shift(self, p: int) -> "HbarPoly":
         """Multiply by hbar^p."""
@@ -252,9 +249,6 @@ class HbarFraction(Arithmetic):
     def scale(self, c) -> "HbarFraction":
         return HbarFraction(self.numer.scale(c), self.denom)
 
-    def mul_poly(self, p: HbarPoly) -> "HbarFraction":
-        return HbarFraction(self.numer * p, self.denom)
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -267,6 +261,8 @@ class HbarFraction(Arithmetic):
         Independent route for equality checks: each atom is inverted by
         the geometric series in u*hbar^l, truncated at the order.
         """
+        if order < 0:  # an empty list would make an equality check vacuous
+            raise ValueError("order must be nonnegative, got %d" % order)
         cur = [self.numer.coeff(k) for k in range(order + 1)]
         for (kind, level), mult in sorted(self.denom.items()):
             u = atom_unit(self.ring, kind)
@@ -424,18 +420,13 @@ class _Substitution:
     def __init__(self, ring_: PresentedAlgebra):
         self.zero = HbarPoly(ring_, {})  # refuses a ring with Novikov variables
         self.ring = ring_
-        self._slots = (ring_.gens.index("x"), ring_.gens.index("y"))
         self._nf: Dict[Tuple[int, int], Dict[Mono, Fraction]] = {}
         self._atoms: Dict[frozenset, Polynomial] = {}
 
     def _normal_form(self, a: int, b: int) -> Dict[Mono, Fraction]:
         nf = self._nf.get((a, b))
-        if nf is None:
-            mono = [0] * len(self.ring.gens)
-            mono[self._slots[0]] += a
-            mono[self._slots[1]] += b
-            nf = self._nf[(a, b)] = self.ring.reduce(
-                Polynomial(self.ring.gens, {tuple(mono): 1})).nf.terms
+        if nf is None:  # the generators are XY, as atom_unit has them
+            nf = self._nf[(a, b)] = self.ring.reduce(Polynomial(XY, {(a, b): 1})).terms
         return nf
 
     def __call__(self, p: Polynomial) -> HbarPoly:

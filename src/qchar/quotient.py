@@ -28,10 +28,13 @@ through a row term of positive q-degree, which happens at most trunc
 times in a chain; _reduce checks the degree that bound allows against
 the packed field width before it starts, so a key never wraps.
 
-An element is held as its normal form: a NovikovSeries at the ring's
-truncation whose classical monomials are standard monomials.  Reduction
-emits its irreducible terms straight into that series' term map, and
-sums and scalar multiples of normal forms are normal forms.
+An element is a normal-form series: AlgebraElement is a NovikovSeries
+at the ring's truncation, with a ring slot, whose classical monomials
+are standard monomials.  Reduction emits its irreducible terms straight
+into an element's term map.  Sums, negatives and scalar multiples of
+normal forms are normal forms, so an element takes the series operators
+as they are; only the product and the coercion of an operand that is
+not an element of the ring (which reduces it) are its own.
 
 A product goes through the ring's structure constants (its
 multiplication maps) and never rewrites.  The product table maps a pair
@@ -70,7 +73,6 @@ from typing import Dict, List, Tuple
 
 from .core import (
     ONE,
-    Arithmetic,
     InternalError,
     Mono,
     MonomialOrder,
@@ -125,37 +127,30 @@ class Presentation:
         return [self.relation_at(j, trunc) for j in range(len(self.relation_terms))]
 
 
-class AlgebraElement(Arithmetic):
-    """Element of a PresentedAlgebra, held as its normal-form series.
+class AlgebraElement(NovikovSeries):
+    """Element of a PresentedAlgebra: a normal-form series with a ring slot.
 
-    nf is a NovikovSeries at the ring's truncation whose classical
-    monomials are all standard monomials, so it is the element's unique
-    representative.  Elements share their series: nothing mutates one.
-    coords is the derived view basis index -> q-polynomial coefficient.
+    A NovikovSeries at the ring's truncation whose classical monomials
+    are all standard monomials, so it is the element's unique
+    representative.  The constructor checks the keys, not that the terms
+    are a normal form.  Nothing mutates an element.  coords is the
+    derived view basis index -> q-polynomial coefficient.
     """
 
-    __slots__ = ("ring", "nf")
+    __slots__ = ("ring",)
+    _space_slots = ("vars", "main_vars", "q_vars", "trunc", "ring")
 
-    def __init__(self, ring: "PresentedAlgebra", nf: NovikovSeries):
+    def __init__(self, ring: "PresentedAlgebra", terms: Dict[Mono, Fraction]):
         self.ring = ring
-        self.nf = nf
+        super().__init__(ring.gens, ring.q_vars, ring.trunc, terms)
 
     @property
     def coords(self) -> Dict[int, QPoly]:
         index, k = self.ring._basis_index, len(self.ring.gens)
         out: Dict[int, QPoly] = {}
-        for m, c in self.nf.terms.items():
+        for m, c in self.terms.items():
             out.setdefault(index[m[:k]], {})[m[k:]] = c
         return out
-
-    def is_zero(self) -> bool:
-        return self.nf.is_zero()
-
-    def as_series(self) -> NovikovSeries:
-        return self.nf
-
-    def classical_part(self) -> Polynomial:
-        return self.nf.classical_part()
 
     def _coerce(self, other):
         if isinstance(other, AlgebraElement):
@@ -170,18 +165,6 @@ class AlgebraElement(Arithmetic):
     def _one(self) -> "AlgebraElement":
         return self.ring.one()
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return AlgebraElement(self.ring, self.nf + other.nf)
-
-    def __neg__(self):
-        return AlgebraElement(self.ring, -self.nf)
-
-    def scale(self, c) -> "AlgebraElement":
-        return AlgebraElement(self.ring, self.nf.scale(c))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -192,8 +175,8 @@ class AlgebraElement(Arithmetic):
         trunc, k = ring.trunc, len(ring.gens)
         order = ring._default[1]
         terms: Dict[int, Coeff] = {}  # packed key -> numerator over Da*Db
-        Da, left = _int_groups(self.nf.terms, k)
-        Db, right = _int_groups(other.nf.terms, k)
+        Da, left = _int_groups(self.terms, k)
+        Db, right = _int_groups(other.terms, k)
         # a q-monomial as the linear part of its packed key, so that
         # packed(m + qe) + linear(qm) is the packed key of m + qe + qm
         qcols = order.cols[k:]
@@ -225,17 +208,7 @@ class AlgebraElement(Arithmetic):
                         key = pe + qm
                         terms[key] = terms.get(key, 0) + c * ce
         D, unpack = Da * Db, order.unpack
-        return AlgebraElement(ring, self.nf._trusted(
-            {unpack(key): Fraction(num, D) for key, num in terms.items() if num}))
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.nf == other.nf
-
-    def render(self) -> str:
-        return self.nf.render()
+        return self._trusted({unpack(key): Fraction(num, D) for key, num in terms.items() if num})
 
     def __repr__(self):
         return "AlgebraElement(%s)" % self.render()
@@ -324,13 +297,13 @@ class PresentedAlgebra:
     def constant(self, c) -> AlgebraElement:
         if self.gens.zero_mono() not in self._basis_index:  # unit ideal
             return self.zero()
-        return AlgebraElement(self, NovikovSeries.const(self.gens, self.q_vars, self.trunc, c))
+        return AlgebraElement(self, {self.gens.zero_mono() + self.q_vars.zero_mono(): c})
 
     def one(self) -> AlgebraElement:
         return self.constant(1)
 
     def zero(self) -> AlgebraElement:
-        return AlgebraElement(self, NovikovSeries.zero(self.gens, self.q_vars, self.trunc))
+        return AlgebraElement(self, {})
 
     def generator(self, name: str) -> AlgebraElement:
         return self.reduce(Polynomial.var(self.gens, name))
@@ -339,6 +312,9 @@ class PresentedAlgebra:
         return self.reduce(NovikovSeries.q_gen(self.gens, self.q_vars, self.trunc, name))
 
     def series(self, x) -> NovikovSeries:
+        if isinstance(x, AlgebraElement):  # before NovikovSeries: an element is one
+            self._same_ring(x.ring)
+            return x
         if isinstance(x, NovikovSeries):
             if x.main_vars != self.gens or x.q_vars != self.q_vars:
                 raise ValueError("series over wrong variable sets")
@@ -352,9 +328,6 @@ class PresentedAlgebra:
             return NovikovSeries.from_polynomial(x, self.q_vars, self.trunc)
         if isinstance(x, (int, Fraction)):
             return NovikovSeries.const(self.gens, self.q_vars, self.trunc, x)
-        if isinstance(x, AlgebraElement):
-            self._same_ring(x.ring)
-            return x.as_series()
         raise TypeError("cannot interpret %r as a ring element" % (x,))
 
     def _same_ring(self, other: "PresentedAlgebra"):
@@ -403,14 +376,12 @@ class PresentedAlgebra:
         if isinstance(x, AlgebraElement) and strategy == "default":
             return x
         # the normal form's keys come from checked input or checked rows
-        return AlgebraElement(self, series._trusted(self._reduce_terms(series.terms, strategy)))
+        return self.zero()._trusted(self._reduce_terms(series.terms, strategy))
 
     # matrices and tables
 
     def basis_element(self, i: int) -> AlgebraElement:
-        key = self.basis_monos[i] + self.q_vars.zero_mono()
-        zero = NovikovSeries.zero(self.gens, self.q_vars, self.trunc)
-        return AlgebraElement(self, zero._trusted({key: ONE}))
+        return self.zero()._trusted({self.basis_monos[i] + self.q_vars.zero_mono(): ONE})
 
     def mult_matrix(self, a: AlgebraElement) -> List[List[Polynomial]]:
         """M[i][j] = coefficient of basis i in a * basis j, over q_vars."""

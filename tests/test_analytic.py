@@ -14,9 +14,9 @@ from qchar.analytic import (
     eval_deg2_static,
     quantum_todd_factor,
     quantum_todd_pn,
-    series_coeffs,
 )
 from qchar.catalog import ring
+from qchar.core import NovikovSeries
 
 F = Fraction
 
@@ -25,22 +25,23 @@ F = Fraction
 
 
 def test_exp_neg_coeffs():
-    assert series_coeffs("exp_neg", 2) == [1, -1, F(1, 2)]
-    assert series_coeffs("exp_neg", 5)[5] == F(-1, 120)
+    assert UnivariateSeries("exp_neg").coeffs(2) == [1, -1, F(1, 2)]
+    assert UnivariateSeries("exp_neg").coeffs(5)[5] == F(-1, 120)
 
 
 def test_one_minus_exp_over_x_coeffs():
-    assert series_coeffs("one_minus_exp_over_x", 3) == [1, F(-1, 2), F(1, 6), F(-1, 24)]
+    assert UnivariateSeries("one_minus_exp_over_x").coeffs(3) == [1, F(-1, 2), F(1, 6), F(-1, 24)]
 
 
 def test_x_over_one_minus_exp_coeffs():
-    assert series_coeffs("x_over_one_minus_exp", 4) == [1, F(1, 2), F(1, 12), 0, F(-1, 720)]
+    assert UnivariateSeries("x_over_one_minus_exp").coeffs(4) == [
+        1, F(1, 2), F(1, 12), 0, F(-1, 720)]
 
 
 def test_inverse_pair_product_is_one():
     N = 12
-    a = series_coeffs("one_minus_exp_over_x", N)
-    b = series_coeffs("x_over_one_minus_exp", N)
+    a = UnivariateSeries("one_minus_exp_over_x").coeffs(N)
+    b = UnivariateSeries("x_over_one_minus_exp").coeffs(N)
     for k in range(N + 1):
         conv = sum(a[i] * b[k - i] for i in range(k + 1))
         assert conv == (1 if k == 0 else 0)
@@ -50,7 +51,7 @@ def test_no_adjacent_zero_coeffs_in_named_tags():
     # zero coefficients of the named series are isolated, so dropping the
     # old stop after a run of zero coefficients changed no sum
     for tag in ("exp_neg", "one_minus_exp_over_x", "x_over_one_minus_exp"):
-        c = series_coeffs(tag, 20)
+        c = UnivariateSeries(tag).coeffs(20)
         for k in range(20):
             assert not (c[k] == 0 and c[k + 1] == 0)
 
@@ -60,8 +61,16 @@ def test_series_argument_validation():
         UnivariateSeries("custom")
     with pytest.raises(ValueError):
         UnivariateSeries("cosh")
-    with pytest.raises(ValueError):
-        series_coeffs("exp_neg", -1)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        UnivariateSeries("exp_neg").coeffs(-1)
+
+
+def test_negative_order_raises_instead_of_returning_nothing():
+    # an empty coefficient list would make a comparison through it vacuous
+    for s in (UnivariateSeries("exp_neg"), XOME, OMEOX.power(3)):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            s.coeffs(-1)
+        assert s.coeffs(0) == [s.coeff(0)]
 
 
 # ------------------------------------------------------------ series powers
@@ -158,7 +167,8 @@ def test_eval_rejects_truncation_mismatch():
     with pytest.raises(ValueError):
         eval_deg2(EXP_NEG, other.generator("h"), R)
     with pytest.raises(ValueError):
-        eval_deg2(EXP_NEG, other.generator("h").as_series(), R)
+        eval_deg2(EXP_NEG, NovikovSeries(other.gens, other.q_vars, other.trunc,
+                                         other.generator("h").terms), R)
 
 
 def test_eval_rejects_class_not_nilpotent_mod_novikov():

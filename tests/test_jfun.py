@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchar.catalog import ring
-from qchar.core import Polynomial, VariableSet, binomial, evaluate
+from qchar.core import NovikovSeries, Polynomial, VariableSet, binomial, evaluate
 from qchar.jfun import (
     THETA_VARS,
     _atoms_product,
     DifferenceExpression,
     HbarFraction,
     HbarPoly,
+    JSeries,
     apply_difference,
     atom_unit,
     binomial_identity_check,
@@ -25,6 +26,8 @@ from qchar.jfun import (
     lemma52_construct_and_check,
     verify_theorem56,
 )
+
+from qchar.quotient import Presentation, PresentedAlgebra
 
 F = Fraction
 
@@ -78,6 +81,18 @@ def test_shift_below_hbar_zero_raises():
     with pytest.raises(ValueError, match="hbar power"):
         DifferenceExpression().add_term(1, -1, (0, 0),
                                         Polynomial.const(THETA_VARS, 1))
+
+
+def test_difference_needs_the_xy_generators():
+    # x and y are read as generators named x and y, as atom_unit reads them,
+    # so a q-free ring over other generators is refused, not misread
+    uv, none = VariableSet(["u", "v"]), VariableSet([])
+    u, v = (NovikovSeries.gen(uv, none, 0, g) for g in ("u", "v"))
+    R = PresentedAlgebra(Presentation("test-uv", uv, none,
+                                      [("ru", u ** 2), ("rv", v ** 2)]), 0)
+    J = JSeries(R, 0, {(0, 0): HbarFraction.one(R)})
+    with pytest.raises(ValueError, match="polynomial over wrong variable set"):
+        apply_difference(hypersurface_operator(1, 3, 3), J)
 
 
 @pytest.mark.parametrize("level", [-1, -2])
@@ -279,6 +294,15 @@ def test_geometric_series_expansion():
         assert s[k] == x ** k
 
 
+def test_series_refuses_a_negative_order():
+    # an empty expansion would make an equality check through it vacuous
+    R = _kring()
+    f = HbarFraction(HbarPoly.one(R), {("L1", 1): 1})
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        f.series(-1)
+    assert f.series(0) == [R.one()]
+
+
 def test_atoms_are_non_zero_divisors():
     R = _kring()
     rng = random.Random(3)
@@ -389,7 +413,7 @@ def test_first_operator_hand_expansion_at_01():
     R = J.context
     xy = R.generator("x") * R.generator("y")
     theta_m = HbarPoly.atom(R, "L2", 1) ** m
-    lhs = J.coeff(0, 1).mul_poly(theta_m)
+    lhs = J.coeff(0, 1) * HbarFraction(theta_m)
     lhs = lhs - HbarFraction.one(R)
     lhs = lhs + HbarFraction(_hbar_poly(R, [R.zero(), xy]))
     assert lhs.is_zero()
@@ -456,7 +480,7 @@ def _frozen_apply_difference(expr, J):
                           "t2": HbarPoly.atom(R, "L2", p2)}
                 mult = evaluate(term.theta_poly.terms, THETA_VARS.names, values,
                                 HbarPoly.one(R))
-                acc = acc + src.mul_poly(mult.shift(term.hbar_power)).scale(term.coeff)
+                acc = acc + (src * HbarFraction(mult.shift(term.hbar_power))).scale(term.coeff)
             out[(d1, d2)] = acc
     return out
 
