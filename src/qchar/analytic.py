@@ -150,18 +150,6 @@ def eval_deg2(f: UnivariateSeries, alpha, ring: PresentedAlgebra) -> AlgebraElem
     return acc
 
 
-def eval_deg2_static(f: UnivariateSeries, alpha, ring: PresentedAlgebra,
-                     power_bound: int) -> AlgebraElement:
-    """Same sum with a fixed power cutoff; cross-check for the dynamic rule."""
-    a = _linear_class(ring, alpha)
-    acc = ring.one().scale(f.coeff(0))
-    power = ring.one()
-    for k in range(1, power_bound + 1):
-        power = power * a
-        acc = acc + power.scale(f.coeff(k))
-    return acc
-
-
 def quantum_todd_pn(n: int, trunc: int) -> AlgebraElement:
     """(h/(1-e^{-h}))^{*(n+1)} in the quantum cohomology of P^n."""
     from .catalog import ring as make

@@ -19,12 +19,11 @@ coefficients at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .core import NovikovSeries, Polynomial, VariableSet
 from .quotient import Presentation, PresentedAlgebra
-from .report import Check
+from .report import Check, Record
 
 FAMILIES = ("qh_pn", "qk_pn", "qh_fl", "qk_fl", "k_milnor", "qk_milnor",
             "qh_milnor", "k_pnxpm")
@@ -33,38 +32,37 @@ _NEEDS_M = {"k_milnor", "qk_milnor", "qh_milnor", "k_pnxpm"}
 _CLASSICAL = {"k_milnor", "k_pnxpm"}
 
 
-@dataclass(frozen=True)
-class RingId:
-    family: str
-    n: int
-    m: Optional[int] = None
-    trunc: int = 0
+class RingId(Record):
+    """A catalog ring's parameters, checked here; the key of the ring cache."""
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError("unknown ring family %r" % self.family)
-        if self.family in _NEEDS_M:
-            if self.m is None:
-                raise ValueError("%s needs both n and m" % self.family)
-        elif self.m is not None:
-            raise ValueError("%s takes no m parameter" % self.family)
-        if self.family in ("qh_pn", "qk_pn"):
-            if self.n < 1:
+    __slots__ = ("family", "n", "m", "trunc")
+
+    def __init__(self, family: str, n: int, m: Optional[int] = None, trunc: int = 0):
+        if family not in FAMILIES:
+            raise ValueError("unknown ring family %r" % family)
+        if family in _NEEDS_M:
+            if m is None:
+                raise ValueError("%s needs both n and m" % family)
+        elif m is not None:
+            raise ValueError("%s takes no m parameter" % family)
+        if family in ("qh_pn", "qk_pn"):
+            if n < 1:
                 raise ValueError("projective space needs n >= 1")
-        elif self.family in ("qh_fl", "qk_fl"):
-            if self.n < 3:
+        elif family in ("qh_fl", "qk_fl"):
+            if n < 3:
                 raise ValueError("flag family needs n >= 3")
-        elif self.family in ("k_milnor", "qk_milnor", "qh_milnor"):
-            if not (self.n >= self.m >= 3):
+        elif family in ("k_milnor", "qk_milnor", "qh_milnor"):
+            if not (n >= m >= 3):
                 raise ValueError("hypersurface families need n >= m >= 3"
                                  " (m = 2 is excluded)")
         else:  # k_pnxpm
-            if self.n < 1 or self.m < 1:
+            if n < 1 or m < 1:
                 raise ValueError("product family needs n, m >= 1")
-        if self.trunc < 0:
+        if trunc < 0:
             raise ValueError("truncation order must be nonnegative")
-        if self.family in _CLASSICAL and self.trunc != 0:
-            raise ValueError("%s is classical; truncation must be 0" % self.family)
+        if family in _CLASSICAL and trunc != 0:
+            raise ValueError("%s is classical; truncation must be 0" % family)
+        self._set(family, n, m, trunc)
 
     def label(self) -> str:
         if self.m is None:

@@ -20,7 +20,6 @@ no other part of a source ring, so it builds none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -38,14 +37,19 @@ _SOURCE_FAMILY = {"pn": "qk_pn", "fl": "qk_fl", "milnor": "qk_milnor"}
 _TARGET_FAMILY = {"pn": "qh_pn", "fl": "qh_fl", "milnor": "qh_milnor"}
 
 
-@dataclass
 class QuantumChernMap:
-    space: str
-    source: RingId
-    target: PresentedAlgebra
-    gen_images: Dict[str, AlgebraElement]
-    novikov_images: Dict[str, AlgebraElement]
-    trunc: int
+    """The images of a source ring's generators and Novikov variables in
+    the target ring, at truncation order trunc."""
+
+    def __init__(self, space: str, source: RingId, target: PresentedAlgebra,
+                 gen_images: Dict[str, AlgebraElement],
+                 novikov_images: Dict[str, AlgebraElement], trunc: int):
+        self.space = space
+        self.source = source
+        self.target = target
+        self.gen_images = gen_images
+        self.novikov_images = novikov_images
+        self.trunc = trunc
 
     @cached_property
     def source_presentation(self) -> Presentation:

@@ -67,7 +67,6 @@ operand over another variable set.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -110,18 +109,20 @@ class _Budget:
             raise StepCapExceeded(self.cap, self.steps)
 
 
-@dataclass
 class GroebnerData:
     """Reduced monic basis plus cofactors over the original relations.
 
     `cofactors` is empty when the basis was built without tracking.
     """
 
-    vars: VariableSet
-    basis: List[Polynomial]
-    cofactors: List[List[Polynomial]]  # basis[i] == sum_j cofactors[i][j]*relations[j]
-    relations: List[Polynomial]
-    steps: int = 0
+    def __init__(self, vars: VariableSet, basis: List[Polynomial],
+                 cofactors: List[List[Polynomial]], relations: List[Polynomial],
+                 steps: int = 0):
+        self.vars = vars
+        self.basis = basis
+        self.cofactors = cofactors  # basis[i] == sum_j cofactors[i][j]*relations[j]
+        self.relations = relations
+        self.steps = steps
 
     def leading_monomials(self) -> List[Mono]:
         return [row[0] for row in self.lead_rows]

@@ -32,7 +32,6 @@ adds the numerators and expands no atom.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -77,6 +76,10 @@ class HbarPoly(Polynomial):
     def lift(cls, element: AlgebraElement, level: int = 0) -> "HbarPoly":
         """element*hbar^level."""
         return cls(element.ring, {m + (level,): c for m, c in element.terms.items()})
+
+    @classmethod
+    def zero(cls, ring_: PresentedAlgebra) -> "HbarPoly":
+        return cls(ring_, {})
 
     @classmethod
     def one(cls, ring_: PresentedAlgebra) -> "HbarPoly":
@@ -206,7 +209,7 @@ class HbarFraction(Arithmetic):
 
     @classmethod
     def zero(cls, ring_: PresentedAlgebra) -> "HbarFraction":
-        return cls(HbarPoly(ring_, {}))
+        return cls(HbarPoly.zero(ring_))
 
     def is_zero(self) -> bool:
         return self.numer.is_zero()
@@ -293,11 +296,16 @@ class HbarFraction(Arithmetic):
 # ------------------------------------------------------------ the J-series
 
 
-@dataclass
 class JSeries:
-    context: PresentedAlgebra
-    max_deg: int
-    coeffs: Dict[Tuple[int, int], HbarFraction]
+    """The coefficients of Q1^d1*Q2^d2 for d1 + d2 <= max_deg, over `context`."""
+
+    __slots__ = ("context", "max_deg", "coeffs")
+
+    def __init__(self, context: PresentedAlgebra, max_deg: int,
+                 coeffs: Dict[Tuple[int, int], HbarFraction]):
+        self.context = context
+        self.max_deg = max_deg
+        self.coeffs = coeffs
 
     def coeff(self, d1: int, d2: int) -> HbarFraction:
         """Coefficient of Q1^d1*Q2^d2; only degrees up to max_deg were computed."""
@@ -360,33 +368,40 @@ def j_product(n: int, m: int, max_deg: int) -> JSeries:
 THETA_VARS = VariableSet(["t1", "t2"])
 
 
-@dataclass
 class DifferenceTerm:
-    coeff: Fraction
-    hbar_power: int
-    q_shift: Tuple[int, int]
-    theta_poly: Polynomial  # in t1, t2; t_k acts as 1 - u_k*hbar^{d_k}
+    """coeff * hbar^hbar_power * Q1^s1*Q2^s2 * theta_poly, with (s1, s2) =
+    q_shift and theta_poly in t1, t2; t_k acts as 1 - u_k*hbar^{d_k}."""
 
-    def __post_init__(self):
+    __slots__ = ("coeff", "hbar_power", "q_shift", "theta_poly")
+
+    def __init__(self, coeff: Fraction, hbar_power: int, q_shift: Tuple[int, int],
+                 theta_poly: Polynomial):
         # the theta polynomial is read by slot: slot k must be t_k
-        if not isinstance(self.theta_poly, Polynomial) or self.theta_poly.vars != THETA_VARS:
+        if not isinstance(theta_poly, Polynomial) or theta_poly.vars != THETA_VARS:
             raise ValueError("theta polynomial must be over %r, got %r"
-                             % (THETA_VARS, getattr(self.theta_poly, "vars", self.theta_poly)))
-        if not _is_nonnegative_int(self.hbar_power):
-            raise ValueError("hbar power must be an int >= 0, got %r" % (self.hbar_power,))
-        shift = self.q_shift
-        if not (isinstance(shift, tuple) and len(shift) == 2
-                and all(map(_is_nonnegative_int, shift))):
-            raise ValueError("Novikov shift must be two ints >= 0, got %r" % (shift,))
+                             % (THETA_VARS, getattr(theta_poly, "vars", theta_poly)))
+        if not _is_nonnegative_int(hbar_power):
+            raise ValueError("hbar power must be an int >= 0, got %r" % (hbar_power,))
+        if not (isinstance(q_shift, tuple) and len(q_shift) == 2
+                and all(map(_is_nonnegative_int, q_shift))):
+            raise ValueError("Novikov shift must be two ints >= 0, got %r" % (q_shift,))
+        self.coeff = coeff
+        self.hbar_power = hbar_power
+        self.q_shift = q_shift
+        self.theta_poly = theta_poly
 
 
 def _is_nonnegative_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-@dataclass
 class DifferenceExpression:
-    terms: List[DifferenceTerm] = field(default_factory=list)
+    """A sum of DifferenceTerms, built with add_term."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Optional[List[DifferenceTerm]] = None):
+        self.terms = [] if terms is None else terms
 
     def add_term(self, coeff, hbar_power: int, q_shift: Tuple[int, int],
                  theta_poly: Polynomial) -> "DifferenceExpression":
@@ -418,7 +433,7 @@ class _Substitution:
     """
 
     def __init__(self, ring_: PresentedAlgebra):
-        self.zero = HbarPoly(ring_, {})  # refuses a ring with Novikov variables
+        self.zero = HbarPoly.zero(ring_)  # refuses a ring with Novikov variables
         self.ring = ring_
         self._nf: Dict[Tuple[int, int], Dict[Mono, Fraction]] = {}
         self._atoms: Dict[frozenset, Polynomial] = {}

@@ -127,6 +127,12 @@ class Presentation:
         return [self.relation_at(j, trunc) for j in range(len(self.relation_terms))]
 
 
+def _built_by_ring(name: str, use: str) -> classmethod:
+    def refuse(cls, *args, **kwargs):
+        raise TypeError("AlgebraElement.%s cannot build an element; use %s" % (name, use))
+    return classmethod(refuse)
+
+
 class AlgebraElement(NovikovSeries):
     """Element of a PresentedAlgebra: a normal-form series with a ring slot.
 
@@ -143,6 +149,12 @@ class AlgebraElement(NovikovSeries):
     def __init__(self, ring: "PresentedAlgebra", terms: Dict[Mono, Fraction]):
         self.ring = ring
         super().__init__(ring.gens, ring.q_vars, ring.trunc, terms)
+
+    # NovikovSeries's constructors take no ring: the ring builds its elements
+    zero = _built_by_ring("zero", "ring.zero()")
+    const = _built_by_ring("const", "ring.constant(c)")
+    gen = var = q_gen = _built_by_ring("gen", "ring.generator(name) or ring.q_element(name)")
+    from_polynomial = _built_by_ring("from_polynomial", "ring.reduce(p)")
 
     @property
     def coords(self) -> Dict[int, QPoly]:

@@ -11,7 +11,6 @@ with the same flags produce identical bytes except for "wall_time_ms".
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from . import __version__
@@ -23,17 +22,54 @@ SCHEMA = "qchar-cert/1"
 _STATUSES = ("pass", "fail", "skipped")
 
 
-@dataclass(frozen=True)
-class Check:
+class Record:
+    """An immutable value whose fields are its class's __slots__.
+
+    A subclass's __init__ sets them once, in slot order, through _set.
+    Equality (same class only), hash and repr read them in that order,
+    so a record is a cache key and prints as Name(field=value, ...).
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % item for item in zip(self.__slots__, self._values())))
+
+    def __reduce__(self):  # copy and pickle rebuild a record through __init__
+        return type(self), self._values()
+
+
+class Check(Record):
     """One certified fact: pass, fail or skipped, with a readable detail."""
 
-    name: str
-    status: str
-    detail: str
+    __slots__ = ("name", "status", "detail")
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
+    def __init__(self, name: str, status: str, detail: str):
+        if status not in _STATUSES:
             raise ValueError("status must be one of %s" % (_STATUSES,))
+        self._set(name, status, detail)
 
     @classmethod
     def verdict(cls, name: str, ok: bool, detail: str) -> "Check":
@@ -58,7 +94,8 @@ def make_certificate(command: str, params: Dict, truncation,
         "command": command,
         "params": params,
         "truncation": truncation,
-        "checks": [asdict(c) for c in checks],
+        "checks": [{"name": c.name, "status": c.status, "detail": c.detail}
+                   for c in checks],
         "wall_time_ms": wall_time_ms,
     }
     if extra:

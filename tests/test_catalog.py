@@ -1,9 +1,13 @@
 """Catalog tests: frozen relation renders, dimensions, power laws."""
 
+import copy
+import pickle
+
 import pytest
 
 from qchar.catalog import (
     FAMILIES,
+    _RING_CACHE,
     RingId,
     fl_specialization_check,
     make_presentation,
@@ -24,24 +28,41 @@ def test_ring_id_validation():
     RingId("qh_fl", 3, trunc=4)
     RingId("qk_milnor", 4, 3, trunc=2)
     RingId("k_pnxpm", 1, 1)
-    with pytest.raises(ValueError):
-        RingId("qh_pn", 0)
-    with pytest.raises(ValueError):
-        RingId("qh_fl", 2)
-    with pytest.raises(ValueError):
-        RingId("qk_milnor", 3, 2)  # m = 2 is excluded
-    with pytest.raises(ValueError):
-        RingId("qk_milnor", 3, 4)  # needs n >= m
-    with pytest.raises(ValueError):
-        RingId("k_milnor", 4, 3, trunc=1)  # classical: no Novikov variables
-    with pytest.raises(ValueError):
-        RingId("qh_pn", 2, 2)  # no m parameter
-    with pytest.raises(ValueError):
-        RingId("k_milnor", 4)  # m required
-    with pytest.raises(ValueError):
-        RingId("no_such_family", 1)
-    with pytest.raises(ValueError):
-        RingId("qh_pn", 1, trunc=-1)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("qh_pn", 0), {}, "projective space needs n >= 1"),
+    (("qh_fl", 2), {}, "flag family needs n >= 3"),
+    (("qk_milnor", 3, 2), {}, "hypersurface families need n >= m >= 3 (m = 2 is excluded)"),
+    (("qk_milnor", 3, 4), {}, "hypersurface families need n >= m >= 3 (m = 2 is excluded)"),
+    (("k_milnor", 4, 3), {"trunc": 1}, "k_milnor is classical; truncation must be 0"),
+    (("qh_pn", 2, 2), {}, "qh_pn takes no m parameter"),
+    (("k_milnor", 4), {}, "k_milnor needs both n and m"),
+    (("k_pnxpm", 0, 1), {}, "product family needs n, m >= 1"),
+    (("no_such_family", 1), {}, "unknown ring family 'no_such_family'"),
+    (("qh_pn", 1), {"trunc": -1}, "truncation order must be nonnegative"),
+])
+def test_ring_id_rejects_bad_parameters(args, kwargs, message):
+    with pytest.raises(ValueError) as err:
+        RingId(*args, **kwargs)
+    assert str(err.value) == message
+
+
+def test_ring_id_is_an_immutable_value():
+    rid = RingId("qh_fl", 3)
+    assert repr(rid) == "RingId(family='qh_fl', n=3, m=None, trunc=0)"
+    assert repr(RingId("qk_milnor", 4, 3, trunc=2)) == \
+        "RingId(family='qk_milnor', n=4, m=3, trunc=2)"
+    assert rid == RingId("qh_fl", 3, None, 0) and hash(rid) == hash(RingId("qh_fl", 3))
+    assert rid != RingId("qh_fl", 3, trunc=1)
+    assert rid != ("qh_fl", 3, None, 0)  # a record, not a tuple
+    assert len({rid, RingId("qh_fl", 3), RingId("qh_fl", 4)}) == 2
+    for attempt in (lambda: setattr(rid, "trunc", 5), lambda: delattr(rid, "n"),
+                    lambda: setattr(rid, "other", 1)):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert (rid.family, rid.n, rid.m, rid.trunc) == ("qh_fl", 3, None, 0)
+    assert copy.deepcopy(rid) == pickle.loads(pickle.dumps(rid)) == rid
 
 
 def test_labels():
@@ -55,6 +76,9 @@ def test_ring_cache():
     assert a is b
     c = make_ring(RingId("qh_pn", 2, trunc=2))
     assert c is not a
+    # an equal RingId built apart is the same cache key
+    assert _RING_CACHE[RingId("qh_pn", 2, None, 1)] is a
+    assert ring("qh_pn", 2, trunc=1) is a
 
 
 # ---------------------------------------------------------- frozen relations

@@ -2,9 +2,14 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qchar
 from qchar import cli
 from qchar.cli import main
 
@@ -13,6 +18,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # every job imports qchar.cli first; dataclasses would pull in inspect,
+    # ast, dis and tokenize, a fixed cost on every job.  A fresh
+    # interpreter, so no test has imported them already.
+    code = ("import sys; before = set(sys.modules); import qchar.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(qchar.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.split()
+    assert "qchar.cli" in out
+    assert "dataclasses" not in out
+    assert "inspect" not in out
 
 
 def test_ring_mul_projective_line(capsys):

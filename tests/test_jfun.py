@@ -106,6 +106,9 @@ def test_hbar_poly_generic_constructors_and_repr():
     R = _kring()
     x = R.generator("x")
     assert HbarPoly.const(R, 3) == _hbar_poly(R, [R.constant(3)])
+    zero = HbarPoly.zero(R)
+    assert type(zero) is HbarPoly and zero.ring is R and zero.is_zero()
+    assert zero == _hbar_poly(R, [])
     assert HbarPoly.var(R, "x") == _hbar_poly(R, [x])
     assert HbarPoly.var(R, "x", 2) == _hbar_poly(R, [x * x])
     assert HbarPoly.var(R, "hbar", 2) == _hbar_poly(R, [R.zero(), R.zero(), R.one()])
@@ -561,21 +564,32 @@ def test_theorem56_product_count(monkeypatch):
 def test_theta_polynomial_over_other_variables_raises(names):
     # slot k is read as t_k, so t1 over ["t2", "t1"] would act as the L2 atom
     theta = Polynomial.var(VariableSet(names), names[0])
-    with pytest.raises(ValueError, match="theta polynomial"):
+    with pytest.raises(ValueError) as err:
         DifferenceExpression().add_term(1, 0, (0, 0), theta)
+    assert str(err.value) == "theta polynomial must be over %r, got %r" % (THETA_VARS, theta.vars)
 
 
 @pytest.mark.parametrize("shift", [(-1, 0), (0, -2), (F(1, 2), 0), (1.0, 0), (1,), (0, 0, 0)])
 def test_bad_novikov_shift_raises(shift):
     # a negative shift would read coefficients above max_deg as zero
-    with pytest.raises(ValueError, match="Novikov shift"):
+    with pytest.raises(ValueError) as err:
         DifferenceExpression().add_term(1, 0, shift, Polynomial.const(THETA_VARS, 1))
+    assert str(err.value) == "Novikov shift must be two ints >= 0, got %r" % (shift,)
 
 
 @pytest.mark.parametrize("power", [-1, F(1, 2), 1.0])
 def test_bad_hbar_power_raises(power):
-    with pytest.raises(ValueError, match="hbar power"):
+    with pytest.raises(ValueError) as err:
         DifferenceExpression().add_term(1, power, (0, 0), Polynomial.const(THETA_VARS, 1))
+    assert str(err.value) == "hbar power must be an int >= 0, got %r" % (power,)
+
+
+def test_each_difference_expression_has_its_own_terms():
+    a, b = DifferenceExpression(), DifferenceExpression()
+    a.add_term(1, 0, (0, 0), Polynomial.const(THETA_VARS, 1))
+    assert len(a.terms) == 1
+    assert b.terms == [] and DifferenceExpression().terms == []
+    assert a.terms is not b.terms
 
 
 def test_negative_atom_multiplicity_raises():

@@ -68,6 +68,23 @@ def two_var_ring(trunc):
     return PresentedAlgebra(pres, trunc)
 
 
+@pytest.mark.parametrize("name, args, use", [
+    ("zero", (X, Q, 1), "ring.zero()"),
+    ("const", (X, Q, 1, 2), "ring.constant(c)"),
+    ("gen", (X, Q, 1, "x"), "ring.generator(name) or ring.q_element(name)"),
+    ("var", (X, Q, 1, "x"), "ring.generator(name) or ring.q_element(name)"),
+    ("q_gen", (X, Q, 1, "Q"), "ring.generator(name) or ring.q_element(name)"),
+    ("from_polynomial", (Polynomial.var(X, "x"), Q, 1), "ring.reduce(p)"),
+])
+def test_series_constructors_on_an_element_name_the_ring_constructor(name, args, use):
+    # an element needs its ring, which NovikovSeries's constructors do not take
+    with pytest.raises(TypeError) as err:
+        getattr(AlgebraElement, name)(*args)
+    assert str(err.value) == "AlgebraElement.%s cannot build an element; use %s" % (
+        "gen" if name in ("var", "q_gen") else name, use)
+    assert getattr(NovikovSeries, name)(*args).trunc == 1  # the series' own still build
+
+
 def test_dual_class_square_frozen():
     ring = qk_line(2)
     x = ring.generator("x")

@@ -1,6 +1,8 @@
 """Certificate envelope and table serialization."""
 
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -9,11 +11,28 @@ from qchar.catalog import ring
 
 
 def test_check_validates_status():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         report.Check("x", "maybe", "")
+    assert str(err.value) == "status must be one of ('pass', 'fail', 'skipped')"
     assert report.Check.verdict("a", True, "ok") == report.Check("a", "pass", "ok")
     assert report.Check.verdict("a", False, "").status == "fail"
     assert not report.Check("b", "skipped", "").passed
+
+
+def test_check_is_an_immutable_value():
+    check = report.Check("a", "pass", "0")
+    assert repr(check) == "Check(name='a', status='pass', detail='0')"
+    assert check == report.Check("a", "pass", "0")
+    assert hash(check) == hash(report.Check("a", "pass", "0"))
+    assert check != report.Check("a", "fail", "0")
+    assert check != ("a", "pass", "0")  # a record, not a tuple
+    assert len({check, report.Check("a", "pass", "0"), report.Check("b", "pass", "0")}) == 2
+    for attempt in (lambda: setattr(check, "status", "fail"), lambda: delattr(check, "detail"),
+                    lambda: setattr(check, "other", 1)):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert (check.name, check.status, check.detail) == ("a", "pass", "0")
+    assert copy.copy(check) == pickle.loads(pickle.dumps(check)) == check
 
 
 def test_skipped_does_not_fail():
