@@ -33,7 +33,8 @@ Inside the loop a monomial is one int, its packed key under a
 core.MonomialOrder: integer comparison is the order, and a monomial
 times a quotient is an int sum.  A reducer row is packed once, when it
 is built (_lead_row): per generator in Buchberger, per basis in
-GroebnerData.lead_rows, per ring and strategy in the quotient rings.
+GroebnerData.lead_rows, per divisor in divider, per ring and strategy in
+the quotient rings.
 It carries its leading monomial's packed key and every other term m as
 (pack(m) - pack(lm), qdeg(m) - qdeg(lm), c), so rewriting a popped
 monomial P adds pack(m) - pack(lm) to P and compares the q-degree
@@ -70,7 +71,7 @@ import heapq
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .core import (
     ZERO,
@@ -340,20 +341,31 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
     return {mono: c for mono, c in out.values() if c}
 
 
+def divider(d: Polynomial) -> Callable[[Polynomial], Tuple[Polynomial, Polynomial]]:
+    """p -> divide(p, d), with d's reducer row built once for every p."""
+    if d.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    _check_operands(d.vars, d)
+    lm, lc = d.leading()
+    inv = 1 / lc
+    rows = [_lead_row(lm, d.scale(inv).terms.items(), 0)]
+
+    def divide_by_d(p: Polynomial) -> Tuple[Polynomial, Polynomial]:
+        _check_operands(d.vars, p)
+        usage: Dict[int, Dict[Mono, Fraction]] = {}
+        rem = _reduce(p.terms, rows, usage=usage)
+        return Polynomial(p.vars, usage.get(0, {})).scale(inv), Polynomial(p.vars, rem)
+
+    return divide_by_d
+
+
 def divide(p: Polynomial, d: Polynomial) -> Tuple[Polynomial, Polynomial]:
     """(quotient, remainder) with p == quotient * d + remainder.
 
     The remainder is the full normal form of p against d alone, so it is
     zero exactly when d divides p.
     """
-    if d.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    _check_operands(d.vars, p, d)
-    lm, lc = d.leading()
-    inv = 1 / lc
-    usage: Dict[int, Dict[Mono, Fraction]] = {}
-    rem = _reduce(p.terms, [_lead_row(lm, d.scale(inv).terms.items(), 0)], usage=usage)
-    return Polynomial(p.vars, usage.get(0, {})).scale(inv), Polynomial(p.vars, rem)
+    return divider(d)(p)
 
 
 def _apply_usage(row: List[Polynomial], usage: Dict[int, Dict[Mono, Fraction]],

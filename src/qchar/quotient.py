@@ -88,7 +88,7 @@ from .groebner import (
     GroebnerData,
     _lead_row,
     _reduce,
-    divide,
+    divider,
     exact_coeff,
     groebner,
     is_zero_dimensional,
@@ -477,7 +477,8 @@ def det_bareiss(entries: List[List[Polynomial]]) -> Polynomial:
     because the entries live in an integral domain; truncate afterwards.
     A remainder would break that invariant and raises InternalError.
     A zero multiplier M[i][k] leaves the numerator M[i][j]*M[k][k], and
-    a zero numerator is stored without a division.
+    a zero numerator is stored without a division.  Each pivot step
+    builds its divisor's reducer row once (groebner.divider).
     """
     n = len(entries)
     if n == 0:
@@ -493,7 +494,7 @@ def det_bareiss(entries: List[List[Polynomial]]) -> Polynomial:
                 return Polynomial.zero(vars)
             M[k], M[swap] = M[swap], M[k]
             sign = -sign
-        pivot, top = M[k][k], M[k]
+        pivot, top, by_prev = M[k][k], M[k], divider(prev)
         for i in range(k + 1, n):
             row, mult = M[i], M[i][k]
             for j in range(k + 1, n):
@@ -501,7 +502,7 @@ def det_bareiss(entries: List[List[Polynomial]]) -> Polynomial:
                 if mult.terms and top[j].terms:
                     num = num - mult * top[j]
                 if num.terms:
-                    num, rem = divide(num, prev)
+                    num, rem = by_prev(num)
                     if rem.terms:
                         raise InternalError("inexact Bareiss division by %s" % prev.render())
                 row[j] = num

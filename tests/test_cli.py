@@ -34,6 +34,35 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     assert "inspect" not in out
 
 
+def test_main_freezes_the_import_heap_once_per_process():
+    # main, not the import, moves the import heap into the permanent
+    # generation, and only at its first call: a reference cycle dropped
+    # between two calls is still collected afterwards.
+    code = """
+import contextlib, gc, io, weakref
+import qchar.cli
+assert gc.get_freeze_count() == 0
+argv = ["identity", "binomial", "--max-n", "2"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert qchar.cli.main(argv) == 0
+assert gc.get_freeze_count() > 0
+gc.disable()
+class Node:
+    pass
+cycle = Node()
+cycle.self = cycle
+dropped = weakref.ref(cycle)
+del cycle
+with contextlib.redirect_stdout(io.StringIO()):
+    assert qchar.cli.main(argv) == 0
+assert dropped() is not None
+gc.collect()
+assert dropped() is None
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(qchar.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
 def test_ring_mul_projective_line(capsys):
     code, out, _ = run(capsys, "ring", "mul", "--family", "qk_pn", "--n", "1",
                        "--trunc", "2", "--lhs", "x", "--rhs", "x")

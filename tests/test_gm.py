@@ -116,9 +116,9 @@ def test_det_bareiss_raises_internal_error_on_a_remainder(monkeypatch):
     entries = [[q, one], [one, q]]
     assert quotient.det_bareiss(entries) == q * q - one
 
-    def leaves_a_remainder(p, d):
-        return p, one
+    def leaves_a_remainder(d):
+        return lambda p: (p, one)
 
-    monkeypatch.setattr(quotient, "divide", leaves_a_remainder)
+    monkeypatch.setattr(quotient, "divider", leaves_a_remainder)
     with pytest.raises(InternalError, match="inexact Bareiss division"):
         quotient.det_bareiss(entries)

@@ -10,12 +10,15 @@ Regenerate the fixtures, after a deliberate format change only, with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import qchar
 from qchar.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,6 +56,24 @@ def test_golden_certificate(name, capsys, tmp_path):
     assert code == expected_code
     assert stdout == (GOLDEN / ("%s.stdout" % name)).read_text()
     assert cert == (GOLDEN / ("%s.json" % name)).read_text()
+
+
+def test_certificate_needs_no_collection(tmp_path):
+    # main freezes the import heap, so a frozen object is never finalized
+    # by a collection: the certificate must be closed and flushed without
+    # one, and development mode turns an unclosed file into an error.
+    name = "jfun_verify_33"
+    argv, expected_code = CASES[name]
+    out_path = tmp_path / "cert.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(qchar.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "qchar.cli"]
+        + argv + ["--out", str(out_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == expected_code
+    assert done.stderr == ""
+    assert done.stdout == (GOLDEN / ("%s.stdout" % name)).read_text()
+    assert masked(out_path.read_text()) == (GOLDEN / ("%s.json" % name)).read_text()
 
 
 if __name__ == "__main__":

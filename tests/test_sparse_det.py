@@ -101,17 +101,21 @@ def _random_sparse(rng, n):
 
 def test_random_sparse_matrices_match_the_dense_routines(monkeypatch):
     divisions, dense_divisions = [], []
-    exact, dense_divide = quotient.divide, divide
+    exact, dense_divide = quotient.divider, divide
 
-    def counting(num, den):
-        divisions.append(num)
-        return exact(num, den)
+    def counting(den):
+        by_den = exact(den)
+
+        def count(num):
+            divisions.append(num)
+            return by_den(num)
+        return count
 
     def dense_counting(num, den):
         dense_divisions.append(num)
         return dense_divide(num, den)
 
-    monkeypatch.setattr(quotient, "divide", counting)
+    monkeypatch.setattr(quotient, "divider", counting)
     monkeypatch.setitem(globals(), "divide", dense_counting)
     rng = random.Random(16)
     zero_dets = swaps = zero_multipliers = 0
