@@ -120,6 +120,8 @@ class MonomialOrder:
                           for j in range(n))
         self.C = sum(self.OFF << s for s in shifts)
         self._maxw = max((abs(w) for row in self.rows for w in row), default=1)
+        self.low = (1 << self.WIDTH * n) - 1  # the n exponent fields
+        self.guard = self.C & self.low  # the top bit of each: see groebner
         # P ^ C holds each field as a signed big-endian short
         self._fields = struct.Struct(">%dh" % len(fields)).unpack
         self._nbytes = 2 * len(fields)

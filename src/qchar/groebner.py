@@ -19,9 +19,10 @@ newer one properly divides.  Cofactor rows are not unique and the
 quotient rings build their rules from them, so with cofactors both take
 every generator, oldest first, which gives the rows of the plain
 chain-criterion Buchberger (the oracle of tests/test_masks.py).  Pairs
-are taken smallest lcm first (the normal strategy); each pair's lcm is
-computed once, at push, and its S-polynomial is summed from the two
-generators' packed rows and enters _reduce packed.
+are taken smallest lcm first (the normal strategy).  The update computes
+on exponent ints (below), taking new lcms in ascending int order, and
+unpacks and packs only the lcms of the pairs it pushes; a pair's
+S-polynomial is summed from the two generators' packed rows.
 
 _reduce is the one normal-form loop of the package.  It serves the
 S-polynomial and tail reductions of Buchberger, divide and normal_form
@@ -40,29 +41,34 @@ It carries its leading monomial's packed key and every other term m as
 monomial P adds pack(m) - pack(lm) to P and compares the q-degree
 difference with the room the cap leaves.  The coefficient c is an int
 wherever it is integral and a Fraction otherwise, so the loop computes
-in int wherever the data allow.  Every key stays a tuple of
-exponents at the boundary: a monomial is unpacked once, when it is first
-popped, and the result and usage come out as tuples.  The packing never
-wraps: _reduce bounds the total degree any call can reach before it
-starts (a grevlex rewrite never raises it; a quotient rewrite raises it
-only through a row term of positive q-degree, at most trunc times, each
-time by at most the rows' excess) and raises ValueError if the order's
-fields cannot hold that degree.
+in int wherever the data allow.  Every key stays a tuple of exponents at
+the boundary: a monomial is unpacked only when it is found irreducible
+or a cap needs its q-degree, and the result and usage come out as
+tuples.  The packing never wraps: _reduce bounds the total degree any
+call can reach before it starts (a grevlex rewrite never raises it; a
+quotient rewrite raises it only through a row term of positive q-degree,
+at most trunc times, each time by at most the rows' excess) and raises
+ValueError if the order's fields cannot hold that degree.
 
-Divisibility tests go through masks first.  A monomial's mask is an int
-holding a thermometer code of seven bits per variable: bit 7*i + t is
-set when e_i > t.  If a divides b, every bit of mask(a) is in mask(b),
-so a divisor scan skips a candidate when mask(a) & ~mask(b) is nonzero
-and calls mono_divides only on the candidates that pass; an exponent
-above 7 only makes the mask coarser.  Reducer rows carry the mask of
-their leading monomial, and Buchberger keeps one per leading monomial.
-mask(lcm(a, b)) is mask(a) | mask(b), which prefilters the pair
-criteria's divisibility tests, and a and b are coprime exactly when
-their masks share no bit.  The masks assume nonnegative exponents:
-groebner, divide and normal_form work in the polynomial ring and raise
-ValueError on a negative exponent (a Laurent element must have its
-denominators cleared first, as mirror.MembershipContext does) and on an
-operand over another variable set.
+Divisibility is exact int arithmetic on the exponent fields of the
+packing.  The n trailing 16-bit fields of a packed key P_b hold b's
+exponents as e + 2^15, and a reducer row carries E_a, a's exponents in
+the same fields without the offset (the exponent int of a).  Field by
+field, P_b - E_a holds b_i - a_i + 2^15, which stays inside the field
+while every exponent is below 2^15; so no field borrows from the next,
+and a divides b exactly when (P_b - E_a) & H == H, where H
+(MonomialOrder.guard) holds the top bit of every exponent field.  The
+same borrow gives lcms: (E_a + H - E_b) & H marks the fields where
+a_i >= b_i, and lcm(a, b) takes those fields from E_a and the rest from
+E_b.  a and b are coprime exactly when E_lcm == E_a + E_b, a field-wise
+sum below 2^16.  A proper divisor of an exponent int is a smaller int.
+Every exponent is below 2^15 because order.check, which _lead_row and
+every _reduce call run, keeps every total degree below it.  The test
+assumes nonnegative exponents: groebner, divide and normal_form work in
+the polynomial ring and raise ValueError on a negative exponent (a
+Laurent element must have its denominators cleared first, as
+mirror.MembershipContext does) and on an operand over another variable
+set.
 """
 
 from __future__ import annotations
@@ -135,23 +141,15 @@ class GroebnerData:
                 for i, g in enumerate(self.basis)]
 
 
-def lcm_mono(a: Mono, b: Mono) -> Mono:
-    return tuple(map(max, a, b))
+def _lcm(a: int, b: int, guard: int, top: int = MonomialOrder.WIDTH - 1) -> int:
+    """The lcm of two exponent ints, given their fields' guard bits (module
+    docstring); `top`, a constant, is the guard bit's place in a field."""
+    ge = (a + guard - b) & guard  # the guard bit of each field where a's exponent >= b's
+    return b ^ ((a ^ b) & (ge - (ge >> top)))
 
 
-_THERMO = [(1 << t) - 1 for t in range(8)]  # the low t bits set
-
-
-def mono_mask(mono: Mono) -> int:
-    """The divisibility mask of a nonnegative monomial: bit 7*i + t is set when e_i > t."""
-    mask = 0
-    for e in reversed(mono):
-        mask = (mask << 7) | _THERMO[e if e < 7 else 7]
-    return mask
-
-
-# one monic reducer: (leading monomial lm, term items, reducer id, mask of
-# lm, packing, packed lm, rel, excess).  packing is (order, k): rel lists
+# one monic reducer: (leading monomial lm, term items, reducer id, exponent
+# int of lm, packing, packed lm, rel, excess).  packing is (order, k): rel lists
 # the terms m != lm as (pack(m) - pack(lm), qdeg(m) - qdeg(lm), c) under
 # that order, with qdeg summing the exponents from slot k on, and excess is
 # the most a term with qdeg(m) > qdeg(lm) adds to the total degree.  A
@@ -195,7 +193,7 @@ def _lead_row(lm: Mono, items: Iterable[Tuple[Mono, Coeff]], gid: int,
         if rise > excess:
             excess = rise
         rel.append((order.pack(m) - plm, dq, c))
-    return (lm, items, gid, mono_mask(lm), (order, k), plm, rel, excess)
+    return (lm, items, gid, (plm - order.C) & order.low, (order, k), plm, rel, excess)
 
 
 def _check_operands(vars: VariableSet, *polys: Polynomial) -> None:
@@ -224,10 +222,10 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
     `rows` are _lead_row tuples packed under `order` (descending grevlex
     by default) with the cap's k (the number of variables without a cap).
     A term is rewritten by the first row whose leading monomial divides
-    it.  The scan for that row unpacks the term and computes its mask
-    once, and calls mono_divides only on the rows whose mask lies inside
-    it (see the module docstring), so the mask never changes which row is
-    found; exponents must be nonnegative.
+    it.  The scan for that row tests each row's exponent int against the
+    term's packed key by the exact guard-bit test of the module docstring;
+    a key is unpacked only as a result key or, under a cap, for its
+    q-degree.  Exponents must be nonnegative.
 
     Inside the loop a monomial is its packed int (core.MonomialOrder).
     The working terms live in a dict keyed by it, their order in a heap of
@@ -282,7 +280,7 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
     packing = (order, qk)
     order.check(degree + trunc * excess)
 
-    pack, unpack, C = order.pack, order.unpack, order.C
+    pack, unpack, C, H = order.pack, order.unpack, order.C, order.guard
     work = ({P: c for P, c in terms.items() if c} if packed
             else {pack(m): c for m, c in terms.items() if c})
     heap = list(work)
@@ -300,16 +298,15 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
             continue
         hit = hits.get(P)
         if hit is None:
-            mono = unpack(P)
-            outside = ~mono_mask(mono)
             for row in rows:
-                if not row[3] & outside and mono_divides(row[0], mono):
+                if (P - row[3]) & H == H:
                     if row[4] != packing:
                         raise InternalError("reducer row packed for another order or cap")
-                    hit = hits[P] = (row[6], trunc - sum(mono[qk:]), row[2], P - row[5] + C)
+                    room = 0 if cap is None else trunc - sum(unpack(P)[qk:])
+                    hit = hits[P] = (row[6], room, row[2], P - row[5] + C)
                     break
             else:
-                out[P] = [mono, coeff]
+                out[P] = [unpack(P), coeff]
                 continue
         if budget is not None:
             budget.spend()
@@ -391,47 +388,46 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
     budget = _Budget(step_cap)
 
     order = grevlex_desc_order(len(vars))
+    C, H, low = order.C, order.guard, order.low
     lead_rows: List[LeadRow] = []  # one reducer row per generator
     pairs: List[Tuple[int, int, int, Mono]] = []  # heap of (-pack(lcm), i, j, lcm)
     active: List[LeadRow] = []  # generators no newer leading monomial properly divides
     pool = lead_rows if track_cofactors else active  # what pairs and reductions take
 
-    def add(g):
-        """Append the monic generator g: the Gebauer-Moeller update (module docstring)."""
-        k, lm = len(gens), g.leading()[0]
-        sev = (row := _lead_row(lm, g.terms.items(), k))[3]
-        new = sorted([(lcm_mono(r[0], lm), r[3] | sev, r[2]) for r in pool],
-                     key=lambda e: sum(e[0]))
+    def add(g, lm):
+        """Append the monic generator g led by lm: the Gebauer-Moeller update."""
+        k = len(gens)
+        E = (row := _lead_row(lm, g.terms.items(), k))[3]
+        # (lcm, pair, coprime), ascending, so a proper divisor comes first
+        new = sorted([(L := _lcm(r[3], E, H), r[2], L == r[3] + E) for r in pool])
         gens.append(g)
         lead_rows.append(row)
-        # by degree, so each lcm is tested only against earlier survivors of M
-        kept_m: List[Tuple[Mono, int]] = []
-        first: Dict[Mono, Optional[int]] = {}  # lcm -> oldest pair, None if one is coprime
-        for lcm, mask, t in new:
-            if not any(not m2 & ~mask and l2 != lcm and mono_divides(l2, lcm)
-                       for l2, m2 in kept_m):
-                kept_m.append((lcm, mask))
-                first[lcm] = None if not lead_rows[t][3] & sev else first.get(lcm, t)
-        kept = [p for p in pairs if sev & ~(lead_rows[p[1]][3] | lead_rows[p[2]][3])
-                or not mono_divides(lm, p[3]) or lcm_mono(lead_rows[p[1]][0], lm) == p[3]
-                or lcm_mono(lead_rows[p[2]][0], lm) == p[3]]
+        # the survivors of M -> the oldest pair, None if one is coprime
+        first: Dict[int, Optional[int]] = {}
+        for L, t, coprime in new:
+            if L in first or not any((L + H - l2) & H == H for l2 in first):
+                first[L] = None if coprime else first.get(L, t)
+        kept = [p for p in pairs if (-p[0] - E) & H != H
+                or _lcm(lead_rows[p[1]][3], E, H) == (Lp := (-p[0] - C) & low)
+                or _lcm(lead_rows[p[2]][3], E, H) == Lp]
         if len(kept) < len(pairs):  # criterion B dropped a pair; keys are unique
             pairs[:] = kept
             heapq.heapify(pairs)
-        for lcm, t in first.items():
+        for L, t in first.items():
             if t is not None:
-                heapq.heappush(pairs, (-order.pack(lcm), t, k, lcm))
-        active[:] = [r for r in active if sev & ~r[3] or r[0] == lm or not mono_divides(lm, r[0])]
+                m = order.unpack(C + L)
+                heapq.heappush(pairs, (-order.pack(m), t, k, m))
+        active[:] = [r for r in active if (r[5] - E) & H != H or r[3] == E]
         active.append(row)
 
     gens: List[Polynomial] = []
     rows: List[List[Polynomial]] = []
     for j, r in enumerate(rels):
         if not r.is_zero():
-            scale = Fraction(1) / r.leading()[1]
+            scale = Fraction(1) / (lead := r.leading())[1]
             rows.append([Polynomial.const(vars, scale if t == j else 0) for t in range(len(rels))]
                         if track_cofactors else [])
-            add(r.scale(scale))
+            add(r.scale(scale), lead[0])
     if not gens:
         raise ValueError("all relations are zero")
 
@@ -445,22 +441,23 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
         nf = Polynomial(vars, _reduce(spoly, pool, budget, usage, order, degree=sum(lcm)))
         if nf.is_zero():
             continue
-        scale = Fraction(1) / nf.leading()[1]
+        scale = Fraction(1) / (lead := nf.leading())[1]
         if track_cofactors:
             mi, mj = mono_div(lcm, lead_rows[i][0]), mono_div(lcm, lead_rows[j][0])
             cof = [a.mul_mono(mi) - b.mul_mono(mj) for a, b in zip(rows[i], rows[j])]
             rows.append([c.scale(scale) for c in _apply_usage(cof, usage, rows)])
         else:
             rows.append([])
-        add(nf.scale(scale))
+        add(nf.scale(scale), lead[0])
 
     # minimal set, oldest of equals kept: an input's leading monomial may be another's multiple
-    keep = [a[2] for a in active if not any(not b[3] & ~a[3] and mono_divides(b[0], a[0])
-                                            and (b[0] != a[0] or b[2] < a[2]) for b in active)]
+    keep = [a[2] for a in active if not any((a[5] - b[3]) & H == H
+                                            and (b[3] != a[3] or b[2] < a[2]) for b in active)]
 
-    # tail reduction against the other survivors gives the reduced basis
+    # tail reduction against the other survivors gives the reduced basis, in
+    # ascending grevlex of the leading monomials (distinct, and kept by it)
     reduced: List[Tuple[Polynomial, List[Polynomial]]] = []
-    for a in keep:
+    for a in sorted(keep, key=lambda a: -lead_rows[a][5]):
         others = [lead_rows[b] for b in keep if b != a]
         if others:
             usage = {} if track_cofactors else None
@@ -470,7 +467,6 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
             nf, cof = gens[a], rows[a]
         reduced.append((nf, cof))
 
-    reduced.sort(key=lambda item: grevlex_key(item[0].leading()[0]))
     basis = [g for g, _ in reduced]
     cofactors = [u for _, u in reduced] if track_cofactors else []
 

@@ -11,23 +11,39 @@ ideals (against sympy).  With cofactors it takes every generator, and
 the cofactor rows, which the quotient rings build their rules from, must
 be the frozen ones: on the same random ideals, and with the frozen steps
 on the two largest catalog rings the tests build.  The track-free
-steps and bases of the Jacobi ideal at n=3..5 are pinned.
+steps and bases of the Jacobi ideal at n=3..5 are pinned.  The update
+computes on exponent ints; frozen_mask_groebner keeps the tuple-and-mask
+update it replaced, and the live loop must pop the same pairs, (lcm, i,
+j) in the same sequence, on the Jacobi ideals at n=3 and n=4, on both
+ideal_equality_attempt ideals at n=3 and on random ideals, with and
+without cofactors.
 Two broken internal invariants must raise InternalError, which the CLI
 reports with exit 1, not as bad input.
 """
 
 import hashlib
+import heapq
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from qchar import groebner as groebner_module
 from qchar import mirror, quotient
 from qchar.catalog import ring
-from qchar.core import InternalError, MonomialOrder, Polynomial, VariableSet
-from qchar.groebner import _lead_row, _reduce, groebner
-from test_masks import _assert_same_basis, frozen_groebner
+from qchar.core import (
+    InternalError,
+    MonomialOrder,
+    Polynomial,
+    VariableSet,
+    grevlex_desc_order,
+    grevlex_key,
+    mono_div,
+    mono_divides,
+)
+from qchar.groebner import GroebnerData, _Budget, _lead_row, _reduce, groebner
+from test_masks import _assert_same_basis, frozen_apply_usage, frozen_groebner, frozen_lcm_mono
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -98,6 +114,172 @@ def test_random_ideals_match_sympy(seed):
     assert {frozenset(g.terms.items()) for g in tracked.basis} == expected
     assert [g.terms for g in untracked.basis] == [g.terms for g in tracked.basis]
     _assert_same_basis(tracked, frozen_groebner(gens))
+
+
+# ------------------------------------------------------- the pop order
+
+
+_FROZEN_THERMO = [(1 << t) - 1 for t in range(8)]  # the low t bits set
+
+
+def frozen_mono_mask(mono):
+    """The update's mask before the guard bits: bit 7*i + t is set when e_i > t."""
+    mask = 0
+    for e in reversed(mono):
+        mask = (mask << 7) | _FROZEN_THERMO[e if e < 7 else 7]
+    return mask
+
+
+def frozen_mask_groebner(relations, track_cofactors=True):
+    """groebner as it was with the tuple-and-mask update, returning the data
+    and the (lcm, i, j) of every pair popped, in order.  Each generator's mask
+    sits in `masks` (the rows' slot 3 holds the exponent int now); the rest is
+    verbatim."""
+    rels = list(relations)
+    vars = rels[0].vars
+    budget = _Budget(None)
+    pops = []
+
+    order = grevlex_desc_order(len(vars))
+    lead_rows = []
+    masks = []
+    pairs = []
+    active = []
+    pool = lead_rows if track_cofactors else active
+
+    def add(g):
+        k, lm = len(gens), g.leading()[0]
+        row = _lead_row(lm, g.terms.items(), k)
+        sev = frozen_mono_mask(lm)
+        new = sorted([(frozen_lcm_mono(r[0], lm), masks[r[2]] | sev, r[2]) for r in pool],
+                     key=lambda e: sum(e[0]))
+        gens.append(g)
+        lead_rows.append(row)
+        masks.append(sev)
+        kept_m = []
+        first = {}
+        for lcm, mask, t in new:
+            if not any(not m2 & ~mask and l2 != lcm and mono_divides(l2, lcm)
+                       for l2, m2 in kept_m):
+                kept_m.append((lcm, mask))
+                first[lcm] = None if not masks[t] & sev else first.get(lcm, t)
+        kept = [p for p in pairs if sev & ~(masks[p[1]] | masks[p[2]])
+                or not mono_divides(lm, p[3]) or frozen_lcm_mono(lead_rows[p[1]][0], lm) == p[3]
+                or frozen_lcm_mono(lead_rows[p[2]][0], lm) == p[3]]
+        if len(kept) < len(pairs):
+            pairs[:] = kept
+            heapq.heapify(pairs)
+        for lcm, t in first.items():
+            if t is not None:
+                heapq.heappush(pairs, (-order.pack(lcm), t, k, lcm))
+        active[:] = [r for r in active
+                     if sev & ~masks[r[2]] or r[0] == lm or not mono_divides(lm, r[0])]
+        active.append(row)
+
+    gens = []
+    rows = []
+    for j, r in enumerate(rels):
+        if not r.is_zero():
+            scale = Fraction(1) / r.leading()[1]
+            rows.append([Polynomial.const(vars, scale if t == j else 0) for t in range(len(rels))]
+                        if track_cofactors else [])
+            add(r.scale(scale))
+
+    while pairs:
+        negp, i, j, lcm = heapq.heappop(pairs)
+        pops.append((lcm, i, j))
+        spoly = {d - negp: c for d, _, c in lead_rows[i][6]}
+        for d, _, c in lead_rows[j][6]:
+            spoly[d - negp] = spoly.get(d - negp, 0) - c
+        usage = {} if track_cofactors else None
+        nf = Polynomial(vars, _reduce(spoly, pool, budget, usage, order, degree=sum(lcm)))
+        if nf.is_zero():
+            continue
+        scale = Fraction(1) / nf.leading()[1]
+        if track_cofactors:
+            mi, mj = mono_div(lcm, lead_rows[i][0]), mono_div(lcm, lead_rows[j][0])
+            cof = [a.mul_mono(mi) - b.mul_mono(mj) for a, b in zip(rows[i], rows[j])]
+            rows.append([c.scale(scale) for c in frozen_apply_usage(cof, usage, rows)])
+        else:
+            rows.append([])
+        add(nf.scale(scale))
+
+    keep = [a[2] for a in active
+            if not any(not masks[b[2]] & ~masks[a[2]] and mono_divides(b[0], a[0])
+                       and (b[0] != a[0] or b[2] < a[2]) for b in active)]
+
+    reduced = []
+    for a in keep:
+        others = [lead_rows[b] for b in keep if b != a]
+        if others:
+            usage = {} if track_cofactors else None
+            nf = Polynomial(vars, _reduce(gens[a].terms, others, budget, usage))
+            cof = frozen_apply_usage(rows[a], usage, rows) if track_cofactors else []
+        else:
+            nf, cof = gens[a], rows[a]
+        reduced.append((nf, cof))
+
+    reduced.sort(key=lambda item: grevlex_key(item[0].leading()[0]))
+    basis = [g for g, _ in reduced]
+    cofactors = [u for _, u in reduced] if track_cofactors else []
+    return GroebnerData(vars=vars, basis=basis, cofactors=cofactors,
+                        relations=rels, steps=budget.steps), pops
+
+
+class _PopRecorder:
+    """Stands in for heapq in the groebner module and records the pairs popped."""
+
+    heapify, heappush = staticmethod(heapq.heapify), staticmethod(heapq.heappush)
+
+    def __init__(self):
+        self.pops = []
+
+    def heappop(self, heap):
+        item = heapq.heappop(heap)
+        if type(item) is tuple:  # a pair; _reduce pops packed ints
+            negp, i, j, lcm = item
+            self.pops.append((lcm, i, j))
+        return item
+
+
+def _assert_same_pops(relations, track_cofactors, monkeypatch):
+    recorder = _PopRecorder()
+    with monkeypatch.context() as m:
+        m.setattr(groebner_module, "heapq", recorder)
+        new = groebner(relations, track_cofactors=track_cofactors)
+    old, pops = frozen_mask_groebner(relations, track_cofactors)
+    assert recorder.pops == pops
+    _assert_same_basis(new, old)
+    assert new.steps == old.steps
+    return len(pops)
+
+
+@pytest.mark.parametrize("n, popped", [(3, 59), (4, 488)])
+def test_jacobi_pops_match_the_frozen_mask_update(n, popped, monkeypatch):
+    rels = mirror.jacobi_context(n).gdata.relations
+    assert _assert_same_pops(rels, False, monkeypatch) == popped
+
+
+def test_ideal_equality_pops_match_the_frozen_mask_update(monkeypatch):
+    built = []
+
+    def recording(relations, step_cap=None, track_cofactors=True):
+        built.append((relations, track_cofactors))
+        return groebner(relations, step_cap, track_cofactors)
+
+    with monkeypatch.context() as m:
+        m.setattr(mirror, "groebner", recording)
+        assert all(c.passed for c in mirror.ideal_equality_attempt(3))
+    assert len(built) == 2
+    for relations, track_cofactors in built:
+        assert _assert_same_pops(relations, track_cofactors, monkeypatch) > 0
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("track_cofactors", [True, False])
+def test_random_ideal_pops_match_the_frozen_mask_update(seed, track_cofactors, monkeypatch):
+    _, gens = _random_ideal(seed)
+    _assert_same_pops(gens, track_cofactors, monkeypatch)
 
 
 # ------------------------------------------------------- internal invariants

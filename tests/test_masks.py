@@ -1,16 +1,19 @@
-"""Divisibility masks and the map-based monomial helpers.
+"""Guard-bit divisibility and the map-based monomial helpers.
 
 groebner._reduce, Buchberger's pair criteria and the quotient rings'
-rule rows test a mask before they call mono_divides, and the monomial
-helpers in core run over map and operator.  The copies below are the
-unmasked versions they replaced, kept verbatim apart from reading the
-frozen helpers: the same basis, cofactors, usage and normal forms must
-come out of both, on the Jacobi ideals of mirror verify, on every catalog
-presentation, on random small ideals and in the quotient rings' capped
-rewriting under both strategies.  Without cofactors the live Buchberger
-takes its pairs and reducers from its active generators only and counts
-other steps; with them it counts the frozen steps on the Jacobi and
-catalog inputs, though not on every ideal.
+rule rows test divisibility, take lcms and test coprimality by int
+arithmetic on the exponent fields of the packed keys (the guard bits of
+core.MonomialOrder), and the monomial helpers in core run over map and
+operator.  The guard-bit arithmetic must equal the frozen tuple helpers
+at every exponent a packed key holds, up to 2^15 - 1.  The copies below
+are the tuple versions the loops replaced, kept verbatim apart from
+reading the frozen helpers: the same basis, cofactors, usage and normal
+forms must come out of both, on the Jacobi ideals of mirror verify, on
+every catalog presentation, on random small ideals and in the quotient
+rings' capped rewriting under both strategies.  Without cofactors the
+live Buchberger takes its pairs and reducers from its active generators
+only and counts other steps; with them it counts the frozen steps on the
+Jacobi and catalog inputs, though not on every ideal.
 """
 
 import heapq
@@ -26,10 +29,12 @@ from hypothesis import strategies as st
 from qchar.catalog import FAMILIES, ring
 from qchar.core import (
     InternalError,
+    MonomialOrder,
     NovikovSeries,
     Polynomial,
     VariableSet,
     grevlex_desc_key,
+    grevlex_desc_order,
     grevlex_key,
     mono_div,
     mono_divides,
@@ -38,11 +43,10 @@ from qchar.core import (
 from qchar.groebner import (
     GroebnerData,
     _Budget,
+    _lcm,
     _lead_row,
     _reduce,
     groebner,
-    lcm_mono,
-    mono_mask,
 )
 from qchar.mirror import jacobi_context
 
@@ -254,66 +258,95 @@ def _assert_same_basis(new, old):
         [[u.terms for u in row] for row in old.cofactors]
 
 
-# ------------------------------------------------------- the masks
+# ------------------------------------------------------- the guard bits
 
 WIDTHS = [1, 3, 8, 9]
 EXPONENTS = list(range(10)) + [300]
+TOP = (1 << 15) - 1  # the largest exponent a packed key holds
+LARGE = EXPONENTS + [1 << 14, TOP - 1, TOP]
 
 
-def _pairs(width, count, rng):
+def exponent_int(mono):
+    """mono's exponents in the trailing 16-bit fields of a packed key, without offset."""
+    return sum(e << 16 * i for i, e in enumerate(reversed(mono)))
+
+
+def lex_order(width):
+    """Lex on `width` variables: every field of its keys is an exponent
+    field, so every exponent up to TOP packs exactly at any total degree."""
+    return MonomialOrder([[int(i == j) for i in range(width)] for j in range(width)])
+
+
+def _pairs(width, count, rng, exponents=EXPONENTS):
     """Exponent-vector pairs: every pair at width 1, else random ones, half of them a | b."""
     if width == 1:
-        return [((a,), (b,)) for a, b in product(EXPONENTS, repeat=2)]
+        return [((a,), (b,)) for a, b in product(exponents, repeat=2)]
     out = []
     for t in range(count):
-        a = tuple(rng.choice(EXPONENTS) for _ in range(width))
+        a = tuple(rng.choice(exponents) for _ in range(width))
         if t % 2:
-            b = tuple(rng.choice(EXPONENTS) for _ in range(width))
+            b = tuple(rng.choice(exponents) for _ in range(width))
         else:
-            b = tuple(min(e + rng.choice([0, 0, 1, 3, 300]), 300) for e in a)
+            b = tuple(min(e + rng.choice([0, 0, 1, 3, 300]), max(exponents)) for e in a)
         out.append((a, b))
     return out
 
 
 @pytest.mark.parametrize("width", WIDTHS)
-def test_mask_prefilter_passes_every_divisor(width):
+def test_guard_bit_divisibility_is_exact(width):
     rng = random.Random(width)
+    lex, grevlex = lex_order(width), grevlex_desc_order(width)
+    H = lex.guard
+    assert grevlex.guard == H == exponent_int((1 << 15,) * width)
     divisible = 0
-    for a, b in _pairs(width, 3000, rng):
-        passes = not mono_mask(a) & ~mono_mask(b)
-        if frozen_mono_divides(a, b):
-            divisible += 1
-            assert passes
-        if max(a) <= 7:
-            # up to exponent 7 the thermometer code is exact
-            assert passes == frozen_mono_divides(a, b)
+    for a, b in _pairs(width, 3000, rng) + _pairs(width, 3000, rng, LARGE):
+        divides = frozen_mono_divides(a, b)
+        divisible += divides
+        assert ((lex.pack(b) - exponent_int(a)) & H == H) == divides
+        if sum(b) <= TOP:  # grevlex's degree field holds it (MonomialOrder.check)
+            assert ((grevlex.pack(b) - exponent_int(a)) & H == H) == divides
+        if divides and a != b:
+            # a proper divisor is a smaller int: groebner's criterion M relies on it
+            assert exponent_int(a) < exponent_int(b)
     assert divisible >= 50
 
 
 @pytest.mark.parametrize("width", WIDTHS)
-def test_mask_coprimality_and_lcm_are_exact(width):
+def test_guard_bit_lcm_and_coprimality_are_exact(width):
     rng = random.Random(100 + width)
-    pairs = _pairs(width, 3000, rng)
+    pairs = _pairs(width, 3000, rng) + _pairs(width, 3000, rng, LARGE)
     # sparse vectors, so that coprime pairs occur at every width
     for _ in range(1000):
-        a = tuple(rng.choice([0, 0, 0, 1, 9, 300]) for _ in range(width))
-        b = tuple(rng.choice([0, 0, 0, 2, 7, 300]) for _ in range(width))
+        a = tuple(rng.choice([0, 0, 0, 0, 1, 9, 300, TOP]) for _ in range(width))
+        b = tuple(rng.choice([0, 0, 0, 0, 2, 7, 300, TOP]) for _ in range(width))
         pairs.append((a, b))
+    H = lex_order(width).guard
     coprime = 0
     for a, b in pairs:
         lcm = frozen_lcm_mono(a, b)
         is_coprime = lcm == frozen_mono_mul(a, b)
         coprime += is_coprime
-        assert (not mono_mask(a) & mono_mask(b)) == is_coprime
-        assert mono_mask(lcm) == mono_mask(a) | mono_mask(b)
+        Ea, Eb = exponent_int(a), exponent_int(b)
+        assert _lcm(Ea, Eb, H) == _lcm(Eb, Ea, H) == exponent_int(lcm)
+        assert (_lcm(Ea, Eb, H) == Ea + Eb) == is_coprime
     assert coprime >= 50
 
 
-def test_mask_layout():
-    assert mono_mask((0,)) == 0
-    assert mono_mask((1, 0)) == 0b1
-    assert mono_mask((0, 2)) == 0b11 << 7
-    assert mono_mask((7,)) == mono_mask((8,)) == mono_mask((300,)) == 0b1111111
+def test_guard_bit_identities_at_the_largest_lcm_degree():
+    # every exponent is at most TOP, so a field of E_a + E_b stays below 2^16
+    H = lex_order(2).guard
+    Ea, Eb = exponent_int((TOP, 0)), exponent_int((0, TOP))
+    assert _lcm(Ea, Eb, H) == Ea + Eb == exponent_int((TOP, TOP))  # coprime at degree 2^16 - 2
+    assert Ea + Ea == 2 * TOP << 16  # a field sum of 2^16 - 2 does not carry
+    assert _lcm(Ea, Ea, H) == Ea != Ea + Ea
+    assert _lcm(Ea + Eb, Ea, H) == Ea + Eb != 2 * Ea + Eb
+
+
+def test_rows_carry_the_exponent_int_of_their_leading_monomial():
+    R = ring("qk_milnor", 4, 3, 3)
+    assert all(E == exponent_int(lm) for lm, _, _, E, *_ in R._rows + R._alternate[0])
+    gdata = jacobi_context(3).gdata
+    assert all(E == exponent_int(lm) for lm, _, _, E, *_ in gdata.lead_rows)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -326,17 +359,9 @@ def test_map_helpers_match_frozen_generator_versions(ab):
     assert mono_mul(a, b) == frozen_mono_mul(a, b)
     assert mono_div(a, b) == frozen_mono_div(a, b)
     assert mono_divides(a, b) == frozen_mono_divides(a, b)
-    assert lcm_mono(a, b) == frozen_lcm_mono(a, b)
     assert grevlex_key(a) == frozen_grevlex_key(a)
-    for f in (mono_mul, mono_div, lcm_mono):
+    for f in (mono_mul, mono_div):
         assert type(f(a, b)) is tuple
-
-
-def test_rows_carry_the_mask_of_their_leading_monomial():
-    R = ring("qk_milnor", 4, 3, 3)
-    assert all(mask == mono_mask(lm) for lm, _, _, mask, *_ in R._rows)
-    gdata = jacobi_context(3).gdata
-    assert all(mask == mono_mask(lm) for lm, _, _, mask, *_ in gdata.lead_rows)
 
 
 # ------------------------------------------------------- frozen oracles
