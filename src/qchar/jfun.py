@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 from .catalog import milnor_f2_poly, ring
 from .core import Arithmetic, Mono, Polynomial, VariableSet, binomial, joined_vars
 from .groebner import Coeff
-from .quotient import AlgebraElement, PresentedAlgebra, _int_groups
+from .quotient import AlgebraElement, PresentedAlgebra, _int_groups, _monomial_sums
 from .report import Check
 
 # denominator multiset: (kind, level) -> multiplicity, kind one of L1, L2, L1L2
@@ -59,7 +59,8 @@ class HbarPoly(Polynomial):
 
     A Polynomial over joined_vars(ring.gens, HBAR): a key is a standard
     monomial of the ring (not checked), then the hbar exponent, which is
-    never negative.  The product multiplies through the ring's table.
+    never negative.  The product sums each product monomial's hbar
+    coefficient, then applies its table entry once.
     """
 
     __slots__ = ("ring",)
@@ -136,22 +137,20 @@ class HbarPoly(Polynomial):
             return NotImplemented
         self._check_same(other)
         ring_, k = self.ring, len(self.ring.gens)
-        terms: Dict[Mono, Coeff] = {}  # key -> numerator over Da*Db
-        Da, left = _int_groups(self.terms, k)
-        Db, right = _int_groups(other.terms, k)
-        for ma, left_h in left.items():
-            for mb, right_h in right.items():
-                coeff: Dict[int, int] = {}  # hbar coefficient of m_a * m_b
-                for _, ha, ca in left_h:
-                    for _, hb, cb in right_h:
-                        coeff[ha + hb] = coeff.get(ha + hb, 0) + ca * cb
-                entry = ring_._product_entry(ma, mb)
+        Da, left = _int_groups(self.terms, k, (1,))
+        Db, right = _int_groups(other.terms, k, (1,))
+        terms: Dict[Mono, Dict[int, Coeff]] = {}  # m -> h -> numerator over Da*Db
+        for m, coeff in _monomial_sums(left, right, float("inf")).items():
+            for _, _, me, ce, _ in ring_._entry(m) if any(coeff.values()) else ():
+                row = terms.setdefault(me, {})
                 for h, c in coeff.items():
-                    for _, _, me, ce, _ in entry:
-                        key = me + (h,)
-                        terms[key] = terms.get(key, 0) + c * ce
+                    row[h] = row.get(h, 0) + c * ce
+        # emitted in display order, as an element's product is:
+        # grevlex_desc_key(me + (h,)) is (-(deg me + h), h, me reversed)
+        out = sorted((-sum(me) - h, h, me[::-1], me, num)
+                     for me, row in terms.items() for h, num in row.items() if num)
         D = Da * Db
-        return self._trusted({key: Fraction(num, D) for key, num in terms.items() if num})
+        return self._trusted({me + (h,): Fraction(num, D) for _, h, _, me, num in out})
 
     __pow__ = Arithmetic.__pow__  # hbar is not Laurent
 

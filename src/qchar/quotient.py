@@ -37,19 +37,22 @@ as they are; only the product and the coercion of an operand that is
 not an element of the ring (which reduces it) are its own.
 
 A product goes through the ring's structure constants (its
-multiplication maps) and never rewrites.  The product table maps a pair
-of standard monomials (m_a, m_b) to the normal form of m_a*m_b, reduced
-once by _reduce when the pair is first multiplied; a ring builds
-no entry up front.  Each factor is grouped by classical monomial, and a
-pair of groups contributes its truncated q-coefficient times the pair's
-entry; entries and groups keep classical and q monomials apart, and a
-product term's key is their concatenation.  This is exact: reduction is
-linear, q-monomials are central, and no rewrite lowers q-degree, so an
-entry reduced at the ring's truncation holds every term that survives
-the q-degree cap.  An entry row also holds the key m+q packed under the
-default order, and a factor's q-monomials are packed the same way
-without the order's constant, so the product key of m+q and a q-monomial
-is one int sum, and each output key is unpacked once.  The ring checks
+multiplication maps) and never rewrites.  The product table maps a
+classical monomial m to its normal form, reduced once by _reduce when a
+product first needs it; a ring builds no entry up front.  Each factor is
+grouped by classical monomial, its q-terms sorted by q-degree, and a
+product takes two passes.  Pass one adds each pair of groups' truncated
+q-coefficient into one dict per product monomial m = m_a*m_b, and stops
+a pair's inner loop at the first right term above the cap.  Pass two
+reads the entry of each m with a nonzero coefficient once, and applies
+it up to its first term above the cap (an entry is sorted by q-degree).
+This is exact: reduction is linear, q-monomials are central, and no
+rewrite lowers q-degree, so an entry reduced at the ring's truncation
+holds every term that survives the cap.  An entry row also holds the
+key m+q packed under the default order, and a factor's q-monomials are
+packed without the order's constant, so a product key is one int sum,
+its q-degree is read off one field, and the output keys, unpacked once
+each, come out in display order by sorting the ints.  The ring checks
 when it is built that a standard monomial times a q-monomial within the
 cap fits the packed fields.
 
@@ -68,7 +71,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Dict, List, Tuple
 
 from .core import (
@@ -184,43 +187,25 @@ class AlgebraElement(NovikovSeries):
         if other is None:
             return NotImplemented
         ring = self.ring
-        trunc, k = ring.trunc, len(ring.gens)
-        order = ring._default[1]
-        terms: Dict[int, Coeff] = {}  # packed key -> numerator over Da*Db
-        Da, left = _int_groups(self.terms, k)
-        Db, right = _int_groups(other.terms, k)
+        k, order = len(ring.gens), ring._default[1]
         # a q-monomial as the linear part of its packed key, so that
         # packed(m + qe) + linear(qm) is the packed key of m + qe + qm
-        qcols = order.cols[k:]
-        right = {mb: [(sum(map(mul, qb, qcols)), db, cb) for qb, db, cb in right_q]
-                 for mb, right_q in right.items()}
-        for ma, left_q in left.items():
-            left_q = [(sum(map(mul, qa, qcols)), da, ca) for qa, da, ca in left_q]
-            for mb, right_q in right.items():
-                # truncated q-coefficient of the pair m_a * m_b
-                coeff: Dict[int, Tuple[int, int]] = {}
-                for qa, da, ca in left_q:
-                    for qb, db, cb in right_q:
-                        d = da + db
-                        if d > trunc:
-                            continue
-                        qm = qa + qb
-                        old = coeff.get(qm)
-                        coeff[qm] = (d, ca * cb if old is None else old[1] + ca * cb)
-                if not coeff:
-                    continue
-                entry = ring._product_entry(ma, mb)
-                for qm, (d, c) in coeff.items():
-                    if not c:
-                        continue
-                    room = trunc - d
-                    for de, _, _, ce, pe in entry:
-                        if de > room:
-                            break
-                        key = pe + qm
-                        terms[key] = terms.get(key, 0) + c * ce
+        Da, left = _int_groups(self.terms, k, order.cols[k:])
+        Db, right = _int_groups(other.terms, k, order.cols[k:])
+        C, s, top = ring._room
+        terms: Dict[int, Coeff] = {}  # packed key -> numerator over Da*Db
+        for m, coeff in _monomial_sums(left, right, ring.trunc).items():
+            entry = ring._entry(m) if any(coeff.values()) else ()
+            for qm, c in coeff.items():
+                room = top - ((qm + C) >> s)  # trunc - deg qm
+                for de, _, _, ce, pe in entry:
+                    if de > room:
+                        break
+                    key = pe + qm
+                    terms[key] = terms.get(key, 0) + c * ce
+        # the packed keys' int order is the display order
         D, unpack = Da * Db, order.unpack
-        return self._trusted({unpack(key): Fraction(num, D) for key, num in terms.items() if num})
+        return self._trusted({unpack(key): Fraction(terms[key], D) for key in sorted(terms)})
 
     def __repr__(self):
         return "AlgebraElement(%s)" % self.render()
@@ -232,19 +217,43 @@ def _numerators(terms: Dict[Mono, Fraction]) -> Tuple[int, Dict[Mono, int]]:
     return D, {m: c.numerator * (D // c.denominator) for m, c in terms.items()}
 
 
-def _int_groups(terms: Dict[Mono, Fraction],
-                k: int) -> Tuple[int, Dict[Mono, List[Tuple[Mono, int, int]]]]:
+def _int_groups(terms: Dict[Mono, Fraction], k: int,
+                cols: Tuple[int, ...]) -> Tuple[int, Dict[Mono, List[Tuple[int, int, int]]]]:
     """(D, groups): the int numerators over D grouped by classical monomial
-    key[:k]: m -> [(q, deg q, c*D)].
+    key[:k]: m -> [(q . cols, deg q, c*D)], sorted by q-degree.
 
-    q is the rest of the key: q exponents, or a jfun.HbarPoly's hbar exponent.
+    q is the rest of the key: q exponents, or a jfun.HbarPoly's hbar
+    exponent, and q . cols packs it as one int.
     """
     D, nums = _numerators(terms)
-    groups: Dict[Mono, List[Tuple[Mono, int, int]]] = {}
+    groups: Dict[Mono, List[Tuple[int, int, int]]] = {}
     for m, c in nums.items():
         qm = m[k:]
-        groups.setdefault(m[:k], []).append((qm, sum(qm), c))
+        groups.setdefault(m[:k], []).append((sum(map(mul, qm, cols)), sum(qm), c))
+    for group in groups.values():
+        group.sort(key=itemgetter(1))
     return D, groups
+
+
+def _monomial_sums(left, right, cap) -> Dict[Mono, Dict[int, int]]:
+    """Pass one of a product of two _int_groups: m_a*m_b -> {q_a + q_b: sum
+    of c_a*c_b} over the pairs of groups and their q-terms of degree <= cap.
+
+    Each group is sorted by q-degree, so a pair's inner loop stops at the
+    first right term above the cap.
+    """
+    sums: Dict[Mono, Dict[int, int]] = {}
+    for ma, left_q in left.items():
+        left_q = [(qa, cap - da, ca) for qa, da, ca in left_q]
+        for mb, right_q in right.items():
+            coeff = sums.setdefault(mono_mul(ma, mb), {})
+            for qa, room, ca in left_q:
+                for qb, db, cb in right_q:
+                    if db > room:
+                        break
+                    qm = qa + qb
+                    coeff[qm] = coeff.get(qm, 0) + ca * cb
+    return sums
 
 
 class PresentedAlgebra:
@@ -292,10 +301,13 @@ class PresentedAlgebra:
         self._alternate = ([_lead_row(lm, items, i, alternate, k)
                             for lm, items, i in reversed(rules)], alternate)
 
-        # (m_a, m_b) with m_a <= m_b -> normal form of m_a*m_b as
-        # [(deg q, q, m, c, packed m+q)] sorted by q-degree; see
-        # _product_entry
-        self._products: Dict[Tuple[Mono, Mono], Entry] = {}
+        # deg q of a linear q-key L is the first q field of L + C, above
+        # k + 2*nq fields: trunc - deg q = top - (L + C >> s).  With no q
+        # variables L is 0, and the room is trunc.
+        s = MonomialOrder.WIDTH * (k + 2 * nq)
+        self._room = (default.C, s, trunc + (default.C >> s))
+        # classical monomial m -> normal form of m; see _entry
+        self._products: Dict[Mono, Entry] = {}
 
     @property
     def label(self) -> str:
@@ -366,21 +378,20 @@ class PresentedAlgebra:
         nf = _reduce(nums, rows, order=order, cap=(len(self.gens), self.trunc))
         return {m: Fraction(c, D) for m, c in nf.items()}
 
-    def _product_entry(self, ma: Mono, mb: Mono) -> Entry:
-        """Normal form of the standard-monomial product ma*mb, reduced on first use.
+    def _entry(self, m: Mono) -> Entry:
+        """Normal form of the classical monomial m, reduced on first use.
 
         [(deg q, q, m, c, packed m+q)] sorted by q-degree, with c in its
         exact_coeff form and keys packed under the default order.
         """
-        pair = (ma, mb) if ma <= mb else (mb, ma)
-        entry = self._products.get(pair)
+        entry = self._products.get(m)
         if entry is None:
             k, (rows, order) = len(self.gens), self._default
-            nf = _reduce({mono_mul(ma, mb) + self.q_vars.zero_mono(): 1}, rows,
+            nf = _reduce({m + self.q_vars.zero_mono(): 1}, rows,
                          order=order, cap=(k, self.trunc))
-            entry = sorted(((sum(m[k:]), m[k:], m[:k], exact_coeff(c), order.pack(m))
-                            for m, c in nf.items()), key=lambda t: t[0])
-            self._products[pair] = entry
+            entry = sorted(((sum(t[k:]), t[k:], t[:k], exact_coeff(c), order.pack(t))
+                            for t, c in nf.items()), key=lambda t: t[0])
+            self._products[m] = entry
         return entry
 
     def reduce(self, x, strategy: str = "default") -> AlgebraElement:
@@ -409,7 +420,7 @@ class PresentedAlgebra:
         for i in range(len(monos)):
             for j in range(i, len(monos)):
                 coords: Dict[int, QPoly] = {}
-                for _, qm, mm, c, _ in self._product_entry(monos[i], monos[j]):
+                for _, qm, mm, c, _ in self._entry(mono_mul(monos[i], monos[j])):
                     coords.setdefault(index[mm], {})[qm] = Fraction(c)
                 table[(i, j)] = coords
         return table

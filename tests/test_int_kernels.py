@@ -1,13 +1,17 @@
 """The integer product kernels and rewriting against frozen Fraction copies.
 
 AlgebraElement.__mul__, HbarPoly.__mul__ and PresentedAlgebra._reduce_terms
-run on int numerators over one common denominator.  The copies below are
-the Fraction versions they replaced, kept verbatim apart from reading the
-ring's rule rows as Fractions: every factor, table entry and rule row is
-a Fraction, and nothing is scaled.  Both sides must give the same term
-maps, in the same order, with Fraction coefficients, on catalog rings,
-on rings whose rules are not integral, and on operands whose
-denominators are large and coprime.
+run on int numerators over one common denominator, and the two products
+sum each product monomial's coefficient before they read its table
+entry.  The copies below are the pair-by-pair Fraction versions they
+replaced, kept verbatim apart from reading the ring's rule rows as
+Fractions: every factor, table entry and rule row is a Fraction, and
+nothing is scaled.  Both sides must give the same term maps, with
+Fraction coefficients, on catalog rings, on rings whose rules are not
+integral, on operands whose denominators are large and coprime, and on
+operands whose q-terms sit at the truncation or straddle it.  A product
+emits its terms in display order (sorted_terms), and the rewrite in the
+frozen copy's order.
 """
 
 import math
@@ -165,6 +169,12 @@ def _assert_same(got, expected):
     assert list(got) == list(expected)  # the same emission order
 
 
+def _assert_product(product, expected):
+    assert product.terms == expected
+    assert all(type(c) is Fraction for c in product.terms.values())
+    assert list(product.terms) == [m for m, _ in product.sorted_terms()]  # display order
+
+
 # ------------------------------------------------------------------ tests
 
 
@@ -175,7 +185,7 @@ def test_element_product_matches_frozen_fraction_product(name, big, seed):
     ring = SERIES_RINGS[name]()
     rng = random.Random(seed)
     a, b = _element(ring, rng, big), _element(ring, rng, big)
-    _assert_same((a * b).terms, frozen_element_mul(a, b))
+    _assert_product(a * b, frozen_element_mul(a, b))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -185,7 +195,65 @@ def test_hbar_product_matches_frozen_fraction_product(name, big, seed):
     ring = HBAR_RINGS[name]()
     rng = random.Random(seed)
     p, r = _hbar_poly(ring, rng, big), _hbar_poly(ring, rng, big)
-    _assert_same((p * r).terms, frozen_hbar_mul(p, r))
+    _assert_product(p * r, frozen_hbar_mul(p, r))
+
+
+# ------------------------------------------------- at the q-degree cap
+
+CAP_RINGS = {
+    "qh_fl(4) trunc 3": lambda: catalog_ring("qh_fl", 4, trunc=3),
+    "qh_fl(4) trunc 0": lambda: catalog_ring("qh_fl", 4, trunc=0),
+    "rational(2)": lambda: rational_ring(2),
+    "rational(0)": lambda: rational_ring(0),
+    # no q variables: every q-key is 0 and the room is the truncation
+    "k_milnor(3,3)": lambda: catalog_ring("k_milnor", 3, 3),
+    "rational(q-free, 2)": lambda: rational_ring(2, with_q=False),
+}
+
+
+def _q_mono(rng, nq, degree):
+    q = [0] * nq
+    for _ in range(degree):
+        q[rng.randrange(nq)] += 1
+    return tuple(q)
+
+
+def _at_degrees(ring, rng, degrees, big):
+    """An element whose terms have q-degrees drawn from `degrees`."""
+    nq = len(ring.q_vars)
+    terms = {}
+    for _ in range(rng.randrange(1, 8)):
+        m = rng.choice(ring.basis_monos)
+        degree = rng.choice(degrees) if nq else 0
+        terms[m + _q_mono(rng, nq, degree)] = Fraction(rng.randrange(1, 7), rng.randrange(1, 4))
+    return AlgebraElement(ring, _coefficients(terms, rng, big))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CAP_RINGS)), at_cap=st.booleans(), big=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_element_product_at_the_cap_matches_frozen_fraction_product(name, at_cap, big, seed):
+    # every term at q-degree trunc, or terms on both sides of trunc/2, so
+    # that the pairs of q-terms straddle the cap
+    ring = CAP_RINGS[name]()
+    t = ring.trunc
+    degrees = [t] if at_cap else sorted({t // 2, max(t - 1, 0), t})
+    rng = random.Random(seed)
+    a, b = _at_degrees(ring, rng, degrees, big), _at_degrees(ring, rng, degrees, big)
+    _assert_product(a * b, frozen_element_mul(a, b))
+
+
+def test_pairs_above_the_cap_build_no_table_entry():
+    ring = rational_ring(2)  # a fresh ring: no entry yet
+    x, y = (1, 0, 0), (0, 1, 0)
+    q1, q2 = (0, 0, 1), (0, 0, 2)
+    a = AlgebraElement(ring, {mono_mul(x, q2): Fraction(1)})
+    b = AlgebraElement(ring, {mono_mul(y, q1): Fraction(2)})
+    assert (a * b).terms == {} and ring._products == {}
+    # with a q-free term the pair y*y survives, and only its entry is built
+    a = AlgebraElement(ring, {mono_mul(x, q2): Fraction(1), y: Fraction(3)})
+    assert (a * b).terms == frozen_element_mul(a, b) != {}
+    assert list(ring._products) == [(0, 2)]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -351,16 +351,22 @@ def test_ring_construction_builds_no_table_entry(monkeypatch):
     assert ring._products == {}
 
 
+def _basis_products(ring):
+    return {mono_mul(a, b) for a in ring.basis_monos for b in ring.basis_monos}
+
+
 def test_each_table_entry_is_reduced_once(monkeypatch):
     ring = two_var_ring(3)
     rng = random.Random(19)
     elements = [ring.reduce(ring.random_series(rng)) for _ in range(6)]
     calls = count_table_reductions(monkeypatch)
     first = [a * b for a in elements for b in elements]
-    # one reduction per unordered pair of standard monomials, at most
+    # one reduction per distinct product m_a*m_b of standard monomials:
+    # the table is keyed by the product, not by the pair
     assert len(calls) == len(set(calls)) == len(ring._products)
-    n = ring.classical_dim()
-    assert len(calls) <= n * (n + 1) // 2
+    qz = ring.q_vars.zero_mono()
+    assert set(calls) == {(m + qz,) for m in ring._products}
+    assert set(ring._products) <= _basis_products(ring)
     # once the entries exist, a product rewrites nothing
     del calls[:]
     assert [a * b for a in elements for b in elements] == first
@@ -368,8 +374,17 @@ def test_each_table_entry_is_reduced_once(monkeypatch):
     # the structure constants fill in only the entries still missing
     built = len(ring._products)
     ring.structure_constants()
-    assert len(ring._products) == n * (n + 1) // 2
+    assert set(ring._products) == _basis_products(ring)
     assert len(calls) == len(ring._products) - built
+
+
+def test_flag_table_has_one_entry_per_product_monomial():
+    # qh_fl n=4: 12 standard monomials, 78 unordered pairs, 35 products
+    ring = catalog_ring("qh_fl", 4, trunc=4)
+    n = ring.classical_dim()
+    table = ring.structure_constants()
+    assert len(table) == n * (n + 1) // 2 == 78
+    assert len(ring._products) == len(_basis_products(ring)) == 35
 
 
 def test_same_label_different_rings_rejected():
