@@ -175,19 +175,6 @@ def ring(family: str, n: int, m: Optional[int] = None, trunc: int = 0) -> Presen
     return make_ring(RingId(family, n, m, trunc))
 
 
-def verify_corollary_power(n: int, a: int, trunc: int) -> Check:
-    """reduce(h_a^n - q_a*(h1+h2)) in the flag ring; zero iff the power law holds."""
-    if a not in (1, 2):
-        raise ValueError("a must be 1 or 2")
-    R = ring("qh_fl", n, trunc=trunc)
-    ha = R.generator("h%d" % a)
-    qa = R.q_element("q%d" % a)
-    h1, h2 = R.generator("h1"), R.generator("h2")
-    residual = ha ** n - qa * (h1 + h2)
-    return Check.verdict("power law h%d" % a, residual.is_zero(),
-                         "h%d^%d - q%d*(h1 + h2) reduces to %s" % (a, n, a, residual.render()))
-
-
 def fl_specialization_check(n: int) -> List[Check]:
     """Flag relations must coincide termwise with the m=n hypersurface ones."""
     fl = make_presentation("qk_fl", n)

@@ -1,12 +1,13 @@
 """Exact multivariate polynomial and truncated Novikov-series arithmetic.
 
-Coefficients are arbitrary-precision rationals (fractions.Fraction) at
-every boundary: each term map a constructor or operator returns holds
-Fractions.  Inside the reduction loop and the quotient rings' product
-kernels (groebner, quotient, jfun) a reducer row or product-table entry
-holds a coefficient as a Python int wherever it is integral, a factor
-travels as ints over one common denominator, and a Fraction is built
-once per output term.  No floating point anywhere.  A monomial is a tuple of integer exponents
+Coefficients are exact: each value of a term map, reducer row or
+product-table entry is an int or a fractions.Fraction, and an int
+wherever every value it was built from is integral (exact_coeff is the
+one normaliser), so integral data stay in int arithmetic.  In the product
+kernels (groebner, quotient, jfun) a factor travels as ints over one
+common denominator, and a Fraction is built per output term only when
+that denominator is not 1.  A value is divided only through a Fraction:
+no floating point anywhere.  A monomial is a tuple of integer exponents
 indexed by an ordered variable set, with a per-variable Laurent flag
 deciding whether negative exponents are legal.  A NovikovSeries is
 polynomial in its main variables and truncated in its Novikov (q)
@@ -22,18 +23,19 @@ above trunc is dropped.  _clean_terms, the one loop that cleans a term
 map, and _product_terms, the one loop that multiplies two, take it; a
 polynomial passes (len(vars), 0), which drops nothing.  The public
 constructors, truncate and mul_mono clean their input through it; sums,
-products and scalar multiples of valid terms are valid, so they go
-through Polynomial._trusted instead, which keeps the operand's space and
-only drops zero coefficients.  The zero
-polynomial / series is the one with an empty term map.  The monomial
-order is grevlex throughout; grevlex_key (ascending), grevlex_desc_key
-(descending) and NovikovSeries._order_key, which joins the two on the
-main and q slices of a key, are the only order keys.  MonomialOrder
-states the same orders as integer weight rows and packs a monomial into
-one int that compares as the row values do; the reduction loop
-(groebner._reduce) and the quotient rings' product kernel compute on
-those ints, and keys are tuples again at their boundary.  evaluate is
-the one substitution routine, for polynomials and for ring maps alike.
+products and scalar multiples of valid terms are valid, and the code
+that builds them drops the coefficients that cancel, so they go through
+Polynomial._trusted instead, which keeps the operand's space and takes
+the term map as it is.  The zero polynomial / series is the one with an
+empty term map.  The monomial order is grevlex throughout; grevlex_key
+(ascending), grevlex_desc_key (descending) and NovikovSeries._order_key,
+which joins the two on the main and q slices of a key, are the only
+order keys.  MonomialOrder states the same orders as integer weight rows
+and packs a monomial into one int that compares as the row values do;
+the reduction loop (groebner._reduce) and the quotient rings' product
+kernel compute on those ints, and keys are tuples again at their
+boundary.  evaluate is the one substitution routine, for polynomials and
+for ring maps alike.
 """
 
 from __future__ import annotations
@@ -43,26 +45,29 @@ import math
 import struct
 from fractions import Fraction
 from operator import add, le, mul, neg, sub
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Tuple, Union
 
 Rational = Fraction
 Mono = Tuple[int, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Coeff = Union[int, Fraction]
 
 
 class InternalError(RuntimeError):
     """A construction invariant failed: a defect in qchar, not bad input."""
 
 
-def binomial(n: int, k: int) -> Fraction:
-    """Binomial coefficient as a Fraction, zero outside 0 <= k <= n."""
+def exact_coeff(c) -> Coeff:
+    """c as an int when it is integral, else as a Fraction: the one form of
+    a coefficient.  Any other number (a bool, a float) is converted exactly."""
+    c = c if type(c) is int or type(c) is Fraction else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def binomial(n: int, k: int) -> int:
+    """Binomial coefficient as an int, zero outside 0 <= k <= n."""
     if n < 0:
         raise ValueError("binomial: upper index must be nonnegative")
-    if k < 0 or k > n:
-        return ZERO
-    return Fraction(math.comb(n, k))
+    return math.comb(n, k) if k >= 0 else 0
 
 
 def grevlex_key(mono: Mono):
@@ -179,7 +184,7 @@ def power_by_squaring(base, e: int, one):
     return result
 
 
-def evaluate(terms: Dict[Mono, Fraction], names, values, one):
+def evaluate(terms: Dict[Mono, Coeff], names, values, one):
     """Sum of c * prod values[name] ** e over the terms {monomial: c}.
 
     names lists the variable of each exponent slot.  Each power is built
@@ -223,30 +228,34 @@ def mono_div(b: Mono, a: Mono) -> Mono:
     return tuple(map(sub, b, a))
 
 
-def _clean_terms(vars: VariableSet, terms, k: int, trunc: int) -> Dict[Mono, Fraction]:
-    """The nonzero terms within the cap (k, trunc), checked, as Fractions."""
-    clean: Dict[Mono, Fraction] = {}
+def _clean_terms(vars: VariableSet, terms, k: int, trunc: int) -> Dict[Mono, Coeff]:
+    """The nonzero terms within the cap (k, trunc), checked, in exact_coeff form."""
+    clean: Dict[Mono, Coeff] = {}
     for mono, coeff in terms.items():
         if coeff == 0:
             continue
         vars.check_mono(mono)
         if sum(mono[k:]) > trunc:
             continue
-        clean[mono] = coeff if type(coeff) is Fraction else Fraction(coeff)
+        clean[mono] = coeff if type(coeff) is int else exact_coeff(coeff)
     return clean
 
 
-def _product_terms(left, right, k: int, trunc: int) -> Dict[Mono, Fraction]:
-    """The product of two term maps, skipping the pairs above the cap (k, trunc)."""
+def _product_terms(left, right, k: int, trunc: int) -> Dict[Mono, Coeff]:
+    """The product of two term maps, less the pairs above the cap (k, trunc) and zeros."""
     right_terms = [(m, sum(m[k:]), c) for m, c in right.items()]
-    terms: Dict[Mono, Fraction] = {}
+    terms: Dict[Mono, Coeff] = {}
     for m1, c1 in left.items():
         room = trunc - sum(m1[k:])
         for m2, d2, c2 in right_terms:
             if d2 > room:
                 continue
             m = mono_mul(m1, m2)
-            terms[m] = terms.get(m, ZERO) + c1 * c2
+            v = terms.get(m, 0) + c1 * c2
+            if v:
+                terms[m] = v
+            else:  # c1*c2 is nonzero, so m was there
+                del terms[m]
     return terms
 
 
@@ -371,17 +380,17 @@ class Arithmetic:
 class Polynomial(Arithmetic):
     """Sparse exact multivariate (optionally Laurent) polynomial.
 
-    `terms` maps exponent vectors to nonzero Fractions.  The operators
-    that only walk that map go through _space() (what both operands must
-    share), _new(terms) (a checked element of the same space), _trusted
-    (an unchecked one) and _order_key (ascending key of display order),
-    which NovikovSeries overrides.
+    `terms` maps exponent vectors to nonzero ints and Fractions.  The
+    operators that only walk that map go through _space() (what both
+    operands must share), _new(terms) (a checked element of the same
+    space), _trusted (an unchecked one) and _order_key (ascending key of
+    display order), which NovikovSeries overrides.
     """
 
     __slots__ = ("vars", "terms")
     _space_slots = ("vars",)  # the slots _trusted copies; a subclass lists all of its own
 
-    def __init__(self, vars: VariableSet, terms: Dict[Mono, Fraction]):
+    def __init__(self, vars: VariableSet, terms: Dict[Mono, Coeff]):
         self.vars = vars
         self.terms = _clean_terms(vars, terms, len(vars), 0)
 
@@ -393,11 +402,11 @@ class Polynomial(Arithmetic):
 
     @classmethod
     def const(cls, vars: VariableSet, c) -> "Polynomial":
-        return cls(vars, {vars.zero_mono(): Fraction(c)})
+        return cls(vars, {vars.zero_mono(): c})
 
     @classmethod
     def var(cls, vars: VariableSet, name: str, power: int = 1) -> "Polynomial":
-        return cls(vars, {vars.unit_mono(name, power): ONE})
+        return cls(vars, {vars.unit_mono(name, power): 1})
 
     # predicates and accessors
 
@@ -408,8 +417,8 @@ class Polynomial(Arithmetic):
         m = max(self.terms, key=grevlex_key)
         return m, self.terms[m]
 
-    def coeff(self, mono: Mono) -> Fraction:
-        return self.terms.get(mono, ZERO)
+    def coeff(self, mono: Mono) -> Coeff:
+        return self.terms.get(mono, 0)
 
     def mul_mono(self, mono: Mono) -> "Polynomial":
         return self._new({mono_mul(m, mono): v for m, v in self.terms.items()})
@@ -422,18 +431,18 @@ class Polynomial(Arithmetic):
     def _new(self, terms) -> "Polynomial":
         return Polynomial(self.vars, terms)
 
-    def _trusted(self, terms: Dict[Mono, Fraction]) -> "Polynomial":
-        """An element of this space from Fraction terms already valid in it.
+    def _trusted(self, terms: Dict[Mono, Coeff]) -> "Polynomial":
+        """An element of this space from terms already valid in it.
 
-        Nothing is checked: the keys must fit the space (and its cap) and
-        the coefficients must be Fractions.  Only zero coefficients are
-        dropped.  Sums, products and scalar multiples of valid terms
-        satisfy that, so they are built here, not by the constructors.
+        Nothing is checked or copied: the keys must fit the space (and its
+        cap), and the coefficients must be nonzero ints or Fractions.
+        Sums, products and scalar multiples of valid terms, whose builders
+        drop what cancels, satisfy that, so they are built here.
         """
         new = object.__new__(type(self))
         for name in self._space_slots:
             setattr(new, name, getattr(self, name))
-        new.terms = {m: c for m, c in terms.items() if c}
+        new.terms = terms
         return new
 
     _order_key = staticmethod(grevlex_desc_key)
@@ -453,15 +462,20 @@ class Polynomial(Arithmetic):
         terms = dict(self.terms)
         for k, c in other.terms.items():
             old = terms.get(k)
-            terms[k] = c if old is None else old + c
+            if old is None:
+                terms[k] = c
+            elif v := old + c:
+                terms[k] = v
+            else:
+                del terms[k]
         return self._trusted(terms)
 
     def __neg__(self):
         return self._trusted({k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
-        c = Fraction(c)
-        return self._trusted({k: v * c for k, v in self.terms.items()})
+        c = exact_coeff(c)
+        return self._trusted({k: v * c for k, v in self.terms.items()} if c else {})
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -515,7 +529,7 @@ class Polynomial(Arithmetic):
             raise ValueError("only single-term polynomials are invertible")
         (m, c), = self.terms.items()
         inv_m = tuple(-x * e for x in m)
-        return Polynomial(self.vars, {inv_m: Fraction(1, 1) / (c ** e)})
+        return Polynomial(self.vars, {inv_m: Fraction(1) / (c ** e)})
 
     def __hash__(self):
         return hash((self.vars, tuple(sorted(self.terms.items()))))
@@ -559,7 +573,7 @@ class NovikovSeries(Polynomial):
     _space_slots = ("vars", "main_vars", "q_vars", "trunc")
 
     def __init__(self, main_vars: VariableSet, q_vars: VariableSet, trunc: int,
-                 terms: Dict[Mono, Fraction]):
+                 terms: Dict[Mono, Coeff]):
         if trunc < 0:
             raise ValueError("truncation order must be nonnegative")
         self.main_vars = main_vars
@@ -577,12 +591,12 @@ class NovikovSeries(Polynomial):
     @classmethod
     def const(cls, main_vars, q_vars, trunc, c):
         return cls(main_vars, q_vars, trunc,
-                   {joined_vars(main_vars, q_vars).zero_mono(): Fraction(c)})
+                   {joined_vars(main_vars, q_vars).zero_mono(): c})
 
     @classmethod
     def gen(cls, main_vars, q_vars, trunc, name):
         key = joined_vars(main_vars, q_vars).unit_mono(name)
-        return cls(main_vars, q_vars, trunc, {key: ONE})
+        return cls(main_vars, q_vars, trunc, {key: 1})
 
     q_gen = var = gen
 

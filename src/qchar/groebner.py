@@ -77,23 +77,21 @@ import heapq
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .core import (
-    ZERO,
+    Coeff,
     InternalError,
     Mono,
     MonomialOrder,
     Polynomial,
     VariableSet,
+    exact_coeff,
     grevlex_desc_order,
     grevlex_key,
     mono_div,
     mono_divides,
 )
-
-
-Coeff = Union[int, Fraction]
 
 
 class StepCapExceeded(RuntimeError):
@@ -154,15 +152,9 @@ def _lcm(a: int, b: int, guard: int, top: int = MonomialOrder.WIDTH - 1) -> int:
 # that order, with qdeg summing the exponents from slot k on, and excess is
 # the most a term with qdeg(m) > qdeg(lm) adds to the total degree.  A
 # coefficient c, in items and in rel, is an int when it is integral and a
-# Fraction otherwise (exact_coeff).
+# Fraction otherwise (core.exact_coeff).
 LeadRow = Tuple[Mono, List[Tuple[Mono, Coeff]], int, int,
                 Tuple[MonomialOrder, int], int, List[Tuple[int, int, Coeff]], int]
-
-
-def exact_coeff(c: Coeff) -> Coeff:
-    """c as an int when it is integral, else the Fraction c: the one form
-    of a reducer row's and a product-table entry's coefficients."""
-    return c.numerator if c.denominator == 1 else c
 
 
 def _lead_row(lm: Mono, items: Iterable[Tuple[Mono, Coeff]], gid: int,
@@ -329,12 +321,12 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
                 heappush(heap, P2)
         if usage is not None:
             slot = packed_usage.setdefault(gid, {})
-            slot[pquot] = slot.get(pquot, ZERO) + coeff
+            slot[pquot] = slot.get(pquot, 0) + coeff
     for gid, packed in packed_usage.items():
         slot = usage.setdefault(gid, {})
         for pquot, s in packed.items():
             quot = unpack(pquot)
-            slot[quot] = slot.get(quot, ZERO) + s
+            slot[quot] = slot.get(quot, 0) + s
     return {mono: c for mono, c in out.values() if c}
 
 
@@ -344,7 +336,7 @@ def divider(d: Polynomial) -> Callable[[Polynomial], Tuple[Polynomial, Polynomia
         raise ZeroDivisionError("division by the zero polynomial")
     _check_operands(d.vars, d)
     lm, lc = d.leading()
-    inv = 1 / lc
+    inv = Fraction(1) / lc  # never 1 / lc: an int lc would give a float
     rows = [_lead_row(lm, d.scale(inv).terms.items(), 0)]
 
     def divide_by_d(p: Polynomial) -> Tuple[Polynomial, Polynomial]:

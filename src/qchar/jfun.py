@@ -36,8 +36,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .catalog import milnor_f2_poly, ring
-from .core import Arithmetic, Mono, Polynomial, VariableSet, binomial, joined_vars
-from .groebner import Coeff
+from .core import (Arithmetic, Coeff, Mono, Polynomial, VariableSet, binomial, exact_coeff,
+                   joined_vars)
 from .quotient import AlgebraElement, PresentedAlgebra, _int_groups, _monomial_sums
 from .report import Check
 
@@ -66,7 +66,7 @@ class HbarPoly(Polynomial):
     __slots__ = ("ring",)
     _space_slots = ("vars", "ring")
 
-    def __init__(self, ring_: PresentedAlgebra, terms: Dict[Mono, Fraction]):
+    def __init__(self, ring_: PresentedAlgebra, terms: Dict[Mono, Coeff]):
         if len(ring_.q_vars):  # the product caps no q-degree
             raise ValueError("hbar polynomials need a ring without Novikov "
                              "variables, not %r" % ring_.label)
@@ -139,7 +139,7 @@ class HbarPoly(Polynomial):
         ring_, k = self.ring, len(self.ring.gens)
         Da, left = _int_groups(self.terms, k, (1,))
         Db, right = _int_groups(other.terms, k, (1,))
-        terms: Dict[Mono, Dict[int, Coeff]] = {}  # m -> h -> numerator over Da*Db
+        terms: Dict[Mono, Dict[int, int]] = {}  # m -> h -> numerator over Da*Db
         for m, coeff in _monomial_sums(left, right, float("inf")).items():
             for _, _, me, ce, _ in ring_._entry(m) if any(coeff.values()) else ():
                 row = terms.setdefault(me, {})
@@ -150,7 +150,8 @@ class HbarPoly(Polynomial):
         out = sorted((-sum(me) - h, h, me[::-1], me, num)
                      for me, row in terms.items() for h, num in row.items() if num)
         D = Da * Db
-        return self._trusted({me + (h,): Fraction(num, D) for _, h, _, me, num in out})
+        return self._trusted({me + (h,): num for _, h, _, me, num in out} if D == 1 else
+                             {me + (h,): Fraction(num, D) for _, h, _, me, num in out})
 
     __pow__ = Arithmetic.__pow__  # hbar is not Laurent
 
@@ -373,7 +374,7 @@ class DifferenceTerm:
 
     __slots__ = ("coeff", "hbar_power", "q_shift", "theta_poly")
 
-    def __init__(self, coeff: Fraction, hbar_power: int, q_shift: Tuple[int, int],
+    def __init__(self, coeff: Coeff, hbar_power: int, q_shift: Tuple[int, int],
                  theta_poly: Polynomial):
         # the theta polynomial is read by slot: slot k must be t_k
         if not isinstance(theta_poly, Polynomial) or theta_poly.vars != THETA_VARS:
@@ -404,7 +405,7 @@ class DifferenceExpression:
 
     def add_term(self, coeff, hbar_power: int, q_shift: Tuple[int, int],
                  theta_poly: Polynomial) -> "DifferenceExpression":
-        self.terms.append(DifferenceTerm(Fraction(coeff), hbar_power,
+        self.terms.append(DifferenceTerm(exact_coeff(coeff), hbar_power,
                                          q_shift, theta_poly))
         return self
 
@@ -413,9 +414,9 @@ class DifferenceExpression:
 XYH = VariableSet(["x", "y", "hbar"])
 
 
-def _in_s(theta_poly: Polynomial) -> Dict[Tuple[int, int], Fraction]:
+def _in_s(theta_poly: Polynomial) -> Dict[Tuple[int, int], Coeff]:
     """theta(1 - s1, 1 - s2) as {(a, b): coefficient of s1^a*s2^b}."""
-    out: Dict[Tuple[int, int], Fraction] = {}
+    out: Dict[Tuple[int, int], Coeff] = {}
     for (i, j), c in theta_poly.terms.items():
         for a in range(i + 1):
             ca = c * binomial(i, a) * (-1) ** a
@@ -434,21 +435,24 @@ class _Substitution:
     def __init__(self, ring_: PresentedAlgebra):
         self.zero = HbarPoly.zero(ring_)  # refuses a ring with Novikov variables
         self.ring = ring_
-        self._nf: Dict[Tuple[int, int], Dict[Mono, Fraction]] = {}
+        self._nf: Dict[Tuple[int, int], Dict[Mono, Coeff]] = {}
         self._atoms: Dict[frozenset, Polynomial] = {}
 
-    def _normal_form(self, a: int, b: int) -> Dict[Mono, Fraction]:
+    def _normal_form(self, a: int, b: int) -> Dict[Mono, Coeff]:
         nf = self._nf.get((a, b))
         if nf is None:  # the generators are XY, as atom_unit has them
             nf = self._nf[(a, b)] = self.ring.reduce(Polynomial(XY, {(a, b): 1})).terms
         return nf
 
     def __call__(self, p: Polynomial) -> HbarPoly:
-        terms: Dict[Mono, Fraction] = {}
+        terms: Dict[Mono, Coeff] = {}
         for (a, b, h), c in p.terms.items():
             for m, v in self._normal_form(a, b).items():
                 key = m + (h,)
-                terms[key] = terms.get(key, 0) + c * v
+                if s := terms.get(key, 0) + c * v:
+                    terms[key] = s
+                else:  # c*v is nonzero, so key was there
+                    del terms[key]
         return self.zero._trusted(terms)
 
     def atoms(self, atoms: Counter) -> Polynomial:
@@ -473,7 +477,7 @@ def apply_difference(expr: DifferenceExpression, J: JSeries) -> JSeries:
     out: Dict[Tuple[int, int], HbarFraction] = {}
     for d1, d2 in _degree_range(J.max_deg):
         # source degree -> the summed multipliers of its terms over x, y, hbar
-        mults: Dict[Tuple[int, int], Dict[Mono, Fraction]] = {}
+        mults: Dict[Tuple[int, int], Dict[Mono, Coeff]] = {}
         for term, s_poly in terms:
             s1, s2 = term.q_shift
             p1, p2 = d1 - s1, d2 - s2

@@ -56,14 +56,15 @@ each, come out in display order by sorting the ints.  The ring checks
 when it is built that a standard monomial times a q-monomial within the
 cap fits the packed fields.
 
-The products and the rewriting run in int.  Rule rows and table entries
-hold a coefficient as an int wherever it is integral (groebner's
-exact_coeff), and every catalog rule is monic and integral.  _int_groups
-groups a factor over D, the lcm of its denominators, so a product sums
-int numerators into one dict and builds one Fraction per output key
-over D_a*D_b.  _reduce_terms scales its input to int numerators,
-rewrites, and divides once at the end; a ring with a non-integral rule
-runs the same loops with Fraction coefficients where they are needed.
+The products and the rewriting run in int, and on integral data so do
+their results.  Rule rows and table entries hold each coefficient in
+core's exact_coeff form, and every catalog rule is monic and integral.
+_int_groups groups a factor over D, the lcm of its denominators, so a
+product sums int numerators into one dict and emits them as they are
+when D_a*D_b is 1, else as one Fraction per output key over D_a*D_b.
+_reduce_terms scales its input to int numerators, rewrites, and divides
+at the end only when D is not 1; a ring with a non-integral rule runs
+the same loops with Fraction coefficients where they are needed.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from operator import itemgetter, mul
 from typing import Dict, List, Tuple
 
 from .core import (
-    ONE,
+    Coeff,
     InternalError,
     Mono,
     MonomialOrder,
@@ -83,23 +84,22 @@ from .core import (
     Polynomial,
     VariableSet,
     _render_terms,
+    exact_coeff,
     grevlex_key,
     mono_mul,
 )
 from .groebner import (
-    Coeff,
     GroebnerData,
     _lead_row,
     _reduce,
     divider,
-    exact_coeff,
     groebner,
     is_zero_dimensional,
     standard_monomials,
 )
 from .report import Check
 
-QPoly = Dict[Mono, Fraction]  # truncated polynomial in the q variables
+QPoly = Dict[Mono, Coeff]  # truncated polynomial in the q variables
 # a product-table entry: [(deg q, q, m, c, packed m+q)], c in its
 # exact_coeff form, the keys packed under the ring's default order
 Entry = List[Tuple[int, Mono, Mono, Coeff, int]]
@@ -193,7 +193,7 @@ class AlgebraElement(NovikovSeries):
         Da, left = _int_groups(self.terms, k, order.cols[k:])
         Db, right = _int_groups(other.terms, k, order.cols[k:])
         C, s, top = ring._room
-        terms: Dict[int, Coeff] = {}  # packed key -> numerator over Da*Db
+        terms: Dict[int, int] = {}  # packed key -> numerator over Da*Db
         for m, coeff in _monomial_sums(left, right, ring.trunc).items():
             entry = ring._entry(m) if any(coeff.values()) else ()
             for qm, c in coeff.items():
@@ -205,13 +205,15 @@ class AlgebraElement(NovikovSeries):
                     terms[key] = terms.get(key, 0) + c * ce
         # the packed keys' int order is the display order
         D, unpack = Da * Db, order.unpack
-        return self._trusted({unpack(key): Fraction(terms[key], D) for key in sorted(terms)})
+        keys = sorted(key for key, c in terms.items() if c)
+        return self._trusted({unpack(key): terms[key] for key in keys} if D == 1 else
+                             {unpack(key): Fraction(terms[key], D) for key in keys})
 
     def __repr__(self):
         return "AlgebraElement(%s)" % self.render()
 
 
-def _numerators(terms: Dict[Mono, Fraction]) -> Tuple[int, Dict[Mono, int]]:
+def _numerators(terms: Dict[Mono, Coeff]) -> Tuple[int, Dict[Mono, int]]:
     """(D, {m: c*D}): the terms as int numerators over D, the lcm of their denominators."""
     D = math.lcm(*[c.denominator for c in terms.values()])
     return D, {m: c.numerator * (D // c.denominator) for m, c in terms.items()}
@@ -376,7 +378,7 @@ class PresentedAlgebra:
                              % (strategy,))
         D, nums = _numerators(terms)
         nf = _reduce(nums, rows, order=order, cap=(len(self.gens), self.trunc))
-        return {m: Fraction(c, D) for m, c in nf.items()}
+        return nf if D == 1 else {m: Fraction(c, D) for m, c in nf.items()}
 
     def _entry(self, m: Mono) -> Entry:
         """Normal form of the classical monomial m, reduced on first use.
@@ -404,7 +406,7 @@ class PresentedAlgebra:
     # matrices and tables
 
     def basis_element(self, i: int) -> AlgebraElement:
-        return self.zero()._trusted({self.basis_monos[i] + self.q_vars.zero_mono(): ONE})
+        return self.zero()._trusted({self.basis_monos[i] + self.q_vars.zero_mono(): 1})
 
     def mult_matrix(self, a: AlgebraElement) -> List[List[Polynomial]]:
         """M[i][j] = coefficient of basis i in a * basis j, over q_vars."""
@@ -421,7 +423,7 @@ class PresentedAlgebra:
             for j in range(i, len(monos)):
                 coords: Dict[int, QPoly] = {}
                 for _, qm, mm, c, _ in self._entry(mono_mul(monos[i], monos[j])):
-                    coords.setdefault(index[mm], {})[qm] = Fraction(c)
+                    coords.setdefault(index[mm], {})[qm] = c
                 table[(i, j)] = coords
         return table
 
@@ -455,7 +457,7 @@ class PresentedAlgebra:
             if coeff == 0:
                 continue
             key = mm + tuple(qm)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
+            terms[key] = terms.get(key, 0) + coeff
         return NovikovSeries(self.gens, self.q_vars, self.trunc, terms)
 
     def confluence_check(self, trials: int, seed: int) -> Check:

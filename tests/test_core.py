@@ -32,7 +32,7 @@ def test_binomial_small_table():
     assert binomial(5, 2) == 10
     assert binomial(4, 0) == 1
     assert binomial(0, 0) == 1
-    assert isinstance(binomial(5, 2), Fraction)
+    assert all(type(binomial(4, k)) is int for k in range(-1, 6))
 
 
 def test_binomial_out_of_range_is_zero():
@@ -450,6 +450,13 @@ def _frozen_series_mul(left, right, k, trunc):
 coeffs_st = st.one_of(st.integers(-3, 3), fractions_st)
 
 
+def exact_form(c):
+    """The form a constructor gives a coefficient: an int when it is
+    integral, else a Fraction.  The frozen loops above build Fractions
+    throughout; the values are compared with theirs by equality."""
+    return type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(*[st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), coeffs_st,
                          max_size=5)] * 2)
@@ -457,9 +464,10 @@ def test_laurent_polynomial_terms_match_the_frozen_loops(ta, tb):
     a, b = Polynomial(LXY, ta), Polynomial(LXY, tb)
     for p, t in ((a, ta), (b, tb)):
         assert list(p.terms.items()) == list(_frozen_poly_clean(LXY, t).items())
-        assert all(type(c) is Fraction for c in p.terms.values())
+        assert all(map(exact_form, p.terms.values()))
     expected = _frozen_poly_clean(LXY, _frozen_poly_mul(a.terms, b.terms))
     assert list((a * b).terms.items()) == list(expected.items())
+    assert all(type(c) in (int, Fraction) for c in (a * b).terms.values())
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -472,10 +480,11 @@ def test_series_terms_match_the_frozen_loops(ta, tb, trunc):
     vars = a.vars
     for s, t in ((a, ta), (b, tb)):
         assert list(s.terms.items()) == list(_frozen_series_clean(vars, 2, trunc, t).items())
-        assert all(type(c) is Fraction and sum(m[2:]) <= trunc for m, c in s.terms.items())
+        assert all(exact_form(c) and sum(m[2:]) <= trunc for m, c in s.terms.items())
     expected = _frozen_series_clean(vars, 2, trunc,
                                     _frozen_series_mul(a.terms, b.terms, 2, trunc))
     assert list((a * b).terms.items()) == list(expected.items())
+    assert all(type(c) in (int, Fraction) for c in (a * b).terms.values())
     for d in range(trunc + 1):
         assert a.truncate(d).terms == {m: c for m, c in a.terms.items() if sum(m[2:]) <= d}
 
@@ -527,5 +536,5 @@ def test_sums_and_products_skip_the_term_checks(monkeypatch):
             assert type(c) is type(a)
             assert c._space() == a._space()
             assert getattr(c, "ring", None) is getattr(a, "ring", None)
-            assert all(type(v) is Fraction and v for v in c.terms.values())
+            assert all(type(v) in (int, Fraction) and v for v in c.terms.values())
     assert calls == []

@@ -6,12 +6,14 @@ sum each product monomial's coefficient before they read its table
 entry.  The copies below are the pair-by-pair Fraction versions they
 replaced, kept verbatim apart from reading the ring's rule rows as
 Fractions: every factor, table entry and rule row is a Fraction, and
-nothing is scaled.  Both sides must give the same term maps, with
-Fraction coefficients, on catalog rings, on rings whose rules are not
-integral, on operands whose denominators are large and coprime, and on
-operands whose q-terms sit at the truncation or straddle it.  A product
-emits its terms in display order (sorted_terms), and the rewrite in the
-frozen copy's order.
+nothing is scaled.  Both sides must give equal term maps on catalog
+rings, on rings whose rules are not integral, on operands whose
+denominators are large and coprime, and on operands whose q-terms sit
+at the truncation or straddle it.  The kernels' values are compared with
+the copies' Fractions by equality, and each must be an int or a Fraction
+(test_term_values.py pins where it is an int).  A product emits its
+terms in display order (sorted_terms), and the rewrite in the frozen
+copy's order.
 """
 
 import math
@@ -165,13 +167,13 @@ def _hbar_poly(ring, rng, big):
 
 def _assert_same(got, expected):
     assert got == expected
-    assert all(type(c) is Fraction for c in got.values())
+    assert all(type(c) in (int, Fraction) for c in got.values())
     assert list(got) == list(expected)  # the same emission order
 
 
 def _assert_product(product, expected):
     assert product.terms == expected
-    assert all(type(c) is Fraction for c in product.terms.values())
+    assert all(type(c) in (int, Fraction) for c in product.terms.values())
     assert list(product.terms) == [m for m, _ in product.sorted_terms()]  # display order
 
 
