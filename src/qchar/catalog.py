@@ -19,11 +19,11 @@ coefficients at construction time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .core import NovikovSeries, Polynomial, VariableSet
 from .quotient import Presentation, PresentedAlgebra
-from .report import Check, Record
+from .report import Record
 
 FAMILIES = ("qh_pn", "qk_pn", "qh_fl", "qk_fl", "k_milnor", "qk_milnor",
             "qh_milnor", "k_pnxpm")
@@ -174,18 +174,3 @@ def make_ring(rid: RingId) -> PresentedAlgebra:
 def ring(family: str, n: int, m: Optional[int] = None, trunc: int = 0) -> PresentedAlgebra:
     return make_ring(RingId(family, n, m, trunc))
 
-
-def fl_specialization_check(n: int) -> List[Check]:
-    """Flag relations must coincide termwise with the m=n hypersurface ones."""
-    fl = make_presentation("qk_fl", n)
-    mi = make_presentation("qk_milnor", n, n)
-    if fl.gens != mi.gens or fl.q_vars != mi.q_vars:
-        return [Check("variable sets agree", "fail", "variable sets differ")]
-    checks = []
-    for name_f, terms_f, name_m, terms_m in zip(fl.relation_names, fl.relation_terms,
-                                                mi.relation_names, mi.relation_terms):
-        same = terms_f == terms_m
-        checks.append(Check.verdict("%s specialization" % name_f, same,
-                                    "%s == %s termwise" % (name_f, name_m) if same
-                                    else "%s and %s differ" % (name_f, name_m)))
-    return checks

@@ -139,8 +139,10 @@ class HbarPoly(Polynomial):
         ring_, k = self.ring, len(self.ring.gens)
         Da, left = _int_groups(self.terms, k, (1,))
         Db, right = _int_groups(other.terms, k, (1,))
+        # a cap that cuts no pair: each group is sorted by hbar degree
+        cap = sum(max((g[-1][1] for g in side.values()), default=0) for side in (left, right))
         terms: Dict[Mono, Dict[int, int]] = {}  # m -> h -> numerator over Da*Db
-        for m, coeff in _monomial_sums(left, right, float("inf")).items():
+        for m, coeff in _monomial_sums(left, right, cap).items():
             for _, _, me, ce, _ in ring_._entry(m) if any(coeff.values()) else ():
                 row = terms.setdefault(me, {})
                 for h, c in coeff.items():

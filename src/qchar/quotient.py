@@ -15,11 +15,19 @@ q-degree) measure, so reduction terminates at any truncation order.
 The default strategy orders the loop's heap by the display order (the
 largest classical monomial first, ties by lowest q-degree) and takes
 the first matching rule.  The alternate strategy takes the rows
-reversed, so the last matching rule wins, with its own order: the
-smallest classical monomial first, ties by highest q-degree.  The two
-strategies share no order or rule choice, so comparing their normal
-forms (confluence_check) is an independent check of the rules.  Each
-order is a core.MonomialOrder of two grevlex blocks, classical then q,
+reversed, so the last matching rule wins, under an order compatible
+with the measure: the lowest q-degree first, then the largest classical
+monomial.  A rewrite raises the q-degree, or keeps it and lowers the
+classical monomial, so it lands above the monomial it rewrites, and the
+loop rewrites each monomial once; under the default order a rewrite
+through a q-term can reach a monomial already popped, which is then
+rewritten again.  A pop order changes the cost of a normal form, never
+the form: with one rule per monomial, rewriting is linear and
+terminates, so a term map's normal form is the sum of its monomials'.
+Only the rule choice can change it, so comparing the two strategies'
+normal forms (confluence_check) tests the rules.  Each order is a
+core.MonomialOrder of grevlex blocks, classical then q, the alternate's
+headed by a q-degree row (without q variables the two orders coincide),
 and each strategy's rows are packed under its order once, when the ring
 is built: inside _reduce a key is one int, and a rewrite is an int sum
 plus one comparison of q-degrees against the cap.  Every rule is led by
@@ -281,11 +289,14 @@ class PresentedAlgebra:
 
         # the default strategy takes the first matching rule under the
         # display order (NovikovSeries._order_key); the alternate one the
-        # last, smallest classical monomial first and ties by highest
-        # q-degree.  Each packs its rows once, here.
+        # last, lowest q-degree first, then the largest classical monomial:
+        # every rewrite lands above its monomial there, so each monomial is
+        # rewritten once.  With one rule per monomial rewriting is linear,
+        # so no pop order moves a normal form.  Each packs its rows once, here.
         k, nq = len(self.gens), len(self.q_vars)
         default = MonomialOrder.grevlex((k, True), (nq, False))
-        alternate = MonomialOrder.grevlex((k, False), (nq, True))
+        alternate = MonomialOrder(([[0] * k + [1] * nq] if nq else [])
+                                  + list(MonomialOrder.grevlex((k, True), (nq, True)).rows))
         # a product key is a standard monomial times a q-monomial in the cap
         default.check(max(map(sum, self.basis_monos), default=0) + trunc)
 
@@ -461,7 +472,13 @@ class PresentedAlgebra:
         return NovikovSeries(self.gens, self.q_vars, self.trunc, terms)
 
     def confluence_check(self, trials: int, seed: int) -> Check:
-        """Reduce random inputs under two admissible strategies; compare."""
+        """Reduce random inputs under two admissible strategies; compare.
+
+        A disagreement comes from the rule priorities: with one rule per
+        monomial rewriting is linear, so a pop order changes a normal
+        form's cost, never the form.  The alternate order is compatible
+        with the measure, so it rewrites each monomial once.
+        """
         if trials < 1:
             raise ValueError("trials must be at least 1, got %d" % trials)
         rng = random.Random(seed)

@@ -10,7 +10,9 @@ are the tuple versions the loops replaced, kept verbatim apart from
 reading the frozen helpers: the same basis, cofactors, usage and normal
 forms must come out of both, on the Jacobi ideals of mirror verify, on
 every catalog presentation, on random small ideals and in the quotient
-rings' capped rewriting under both strategies.  Without cofactors the
+rings' capped rewriting under both strategies, where the alternate
+strategy's former pop order stays a second oracle of its normal forms.
+Without cofactors the
 live Buchberger takes its pairs and reducers from its active generators
 only and counts other steps; with them it counts the frozen steps on the
 Jacobi and catalog inputs, though not on every ideal.
@@ -78,14 +80,25 @@ def frozen_lead_row(lm, g, gid):
 
 
 def frozen_alternate_key(k):
+    """The alternate strategy's first heap key: the smallest classical
+    monomial first, ties by highest q-degree.  A rewrite can land below
+    the monomial it rewrites, so a monomial can be rewritten many times;
+    the normal forms are those of frozen_measure_key."""
     return lambda m: (grevlex_key(m[:k]), grevlex_desc_key(m[k:]))
 
 
+def frozen_measure_key(k):
+    """The alternate strategy's heap key: the lowest q-degree first, then
+    the largest classical monomial, ties by the largest q-monomial.  Every
+    rewrite lands above the monomial it rewrites."""
+    return lambda m: (sum(m[k:]), grevlex_desc_key(m[:k]), grevlex_desc_key(m[k:]))
+
+
 def frozen_strategy_key(R, strategy):
-    """The heap keys the quotient rings passed before the order object."""
+    """The heap keys the quotient rings pass as order objects."""
     if strategy == "default":
         return NovikovSeries.zero(R.gens, R.q_vars, R.trunc)._order_key
-    return frozen_alternate_key(len(R.gens))
+    return frozen_measure_key(len(R.gens))
 
 
 def frozen_reduce(terms, rows, budget=None, usage=None, key=grevlex_desc_key, cap=None):
@@ -471,3 +484,6 @@ def test_reduce_terms_matches_frozen_unmasked_reduce(which, strategy, seed):
     assert us_new == us_old
     assert b_new.steps == b_old.steps
     assert R._reduce_terms(terms, strategy) == {mono: Fraction(c) for mono, c in old.items()}
+    if strategy == "alternate":  # the order it used to pop by reaches the same form
+        assert frozen_reduce(terms, [row[:3] for row in rows],
+                             key=frozen_alternate_key(len(R.gens)), cap=cap) == new

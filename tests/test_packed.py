@@ -35,6 +35,7 @@ from qchar.mirror import jacobi_context
 from test_masks import (
     CATALOG,
     frozen_alternate_key,
+    frozen_measure_key,
     frozen_reduce,
     frozen_strategy_key,
     small_polys,
@@ -54,12 +55,26 @@ def _monos(n, rng):
     return list({tuple(rng.randrange(10) for _ in range(n)) for _ in range(3000)})
 
 
+def _measure_order(k, l):
+    """The alternate strategy's order: q-degree ascending, then descending
+    grevlex on each block."""
+    return MonomialOrder(([[0] * k + [1] * l] if l else [])
+                         + list(MonomialOrder.grevlex((k, True), (l, True)).rows))
+
+
+def _ascending_order(k, l):
+    """The alternate strategy's former order, which rewrites can run against."""
+    return MonomialOrder.grevlex((k, False), (l, True))
+
+
 def _orders(k, l):
-    """The three orders in use, packed and as the tuple keys they replace."""
+    """The orders in use, and the alternate's former one, packed and as the
+    tuple keys they replace."""
     novikov = NovikovSeries.zero(_names("x", k), _names("q", l), 0)
     return [(grevlex_desc_order(k + l), grevlex_desc_key),
             (MonomialOrder.grevlex((k, True), (l, False)), novikov._order_key),
-            (MonomialOrder.grevlex((k, False), (l, True)), frozen_alternate_key(k))]
+            (_measure_order(k, l), frozen_measure_key(k)),
+            (_ascending_order(k, l), frozen_alternate_key(k))]
 
 
 @pytest.mark.parametrize("k,l", [(k, l) for k in range(1, 5) for l in range(1, 5)])
@@ -77,7 +92,7 @@ def test_rings_pack_their_strategies_under_the_block_orders():
     k, l = len(R.gens), len(R.q_vars)
     (rows, default), (alt_rows, alternate) = R._default, R._alternate
     assert default.rows == MonomialOrder.grevlex((k, True), (l, False)).rows
-    assert alternate.rows == MonomialOrder.grevlex((k, False), (l, True)).rows
+    assert alternate.rows == _measure_order(k, l).rows
     assert [row[4] for row in rows] == [(default, k)] * len(rows)
     assert [row[4] for row in alt_rows] == [(alternate, k)] * len(rows)
     assert [row[2] for row in alt_rows] == [row[2] for row in rows][::-1]
@@ -206,6 +221,26 @@ def test_catalog_rewriting_matches_the_frozen_loop(family, n, m, strategy):
     for _ in range(5):
         terms = {mono: Fraction(c) for mono, c in _boundary_series(R, rng).items() if c}
         _assert_matches_frozen(terms, rows, order, cap, key)
+        if strategy == "alternate":  # the order it used to pop by reaches the same form
+            assert frozen_reduce(terms, [row[:3] for row in rows],
+                                 key=frozen_alternate_key(cap[0]), cap=cap) == \
+                _reduce(terms, rows, order=order, cap=cap)
+
+
+@pytest.mark.parametrize("family,n,m", CATALOG)
+def test_rewriting_against_the_measure_matches_the_frozen_loop(family, n, m):
+    # the alternate rows packed under its former order, where a rewrite can
+    # land on a monomial already popped, even on one found irreducible
+    R = ring(family, n, m, 0 if family in ("k_milnor", "k_pnxpm") else 2)
+    k = len(R.gens)
+    order, cap = _ascending_order(k, len(R.q_vars)), (k, R.trunc)
+    rows = [_lead_row(row[0], row[1], row[2], order, k) for row in R._alternate[0]]
+    rng = random.Random("%s %s %s ascending" % (family, n, m))
+    for _ in range(5):
+        terms = {mono: Fraction(c) for mono, c in _boundary_series(R, rng).items() if c}
+        _assert_matches_frozen(terms, rows, order, cap, frozen_alternate_key(k))
+        assert _reduce(terms, rows, order=order, cap=cap) == \
+            _reduce(terms, R._alternate[0], order=R._alternate[1], cap=cap)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

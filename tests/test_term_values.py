@@ -178,6 +178,18 @@ def test_hbar_values(name, integral, seed):
     assert_values(results, integral)
 
 
+def test_hbar_product_caps_its_pairs_with_an_int(monkeypatch):
+    # the largest hbar degrees of the factors add up to a cap that cuts no pair
+    caps, sums = [], quotient._monomial_sums
+    monkeypatch.setattr(jfun, "_monomial_sums",
+                        lambda left, right, cap: caps.append(cap) or sums(left, right, cap))
+    R = HBAR_RINGS["k_milnor(3,3)"]()
+    p, r = hbar_poly(R, random.Random(3), True), HbarPoly.atom(R, "L1", 2)
+    assert (p * r).terms and (p * HbarPoly(R, {})).is_zero()
+    assert caps == [max(m[-1] for m in p.terms) + 2, max(m[-1] for m in p.terms)]
+    assert all(type(cap) is int for cap in caps)
+
+
 @cases
 @given(integral=st.booleans(), milnor=st.booleans(), seed=seeds)
 def test_apply_difference_values(integral, milnor, seed):
