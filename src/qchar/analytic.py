@@ -1,10 +1,11 @@
 """Power series evaluated at degree-two classes via quantum products.
 
 A univariate Taylor series f is applied to a rational combination of the
-h-generators by summing c_k times the k-th quantum power of the class.
-The sum terminates because high powers of a nilpotent-mod-Novikov class
-pick up more Novikov degree than the truncation order keeps; a class
-that is not nilpotent mod Novikov is rejected with ValueError.
+h-generators by summing c_k times the k-th quantum power of the class
+(series_at) over the chain of those powers (powers), which several series
+at one class can share.  The chain ends because high powers of a
+nilpotent-mod-Novikov class pick up more Novikov degree than the
+truncation keeps; a class that is not nilpotent mod Novikov is rejected.
 
 A power f(alpha)^e is evaluated as the one series f**e at alpha, whose
 coefficients come from f's by J.C.P. Miller's recurrence
@@ -122,32 +123,36 @@ def _linear_class(ring: PresentedAlgebra, alpha) -> AlgebraElement:
     return ring.reduce(s)
 
 
-def eval_deg2(f: UnivariateSeries, alpha, ring: PresentedAlgebra) -> AlgebraElement:
-    """Sum c_k times the k-th quantum power of the linear class alpha.
+def powers(alpha, ring: PresentedAlgebra) -> List[AlgebraElement]:
+    """[1, alpha, alpha^2, ...]: the quantum powers of the linear class
+    alpha, each one product from the last, up to the last nonzero one.
 
-    The loop stops once the power itself reduces to zero, so alpha must
-    be nilpotent mod Novikov: with dim = classical dimension, the
-    classical part of alpha^dim vanishes exactly then (Cayley-Hamilton),
+    alpha must be nilpotent mod Novikov: with dim = classical dimension,
+    the classical part of alpha^dim vanishes exactly then (Cayley-Hamilton),
     so alpha^dim lies in the Novikov ideal and the power is zero by
-    k = dim * (ring.trunc + 1).  Otherwise the sum never terminates and
+    k = dim * (ring.trunc + 1).  Otherwise the chain never ends, and
     ValueError is raised.
     """
     a = _linear_class(ring, alpha)
-    acc = ring.one().scale(f.coeff(0))
-    power = ring.one()
-    dim = ring.classical_dim()
-    k = 0
-    while True:
-        k += 1
-        power = power * a
-        if power.is_zero():
-            break
-        if k == dim and not power.classical_part().is_zero():
+    chain, dim = [ring.one(), a], ring.classical_dim()
+    while not chain[-1].is_zero():
+        if len(chain) == dim + 1 and not chain[-1].classical_part().is_zero():
             raise ValueError("class %s is not nilpotent modulo the Novikov "
                              "variables, so the series does not terminate"
                              % a.render())
-        acc = acc + power.scale(f.coeff(k))
-    return acc
+        chain.append(chain[-1] * a)
+    return chain[:-1]
+
+
+def series_at(f: UnivariateSeries, chain: List[AlgebraElement]) -> AlgebraElement:
+    """The sum of c_k * chain[k]: f at the class of a powers chain, so
+    every series at one class shares that class's products."""
+    return sum((p.scale(f.coeff(k)) for k, p in enumerate(chain)), chain[0].scale(0))
+
+
+def eval_deg2(f: UnivariateSeries, alpha, ring: PresentedAlgebra) -> AlgebraElement:
+    """f at the linear class alpha: series_at(f, powers(alpha, ring))."""
+    return series_at(f, powers(alpha, ring))
 
 
 def quantum_todd_pn(n: int, trunc: int) -> AlgebraElement:

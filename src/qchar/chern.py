@@ -5,8 +5,10 @@ of the Novikov variables (q_a times a ratio of Todd-type factors).  A
 Todd-type factor f(h)^e is evaluated as the one series f**e at h
 (analytic.UnivariateSeries.power): evaluation at a class that is
 nilpotent in the truncated ring is a ring map, so the two are equal.
+e^{-h_a} and the factor at h_a share one chain of powers of h_a.
 
-A map is certified by substituting it into the source relations and
+A map is certified by substituting it into the source relations (by
+Horner's rule in x, the images' powers shared: core.evaluate) and
 checking that every residual reduces to the zero element, and by
 comparing its Novikov-free limit with the classical Chern character.
 The limit is computed in the q-free (trunc-0) target ring from the
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .analytic import EXP_NEG, OMEOX, XOME, eval_deg2
+from .analytic import EXP_NEG, OMEOX, XOME, eval_deg2, powers, series_at
 from .catalog import RingId, make_presentation, ring
 from .core import Mono, NovikovSeries, Polynomial, evaluate
 from .groebner import groebner, standard_monomials
@@ -77,28 +79,23 @@ def build_qch(space: str, n: int, m: Optional[int] = None,
     target = ring(_TARGET_FAMILY[space], n, m, trunc)
 
     if space == "pn":
-        h = target.generator("h")
-        gen_images = {"x": eval_deg2(EXP_NEG, h, target)}
-        inv_todd = eval_deg2(OMEOX.power(n + 1), h, target)
-        novikov_images = {"Q": target.q_element("q") * inv_todd}
+        h = powers(target.generator("h"), target)
+        gen_images = {"x": series_at(EXP_NEG, h)}
+        novikov_images = {"Q": target.q_element("q") * series_at(OMEOX.power(n + 1), h)}
     else:
-        h1, h2 = target.generator("h1"), target.generator("h2")
-        hsum = h1 + h2
-        gen_images = {"x": eval_deg2(EXP_NEG, h1, target),
-                      "y": eval_deg2(EXP_NEG, h2, target)}
-        sum_factor = eval_deg2(XOME, hsum, target)
-        exps = {"Q1": n, "Q2": n if space == "fl" else m}
-        novikov_images = {}
-        for a, qname in ((1, "Q1"), (2, "Q2")):
-            ha = target.generator("h%d" % a)
-            inv_todd = eval_deg2(OMEOX.power(exps[qname]), ha, target)
-            novikov_images[qname] = (target.q_element("q%d" % a)
-                                     * inv_todd * sum_factor)
+        chains = [powers(target.generator(g), target) for g in ("h1", "h2")]
+        gen_images = {g: series_at(EXP_NEG, chain) for g, chain in zip("xy", chains)}
+        sum_factor = eval_deg2(XOME, target.generator("h1") + target.generator("h2"), target)
+        exps = (n, n if space == "fl" else m)
+        novikov_images = {"Q%d" % a: target.q_element("q%d" % a)
+                          * series_at(OMEOX.power(e), chain) * sum_factor
+                          for a, e, chain in zip((1, 2), exps, chains)}
     return QuantumChernMap(space, source, target, gen_images, novikov_images, trunc)
 
 
-def qch_apply(qmap: QuantumChernMap, expr) -> AlgebraElement:
-    """Substitute the map's images into an expression over the source ring."""
+def qch_apply(qmap: QuantumChernMap, expr, chains: Optional[dict] = None) -> AlgebraElement:
+    """Substitute the map's images into an expression over the source ring;
+    calls given one dict as chains share the images' powers (core.evaluate)."""
     pres = qmap.source_presentation
     # a series (an element is one) is a Polynomial too, so it is told apart first
     if isinstance(expr, NovikovSeries):
@@ -109,8 +106,8 @@ def qch_apply(qmap: QuantumChernMap, expr) -> AlgebraElement:
             raise ValueError("expression over wrong generators")
     else:
         raise TypeError("cannot substitute into %r" % (expr,))
-    return evaluate(expr.terms, expr.vars.names,
-                    {**qmap.gen_images, **qmap.novikov_images}, qmap.target.one())
+    return evaluate(expr.terms, expr.vars.names, {**qmap.gen_images, **qmap.novikov_images},
+                    qmap.target.one(), chains)
 
 
 def verify_relations(qmap: QuantumChernMap) -> List[Check]:
@@ -119,9 +116,9 @@ def verify_relations(qmap: QuantumChernMap) -> List[Check]:
     One check per relation, in presentation order; the detail is the residual.
     """
     pres = qmap.source_presentation
-    out = []
+    out, chains = [], {}
     for j, name in enumerate(pres.relation_names):
-        residual = qch_apply(qmap, pres.relation_at(j, qmap.trunc))
+        residual = qch_apply(qmap, pres.relation_at(j, qmap.trunc), chains)
         out.append(Check.verdict("relation %s" % name, residual.is_zero(),
                                  residual.render()))
     return out
@@ -227,18 +224,3 @@ def solve_unique_novikov_image(n: int, trunc: int,
     # the element drops the terms above the requested truncation
     return AlgebraElement(R0, shifted), unique
 
-
-def verify_lemma_todd_simplify(n: int, trunc: int) -> List[Check]:
-    """(1 - e^{-(h1+h2)}) * image(Q_a) must equal (1 - e^{-h_a})^n, a = 1, 2."""
-    qmap = build_qch("fl", n, trunc=trunc)
-    R = qmap.target
-    hsum = R.generator("h1") + R.generator("h2")
-    front = R.one() - eval_deg2(EXP_NEG, hsum, R)
-    out = []
-    for a in (1, 2):
-        ha = R.generator("h%d" % a)
-        lhs = front * qmap.novikov_images["Q%d" % a]
-        rhs = (R.one() - eval_deg2(EXP_NEG, ha, R)) ** n
-        residual = lhs - rhs
-        out.append(Check.verdict("a=%d" % a, residual.is_zero(), residual.render()))
-    return out

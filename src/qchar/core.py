@@ -184,33 +184,46 @@ def power_by_squaring(base, e: int, one):
     return result
 
 
-def evaluate(terms: Dict[Mono, Coeff], names, values, one):
+def evaluate(terms: Dict[Mono, Coeff], names, values, one, powers=None):
     """Sum of c * prod values[name] ** e over the terms {monomial: c}.
 
-    names lists the variable of each exponent slot.  Each power is built
-    once and shared by every term, by repeated products with the value
-    (or with value ** -1 for a negative exponent, which raises unless the
-    value is a unit): a product with a sparse value costs less than
-    squaring a dense power.  `one` stands in for the empty monomial and
-    is never multiplied.  The values need *, + and scale.
+    names lists the variable of each exponent slot.  The sum runs by
+    Horner's rule in the first variable x (Knuth, TAOCP vol. 2, 4.6.4):
+    (..(r_top * x + r_top-1) * x + ..) * x + r_0, where r_a sums the terms
+    of x-degree a, costs one product per degree of x.  r_0 also takes the
+    terms of negative x-degree, whole.  Every other power is built once,
+    by repeated products with the value (or with value ** -1, which raises
+    unless the value is a unit), and kept in `powers`, which calls with the
+    same values may share.  `one` stands in for the empty monomial and is
+    never multiplied.  The values need *, + and scale.
     """
-    powers: Dict[Tuple[str, bool], list] = {}
-    out = one.scale(0)
+    powers = {} if powers is None else powers
+
+    def power(name, e):
+        chain = powers.get((name, e > 0))
+        if chain is None:
+            if name not in values:
+                raise ValueError("unbound variable %r in substitution" % name)
+            base = values[name] if e > 0 else values[name] ** -1
+            chain = powers[(name, e > 0)] = [base]
+        while len(chain) < abs(e):
+            chain.append(chain[-1] * chain[0])
+        return chain[abs(e) - 1]
+
+    def term(mono, c):
+        parts = [power(name, e) for name, e in zip(names, mono) if e]
+        return (functools.reduce(mul, parts) if parts else one).scale(c)
+
+    rows: Dict[int, list] = {}  # x-degree a -> [(term / x^a, c)]
     for mono, c in terms.items():
-        part = None
-        for name, e in zip(names, mono):
-            if not e:
-                continue
-            chain = powers.get((name, e > 0))
-            if chain is None:
-                if name not in values:
-                    raise ValueError("unbound variable %r in substitution" % name)
-                base = values[name] if e > 0 else values[name] ** -1
-                chain = powers[(name, e > 0)] = [base]
-            while len(chain) < abs(e):
-                chain.append(chain[-1] * chain[0])
-            part = chain[abs(e) - 1] if part is None else part * chain[abs(e) - 1]
-        out = out + (one if part is None else part).scale(c)
+        a = max(mono[0], 0) if mono else 0
+        rows.setdefault(a, []).append(((0,) + mono[1:] if a else mono, c))
+    out, top = one.scale(0), max(rows, default=0)
+    for a in range(top, -1, -1):
+        if a < top:
+            out = out * power(names[0], 1)
+        for mono, c in rows.get(a, []):
+            out = out + term(mono, c)
     return out
 
 

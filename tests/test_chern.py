@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qchar import chern
-from qchar.analytic import EXP_NEG, OMEOX, eval_deg2
+from qchar import analytic, chern
+from qchar.analytic import EXP_NEG, OMEOX, eval_deg2, powers
 from qchar.catalog import make_presentation, milnor_f2_poly, ring
 from qchar.chern import (
     QuantumChernMap,
@@ -15,11 +15,11 @@ from qchar.chern import (
     qch_apply,
     solve_unique_novikov_image,
     verify_classical_limit,
-    verify_lemma_todd_simplify,
     verify_relations,
 )
 from qchar.core import Polynomial
 from qchar.quotient import AlgebraElement
+from qchar.report import Check
 
 F = Fraction
 
@@ -37,6 +37,50 @@ def test_generator_image_is_exponential():
     R = qmap.target
     assert qmap.gen_images["x"] == eval_deg2(EXP_NEG, R.generator("h1"), R)
     assert qmap.gen_images["y"] == eval_deg2(EXP_NEG, R.generator("h2"), R)
+
+
+def test_each_class_chain_built_once(monkeypatch):
+    # e^{-h_a} and the Todd factor at h_a share h_a's chain of powers, so
+    # build_qch builds one chain per generator class and one for h1 + h2
+    seen = []
+
+    def recording(alpha, R):
+        seen.append(alpha.render())
+        return powers(alpha, R)
+
+    monkeypatch.setattr(chern, "powers", recording)
+    monkeypatch.setattr(analytic, "powers", recording)
+    for space, n, m, want in (("pn", 3, None, ["h"]),
+                              ("fl", 4, None, ["h1", "h1 + h2", "h2"]),
+                              ("milnor", 5, 4, ["h1", "h1 + h2", "h2"])):
+        seen.clear()
+        build_qch(space, n, m, trunc=2)
+        assert sorted(seen) == want, space
+
+
+def test_powers_rejects_class_not_nilpotent_mod_novikov():
+    # the chain itself raises, before any series is summed over it
+    R = ring("qk_pn", 1, trunc=1)
+    with pytest.raises(ValueError, match="not nilpotent"):
+        powers(R.generator("x"), R)
+
+
+@pytest.mark.parametrize("space,n,m,D,products", [("fl", 4, None, 4, 9),
+                                                  ("milnor", 5, 4, 3, 10)])
+def test_relation_images_take_few_products(monkeypatch, space, n, m, D, products):
+    # Horner's rule in x, and one chain of each image's powers shared by the
+    # relations: 9 and 10 products, where a product per term took 16 and 21
+    qmap = build_qch(space, n, m, trunc=D)
+    calls = []
+    mul = AlgebraElement.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counting)
+    assert all(c.passed for c in verify_relations(qmap))
+    assert len(calls) == products
 
 
 def test_source_presentation_built_once(monkeypatch):
@@ -250,9 +294,27 @@ def test_unique_solution_rejects_novikov_free_rhs():
 # -------------------------------------------------------------- lemma checks
 
 
+def frozen_verify_lemma_todd_simplify(n, trunc):
+    """Marked oracle: the former qchar.chern.verify_lemma_todd_simplify,
+    which no command reached.  (1 - e^{-(h1+h2)}) * image(Q_a) must equal
+    (1 - e^{-h_a})^n, a = 1, 2."""
+    qmap = build_qch("fl", n, trunc=trunc)
+    R = qmap.target
+    hsum = R.generator("h1") + R.generator("h2")
+    front = R.one() - eval_deg2(EXP_NEG, hsum, R)
+    out = []
+    for a in (1, 2):
+        ha = R.generator("h%d" % a)
+        lhs = front * qmap.novikov_images["Q%d" % a]
+        rhs = (R.one() - eval_deg2(EXP_NEG, ha, R)) ** n
+        residual = lhs - rhs
+        out.append(Check.verdict("a=%d" % a, residual.is_zero(), residual.render()))
+    return out
+
+
 @pytest.mark.parametrize("n,D", [(3, 2), (4, 2)])
 def test_todd_simplification_lemma(n, D):
-    checks = verify_lemma_todd_simplify(n, D)
+    checks = frozen_verify_lemma_todd_simplify(n, D)
     assert [c.name for c in checks] == ["a=1", "a=2"]
     assert all(c.passed for c in checks)
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qchar.catalog import ring
 from qchar.core import (
     NovikovSeries,
     Polynomial,
@@ -386,13 +387,106 @@ def test_evaluate_matches_frozen_substitute(p, xval, yval):
     assert evaluate(p.terms, LXY.names, values, Polynomial.const(LXY, 1)) == expected
 
 
+def frozen_evaluate(terms, names, values, one):
+    """Marked oracle: core.evaluate before it summed by Horner's rule, one
+    product chain per (variable, sign) and the products of each term."""
+    powers = {}
+    out = one.scale(0)
+    for mono, c in terms.items():
+        part = None
+        for name, e in zip(names, mono):
+            if not e:
+                continue
+            chain = powers.get((name, e > 0))
+            if chain is None:
+                if name not in values:
+                    raise ValueError("unbound variable %r in substitution" % name)
+                base = values[name] if e > 0 else values[name] ** -1
+                chain = powers[(name, e > 0)] = [base]
+            while len(chain) < abs(e):
+                chain.append(chain[-1] * chain[0])
+            part = chain[abs(e) - 1] if part is None else part * chain[abs(e) - 1]
+        out = out + (one if part is None else part).scale(c)
+    return out
+
+
+ABC = ("a", "b", "c")
+
+
+@st.composite
+def laurent_terms(draw, low):
+    """A term map in three variables, exponents from low to 3 in each."""
+    return {tuple(draw(st.integers(low, 3)) for _ in ABC): draw(fractions_st.filter(bool))
+            for _ in range(draw(st.integers(0, 5)))}
+
+
+def _outcome(fn):
+    """fn()'s value, or ValueError if it raised one."""
+    try:
+        return fn()
+    except ValueError:
+        return ValueError
+
+
+def _check_evaluate_against_frozen(terms, bound, drop, one):
+    # the variable drop left unbound or a negative power of a non-unit must
+    # raise ValueError on both sides; a chain dict shared with another call
+    # changes nothing
+    values = {name: v for name, v in zip(ABC, bound) if name != drop}
+    expected = _outcome(lambda: frozen_evaluate(terms, ABC, values, one))
+    assert _outcome(lambda: evaluate(terms, ABC, values, one)) == expected
+    chains = {}
+    _outcome(lambda: evaluate({(1, 1, 1): 1}, ABC, values, one, chains))
+    assert _outcome(lambda: evaluate(terms, ABC, values, one, chains)) == expected
+
+
+# the variable to leave unbound, if any: none in five cases of eight
+DROP = st.sampled_from((None,) * 5 + ABC)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(laurent_terms(-2),
+       st.tuples(*[st.one_of(unit_monomials(), polys(vars=LXY, max_terms=2, max_exp=2))
+                   for _ in ABC]), DROP)
+def test_horner_evaluate_matches_frozen_on_polynomials(terms, bound, drop):
+    _check_evaluate_against_frozen(terms, bound, drop, Polynomial.const(LXY, 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(laurent_terms(0), laurent_terms(-1)),
+       st.tuples(*[novikov_series() for _ in ABC]), DROP)
+def test_horner_evaluate_matches_frozen_on_series(terms, bound, drop):
+    _check_evaluate_against_frozen(terms, bound, drop, NovikovSeries.const(MAIN_X, QQ, 3, 1))
+
+
+@st.composite
+def flag_elements(draw):
+    """c0 + c1*h1 + c2*h2 + c3*q1 in the catalog ring qh_fl(3) at trunc 2."""
+    R = ring("qh_fl", 3, trunc=2)
+    c = [draw(fractions_st) for _ in range(4)]
+    return (R.constant(c[0]) + R.generator("h1").scale(c[1])
+            + R.generator("h2").scale(c[2]) + R.q_element("q1").scale(c[3]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(laurent_terms(0), laurent_terms(-1)),
+       st.tuples(*[flag_elements() for _ in ABC]), DROP)
+def test_horner_evaluate_matches_frozen_on_ring_elements(terms, bound, drop):
+    _check_evaluate_against_frozen(terms, bound, drop, ring("qh_fl", 3, trunc=2).one())
+
+
 def test_evaluate_non_unit_with_negative_exponent_raises():
+    # and an unbound variable; one fault per case, in the Horner variable x
+    # and in a later one, with the frozen loop's message
     x, y = P(LXY, "x"), P(LXY, "y")
-    with pytest.raises(ValueError):
-        evaluate((x ** -2 * y).terms, LXY.names, {"x": x + y, "y": y},
-                 Polynomial.const(LXY, 1))
-    with pytest.raises(ValueError):
-        evaluate((x * y).terms, LXY.names, {"x": x}, Polynomial.const(LXY, 1))
+    one = Polynomial.const(LXY, 1)
+    for p, values, message in ((x ** -2 * y, {"x": x + y, "y": y}, "single-term"),
+                               (x * y ** -2, {"x": x, "y": x + y}, "single-term"),
+                               (x * y, {"y": y}, "unbound variable 'x'"),
+                               (x * y, {"x": x}, "unbound variable 'y'")):
+        for fn in (evaluate, frozen_evaluate):
+            with pytest.raises(ValueError, match=message):
+                fn(p.terms, LXY.names, values, one)
 
 
 # ------------------------------------- frozen term loops of the two types
