@@ -7,9 +7,9 @@ carries the wall-time budget it was specified with.
 import time
 
 from qchar import analytic, chern, jfun, mirror
-from qchar.catalog import ring
+from qchar.catalog import (THETA_VARS, DifferenceExpression, hypersurface_operator,
+                           make_presentation, ring, symbol)
 from qchar.core import Polynomial
-from qchar.jfun import THETA_VARS, DifferenceExpression
 from test_chern import frozen_verify_lemma_todd_simplify
 
 
@@ -158,6 +158,14 @@ def test_A12_negative_controls():
         perturbed.add_term(1, 0, (0, 0), t2 ** 2)  # should be t2^3
         perturbed.add_term(-1, 0, (0, 1), one)
         perturbed.add_term(1, 1, (0, 1), (1 - t1) * (1 - t2))
+        # the catalog reads its relations off the operators, so the
+        # perturbed one must read off as another relation, with or
+        # without Novikov variables
+        for family, trunc in (("qk_milnor", 2), ("k_milnor", 0)):
+            pres = make_presentation(family, 3, 3)
+            assert symbol(perturbed, pres.q_vars, trunc).terms != pres.relation_terms[0]
+            assert symbol(hypersurface_operator(1, 3, 3), pres.q_vars, trunc).terms \
+                == pres.relation_terms[0]
         bad_ops = jfun.verify_theorem56(3, 3, 1, operators=[perturbed])
         failures = [c for c in bad_ops if not c.passed]
         assert failures

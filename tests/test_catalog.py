@@ -8,14 +8,17 @@ import pytest
 from qchar.catalog import (
     FAMILIES,
     _RING_CACHE,
+    THETA_VARS,
+    DifferenceExpression,
     RingId,
     make_presentation,
     make_ring,
     milnor_f2_poly,
     ring,
+    symbol,
 )
-from qchar.core import Polynomial, VariableSet
-from qchar.quotient import mat_pow
+from qchar.core import NovikovSeries, Polynomial, VariableSet
+from qchar.quotient import Presentation, mat_pow
 from qchar.report import Check
 
 
@@ -298,40 +301,73 @@ def test_operator_identity_flag():
         assert mat_pow(M, n, D) == [[(qa * e).truncate(D) for e in row] for row in Msum]
 
 
-# ------------------------------------------------------------ specialization
+# ------------------------------------------------ the relations' one source
 
 
-def frozen_fl_specialization_check(n):
-    """Marked oracle: the former qchar.catalog.fl_specialization_check,
-    which no command reached.  Flag relations must coincide termwise with
-    the m=n hypersurface ones."""
-    fl = make_presentation("qk_fl", n)
-    mi = make_presentation("qk_milnor", n, n)
-    if fl.gens != mi.gens or fl.q_vars != mi.q_vars:
-        return [Check("variable sets agree", "fail", "variable sets differ")]
-    checks = []
-    for name_f, terms_f, name_m, terms_m in zip(fl.relation_names, fl.relation_terms,
-                                                mi.relation_names, mi.relation_terms):
-        same = terms_f == terms_m
-        checks.append(Check.verdict("%s specialization" % name_f, same,
-                                    "%s == %s termwise" % (name_f, name_m) if same
-                                    else "%s and %s differ" % (name_f, name_m)))
-    return checks
+def frozen_hand_presentation(family, n, m=None):
+    """Marked oracle: the hand-typed relations that make_presentation held
+    for qh_fl, qk_fl, qk_milnor and k_milnor before it read the K relations
+    off the Theorem 5.6 operators and built the flag families as m = n."""
+    label = RingId(family, n, m).label()
+
+    def f2_classical(x, y, n, m):
+        f = (-1) ** (n - 1) * (1 - x) ** (n - 1)
+        for t in range(1, m):
+            f = f + (-1) ** (n - 1 - t) * x ** (t - 1) * (1 - x) ** (n - t - 1) * (1 - y) ** t
+        return f
+
+    if family == "qh_fl":
+        gv, qv = VariableSet(["h1", "h2"]), VariableSet(["q1", "q2"])
+        h1, h2, q1, q2 = (NovikovSeries.gen(gv, qv, 2, v) for v in ("h1", "h2", "q1", "q2"))
+        f1 = h2 ** n - q2 * (h1 + h2)
+        f2 = -q1 - ((-1) ** (n - 1)) * q2
+        for l in range(n):
+            f2 = f2 + ((-1) ** (n - 1 - l)) * h1 ** l * h2 ** (n - 1 - l)
+        return Presentation(label, gv, qv, [("f1_q", f1), ("f2_q", f2)])
+    gv = VariableSet(["x", "y"])
+    if family == "k_milnor":
+        qv = VariableSet([])
+        x, y = NovikovSeries.gen(gv, qv, 0, "x"), NovikovSeries.gen(gv, qv, 0, "y")
+        return Presentation(label, gv, qv, [("F1", (1 - y) ** m), ("F2", f2_classical(x, y, n, m))])
+    qv = VariableSet(["Q1", "Q2"])
+    x, y, q1, q2 = (NovikovSeries.gen(gv, qv, 2, v) for v in ("x", "y", "Q1", "Q2"))
+    if family == "qk_fl":
+        F1 = (1 - y) ** n - q2 + q2 * x * y
+        F2 = f2_classical(x, y, n, n) - q2 * x ** (n - 1) - ((-1) ** (n - 1)) * q1 * y
+    else:  # qk_milnor
+        F1 = (1 - y) ** m - q2 + q2 * x * y
+        F2 = (f2_classical(x, y, n, m)
+              - ((-1) ** (n - m)) * q2 * x ** (m - 1) * (1 - x) ** (n - m)
+              - ((-1) ** (n - 1)) * q1 * y)
+    return Presentation(label, gv, qv, [("F1_Q", F1), ("F2_Q", F2)])
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_flag_is_hypersurface_specialization(n):
-    checks = frozen_fl_specialization_check(n)
-    assert len(checks) == 2
-    assert all(c.passed for c in checks), checks
+HAND_CASES = ([(family, n, None) for family in ("qh_fl", "qk_fl") for n in range(3, 9)]
+              + [(family, n, m) for family in ("qk_milnor", "k_milnor")
+                 for n in range(3, 9) for m in range(3, n + 1)])
 
 
-def test_qh_flag_matches_hypersurface_at_m_equals_n():
-    for n in (3, 4):
-        fl = make_presentation("qh_fl", n)
-        mi = make_presentation("qh_milnor", n, n)
-        for j in range(2):
-            assert fl.relation_terms[j] == mi.relation_terms[j]
+@pytest.mark.parametrize("family,n,m", HAND_CASES)
+def test_hand_presentation_matches(family, n, m):
+    hand, built = frozen_hand_presentation(family, n, m), make_presentation(family, n, m)
+    assert built.label == hand.label == RingId(family, n, m).label()
+    assert (built.gens, built.q_vars) == (hand.gens, hand.q_vars)
+    assert built.relation_names == hand.relation_names
+    assert built.relation_terms == hand.relation_terms
+
+
+def test_symbol_reads_the_operator():
+    # t_k -> 1 - x_k, hbar -> 1, (s1, s2) -> Q1^s1*Q2^s2
+    t1, t2 = Polynomial.var(THETA_VARS, "t1"), Polynomial.var(THETA_VARS, "t2")
+    expr = DifferenceExpression()
+    expr.add_term(2, 0, (0, 0), t1 * t2)
+    expr.add_term(-3, 4, (1, 2), 1 - t2)
+    q12 = VariableSet(["Q1", "Q2"])
+    assert symbol(expr, q12, 3).render() == "2*x*y - 2*x - 2*y - 3*y*Q1*Q2^2 + 2"
+    # without Novikov variables the shifted term drops
+    assert symbol(expr, VariableSet([]), 0).render() == "2*x*y - 2*x - 2*y + 2"
+    # and the cap drops a shift above it
+    assert symbol(expr, q12, 2).render() == "2*x*y - 2*x - 2*y + 2"
 
 
 def test_clear_caches_drops_rings_and_jacobi_contexts(monkeypatch):

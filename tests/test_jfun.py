@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchar.catalog import ring
+from qchar.catalog import THETA_VARS, DifferenceExpression, hypersurface_operator, ring
 from qchar.core import NovikovSeries, Polynomial, VariableSet, binomial, evaluate
 from qchar.jfun import (
-    THETA_VARS,
     _atoms_product,
-    DifferenceExpression,
     HbarFraction,
     HbarPoly,
     JSeries,
@@ -20,7 +18,6 @@ from qchar.jfun import (
     atom_unit,
     binomial_identity_check,
     hbar_infinity_check,
-    hypersurface_operator,
     j_milnor,
     j_product,
     lemma52_construct_and_check,
@@ -676,6 +673,16 @@ def test_lemma52_cofactor_frozen():
 def test_lemma52_identity_holds(n, m):
     _, checks = lemma52_construct_and_check(n, m)
     assert all(c.passed for c in checks), [c.detail for c in checks if not c.passed]
+
+
+def test_lemma52_y_degree_details(monkeypatch):
+    import qchar.jfun
+    *_, bound = lemma52_construct_and_check(8, 3)[1]
+    assert (bound.name, bound.passed, bound.detail) == ("y-degree bound", True, "deg_y = 8 <= n")
+    monkeypatch.setattr(qchar.jfun, "_y_degree", lambda p: 9)
+    *_, bound = lemma52_construct_and_check(8, 3)[1]
+    assert (bound.name, bound.passed, bound.detail) == ("y-degree bound", False,
+                                                        "deg_y = 9 > n = 8")
 
 
 def test_lemma52_bounds():

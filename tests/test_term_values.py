@@ -21,13 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchar import core, groebner, jfun, quotient
+from qchar import catalog, core, groebner, jfun, quotient
+from qchar.catalog import THETA_VARS, DifferenceExpression
 from qchar.catalog import ring as catalog_ring
 from qchar.core import NovikovSeries, Polynomial, VariableSet
 from qchar.groebner import divide, divider
 from qchar.jfun import (
-    THETA_VARS,
-    DifferenceExpression,
     HbarFraction,
     HbarPoly,
     apply_difference,
@@ -60,7 +59,7 @@ def no_float_reaches_exact_coeff():
         return exact_coeff(c)
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (core, groebner, quotient, jfun):
+        for module in (core, groebner, quotient, catalog):
             mp.setattr(module, "exact_coeff", strict)
         yield
 
