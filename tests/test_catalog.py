@@ -225,16 +225,20 @@ def test_rule_rows_and_structure_constants_are_integral(family, n, m, trunc):
 
 
 @pytest.mark.parametrize("family,n,m", [("qk_milnor", 4, 3), ("qk_milnor", 3, 3),
-                                        ("qh_milnor", 4, 4)])
+                                        ("qh_milnor", 4, 4), ("qh_milnor", 5, 3)])
 def test_quantum_classical_parts_match(family, n, m):
-    classical = {"qk_milnor": "k_milnor", "qh_milnor": None}[family]
     pres_q = make_presentation(family, n, m)
-    if classical is None:
-        return
-    pres_c = make_presentation(classical, n, m)
-    for j in range(2):
-        assert (pres_q.relation_at(j, 2).classical_part()
-                == pres_c.relation_at(j, 0).classical_part())
+    if family == "qk_milnor":
+        pres_c = make_presentation("k_milnor", n, m)
+        expected = [pres_c.relation_at(j, 0).classical_part() for j in range(2)]
+    else:
+        # qh_milnor has no classical family in the catalog: the cohomology
+        # relations of the hypersurface, written out, and its dimension
+        h1, h2 = (Polynomial.var(pres_q.gens, name) for name in ("h1", "h2"))
+        expected = [h2 ** m, sum(((-1) ** k * h1 ** (n - 1 - k) * h2 ** k for k in range(m)),
+                                 Polynomial.zero(pres_q.gens))]
+        assert ring(family, n, m, trunc=1).classical_dim() == m * (n - 1)
+    assert [pres_q.relation_at(j, 2).classical_part() for j in range(2)] == expected
 
 
 def test_projective_power_is_novikov():

@@ -211,14 +211,30 @@ def test_mirror_verify_negative_step_cap_is_usage_error(capsys):
     assert "step_cap" in err
 
 
+def test_mirror_verify_cap_that_decides_nothing_fails_every_membership(capsys):
+    # at cap 0 no run finds a generator and no probe takes a reduction
+    # step, so each of the nine memberships fails on the cap, and only they
+    code, out, err = run(capsys, "mirror", "verify", "--n", "3", "--trunc", "2",
+                         "--step-cap", "0")
+    assert code == 1
+    lines = out.splitlines()
+    capped = [line for line in lines if "step cap" in line]
+    assert [line.split("  ")[1].strip() for line in capped] == (
+        ["f1_q image membership", "f2_q image membership", "power-law image membership"]
+        + ["%s generator %d" % (side, i) for side in ("A in B", "B in A") for i in (1, 2, 3)])
+    assert all(line.startswith("FAIL") and line.endswith("  step cap 0 exceeded")
+               for line in capped)
+    assert lines[-1] == "9 check(s) failed"
+
+
 def test_mirror_verify_bad_trunc_is_usage_error(capsys, monkeypatch):
     # rejected before the first Buchberger run, not after all of them
     import qchar.mirror
 
-    def no_groebner(*args, **kwargs):
-        raise AssertionError("groebner ran before the input was validated")
+    def no_buchberger(*args, **kwargs):
+        raise AssertionError("Buchberger ran before the input was validated")
 
-    monkeypatch.setattr(qchar.mirror, "groebner", no_groebner)
+    monkeypatch.setattr(qchar.mirror, "BuchbergerRun", no_buchberger)
     code, out, err = run(capsys, "mirror", "verify", "--n", "4", "--trunc", "-1")
     assert code == 2
     assert out == ""

@@ -6,8 +6,9 @@ takes pairs and reducers from its active generators only, so it reduces
 other pairs than the frozen pre-mask Buchberger of test_masks
 (frozen_groebner, with the lazy chain criterion) and counts other steps;
 the reduced basis is unique, so it must come out the same, on the four
-bases of mirror's ideal_equality_attempt at n=3 and n=4 and on random
-ideals (against sympy).  With cofactors it takes every generator, and
+bases of mirror's ideal_equality_attempt at n=3 and n=4 (runs paused at
+the memberships they decide early and completed afterwards) and on
+random ideals (against sympy).  With cofactors it takes every generator, and
 the cofactor rows, which the quotient rings build their rules from, must
 be the frozen ones: on the same random ideals, and with the frozen steps
 on the two largest catalog rings the tests build.  The track-free
@@ -15,8 +16,8 @@ steps and bases of the Jacobi ideal at n=3..5 are pinned.  The update
 computes on exponent ints; frozen_mask_groebner keeps the tuple-and-mask
 update it replaced, and the live loop must pop the same pairs, (lcm, i,
 j) in the same sequence, on the Jacobi ideals at n=3 and n=4, on both
-ideal_equality_attempt ideals at n=3 and on random ideals, with and
-without cofactors.
+ideal_equality_attempt ideals at n=3 (paused and completed, as above)
+and on random ideals, with and without cofactors.
 Two broken internal invariants must raise InternalError, which the CLI
 reports with exit 1, not as bad input.
 """
@@ -44,21 +45,29 @@ from qchar.core import (
 )
 from qchar.groebner import GroebnerData, _Budget, _lead_row, _reduce, groebner
 from test_masks import _assert_same_basis, frozen_apply_usage, frozen_groebner, frozen_lcm_mono
+from test_mirror import _record_contexts
+
+
+def _ideal_equality_contexts(monkeypatch, n):
+    """Run ideal_equality_attempt(n) and return its checks and the two
+    MembershipContexts it built, with their runs as the checks left them."""
+    with monkeypatch.context() as m:
+        built = _record_contexts(m)
+        checks = mirror.ideal_equality_attempt(n)
+    return checks, built
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_ideal_equality_bases_match_frozen_groebner(n, monkeypatch):
-    built = []
-
-    def recording(relations, step_cap=None, track_cofactors=True):
-        built.append(groebner(relations, step_cap, track_cofactors))
-        return built[-1]
-
-    monkeypatch.setattr(mirror, "groebner", recording)
-    checks = mirror.ideal_equality_attempt(n)
+    # each run stops once its memberships are decided; completed, it must
+    # give the frozen basis and the steps of one uninterrupted loop
+    checks, built = _ideal_equality_contexts(monkeypatch, n)
     assert len(built) == 2 and all(c.passed for c in checks)
-    for gdata in built:
+    for ctx in built:
+        assert ctx.run.pairs  # the checks left the run unfinished
+        gdata = ctx.gdata
         _assert_same_basis(gdata, frozen_groebner(gdata.relations, track_cofactors=False))
+        assert gdata.steps == groebner(gdata.relations, track_cofactors=False).steps
 
 
 # sha256 of each track-free Jacobi basis, its rendered elements one per line
@@ -227,18 +236,21 @@ def frozen_mask_groebner(relations, track_cofactors=True):
 
 
 class _PopRecorder:
-    """Stands in for heapq in the groebner module and records the pairs popped."""
+    """Stands in for heapq in the groebner module and records the pairs
+    popped, in all and per pair heap (one heap per run)."""
 
     heapify, heappush = staticmethod(heapq.heapify), staticmethod(heapq.heappush)
 
     def __init__(self):
         self.pops = []
+        self.by_heap = {}
 
     def heappop(self, heap):
         item = heapq.heappop(heap)
         if type(item) is tuple:  # a pair; _reduce pops packed ints
             negp, i, j, lcm = item
             self.pops.append((lcm, i, j))
+            self.by_heap.setdefault(id(heap), []).append((lcm, i, j))
         return item
 
 
@@ -261,18 +273,22 @@ def test_jacobi_pops_match_the_frozen_mask_update(n, popped, monkeypatch):
 
 
 def test_ideal_equality_pops_match_the_frozen_mask_update(monkeypatch):
-    built = []
-
-    def recording(relations, step_cap=None, track_cofactors=True):
-        built.append((relations, track_cofactors))
-        return groebner(relations, step_cap, track_cofactors)
-
+    # both runs pause at the memberships they decide and are completed after
+    # the checks; each must still pop the frozen update's pairs in sequence
+    recorder = _PopRecorder()
     with monkeypatch.context() as m:
-        m.setattr(mirror, "groebner", recording)
-        assert all(c.passed for c in mirror.ideal_equality_attempt(3))
-    assert len(built) == 2
-    for relations, track_cofactors in built:
-        assert _assert_same_pops(relations, track_cofactors, monkeypatch) > 0
+        m.setattr(groebner_module, "heapq", recorder)
+        checks, built = _ideal_equality_contexts(m, 3)
+        paused = [len(recorder.by_heap[id(ctx.run.pairs)]) for ctx in built]
+        for ctx in built:
+            ctx.gdata
+    assert len(built) == 2 and all(c.passed for c in checks)
+    for ctx, early in zip(built, paused):
+        old, pops = frozen_mask_groebner(ctx.run.relations, False)
+        assert 0 < early < len(pops)
+        assert recorder.by_heap[id(ctx.run.pairs)] == pops
+        _assert_same_basis(ctx.gdata, old)
+        assert ctx.gdata.steps == old.steps
 
 
 @pytest.mark.parametrize("seed", range(20))

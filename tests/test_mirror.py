@@ -7,7 +7,7 @@ import pytest
 
 from qchar import mirror
 from qchar.core import Polynomial, VariableSet, mono_div, mono_divides, mono_mul
-from qchar.groebner import groebner, normal_form
+from qchar.groebner import StepCapExceeded, groebner, normal_form
 from qchar.mirror import (
     MembershipContext,
     build_superpotential,
@@ -156,21 +156,96 @@ def test_verify_phi_sum_invertible_n3():
 
 
 def test_capped_basis_is_built_once(monkeypatch):
-    # a basis that hits its step cap is not rebuilt by the next verifier
-    calls = []
-
-    def counting_groebner(*args, **kwargs):
-        calls.append(kwargs.get("step_cap"))
-        return groebner(*args, **kwargs)
-
-    monkeypatch.setattr(mirror, "groebner", counting_groebner)
+    # a run that hits its step cap is neither resumed nor rebuilt by the
+    # next verifier: every membership it has not decided fails at once
+    built = _record_contexts(monkeypatch)
     monkeypatch.setattr(mirror, "_CONTEXT_CACHE", {})
-    first = verify_phi(3, 20)
-    second = verify_phi_sum_invertible(3, 20)
-    assert calls == [20]
-    assert first == [Check("groebner basis", "fail", "step cap 20 exceeded")]
+    first = verify_phi(3, 5)
+    run = built[0].run
+    state = (run.budget.steps, len(run.gens), list(run.pairs))
+    second = verify_phi_sum_invertible(3, 5)
+    third = verify_phi(3, 5)
+    assert len(built) == 1 and jacobi_context(3, 5) is built[0]
+    assert (run.budget.steps, len(run.gens), list(run.pairs)) == state
+    assert first == third == [Check("f1_q image membership", "fail", "step cap 5 exceeded"),
+                              Check("f2_q image membership", "fail", "step cap 5 exceeded")]
     assert second[1] == Check("power-law image membership", "fail",
-                              "step cap 20 exceeded")
+                              "step cap 5 exceeded")
+    with pytest.raises(StepCapExceeded):
+        built[0].gdata
+
+
+def _record_contexts(monkeypatch):
+    """The list every MembershipContext the verifiers build is appended to,
+    each with the run's step count after each of its decisions."""
+    built = []
+
+    class Recording(MembershipContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.decided = []
+            built.append(self)
+
+        def contains(self, p):
+            member, nf = super().contains(p)
+            self.decided.append((p, member, self.run.budget.steps))
+            return member, nf
+
+    monkeypatch.setattr(mirror, "MembershipContext", Recording)
+    return built
+
+
+# Buchberger steps each run had spent when each membership of mirror verify
+# was decided: the flag images and the power law (one shared Jacobi run),
+# then A in B and B in A.  The full bases take 155 and 1,853 steps (Jacobi).
+EARLY_STEPS = {
+    3: [[20, 20, 24], [0, 30, 31], [0, 20, 20]],
+    4: [[164, 366, 366], [0, 65, 65], [0, 131, 160]],
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_memberships_are_decided_early_and_agree_with_the_full_basis(n, monkeypatch):
+    built = _record_contexts(monkeypatch)
+    monkeypatch.setattr(mirror, "_CONTEXT_CACHE", {})
+    checks = (verify_phi(n) + verify_phi_sum_invertible(n)
+              + ideal_equality_attempt(n))
+    assert all(c.passed for c in checks)
+    assert len(built) == 3
+    assert [[steps for _, _, steps in ctx.decided] for ctx in built] == EARLY_STEPS[n]
+    for ctx in built:
+        decided = ctx.decided
+        # completing the run changes neither its steps nor its verdicts:
+        # every early member has normal form 0 against the reduced basis
+        gdata = ctx.gdata
+        assert gdata.steps == groebner(gdata.relations, track_cofactors=False).steps
+        assert all(member for _, member, _ in decided)
+        for p, _, _ in decided:
+            assert normal_form(ctx._embed(clear_denominators(p)), gdata).is_zero()
+    assert built[0].gdata.steps == {3: 155, 4: 1853}[n]
+
+
+def full_basis_normal_form(lvars, generators, p):
+    """The full-basis route: the reduced basis first, then one normal form."""
+    ctx = MembershipContext(lvars, generators)
+    gdata = groebner(ctx.run.relations, track_cofactors=False)
+    return normal_form(ctx._embed(clear_denominators(p)), gdata)
+
+
+def test_non_members_get_the_full_basis_normal_form():
+    v = laurent_vars(3)
+    rels = jacobi_relations(3)
+    controls = {"x1*x2": mono(v, x1=3) - mono(v, q2=1, x1=1),
+                "x1*x3^3 + x3^2*q1*q2 - 1": mono(v, x1=1, x2=1, x3=1, q1=1, q2=1) - 1,
+                "1": mono(v, q1=-1)}
+    for expected, p in controls.items():
+        ctx = MembershipContext(v, rels)
+        member, nf = ctx.contains(p)
+        assert not member
+        # a non-member exhausts the run, and its normal form is the full basis's
+        assert not ctx.run.pairs
+        assert nf == full_basis_normal_form(v, rels, p)
+        assert nf.render() == expected
 
 
 def test_membership_respects_unit_scaling():
