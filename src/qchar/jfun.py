@@ -20,13 +20,16 @@ theta polynomial is rewritten once in s_k = 1 - t_k, and then
 theta = sum c_ab * x^a*y^b * hbar^{a*p1 + b*p2}: a polynomial over
 x, y and hbar with no ring product in it.  Each output degree takes the
 Counter union of its sources' denominators, the one a chain of
-HbarFraction sums would reach; a source's multipliers are summed, times
-the atoms its denominator lacks (a binomial expansion, kept for the
-call), over x, y and hbar as well.  Only then is each x^a*y^b replaced
-by its normal form in the ring, reduced once per call, and the source
-numerator is multiplied by that in one HbarPoly product.  Every such
-piece is already over the common denominator, so HbarFraction's sum
-adds the numerators and expands no atom.
+HbarFraction sums would reach.  A source's summed multipliers, the atoms
+its denominator lacks (a binomial expansion, kept for the call) and its
+numerator, whose HbarPoly keys are already (a, b, h) exponents over x, y
+and hbar, are multiplied over x, y and hbar too, and the pieces summed
+there, where they mostly cancel.  Replacing x^a*y^b by its normal form
+is a ring homomorphism onto the algebra, so the sum is reduced once per
+output degree, and its numerator is the one a chain of HbarPoly
+products and HbarFraction sums would reach.  Each normal form is read
+from the ring's product table, the one the HbarPoly product fills, so
+it is reduced once per ring.
 """
 
 from __future__ import annotations
@@ -50,6 +53,22 @@ _UNIT_EXPONENTS = {"L1": (1, 0), "L2": (0, 1), "L1L2": (1, 1)}
 
 def atom_unit(ring_: PresentedAlgebra, kind: str) -> AlgebraElement:
     return ring_.reduce(Polynomial(XY, {_UNIT_EXPONENTS[kind]: 1}))
+
+
+def _table_rows(ring_: PresentedAlgebra,
+                sums: Dict[Mono, Dict[int, Coeff]]) -> Dict[Mono, Dict[int, Coeff]]:
+    """sum over m of NF(m) * sum_h c_h*hbar^h, as standard monomial -> h -> coeff.
+
+    Each normal form is read from the ring's product table, so it is
+    reduced once per ring; a zero sum reads no entry.
+    """
+    rows: Dict[Mono, Dict[int, Coeff]] = {}
+    for m, coeff in sums.items():
+        for _, _, me, ce, _ in ring_._entry(m) if any(coeff.values()) else ():
+            row = rows.setdefault(me, {})
+            for h, c in coeff.items():
+                row[h] = row.get(h, 0) + c * ce
+    return rows
 
 
 class HbarPoly(Polynomial):
@@ -139,12 +158,8 @@ class HbarPoly(Polynomial):
         Db, right = _int_groups(other.terms, k, (1,))
         # a cap that cuts no pair: each group is sorted by hbar degree
         cap = sum(max((g[-1][1] for g in side.values()), default=0) for side in (left, right))
-        terms: Dict[Mono, Dict[int, int]] = {}  # m -> h -> numerator over Da*Db
-        for m, coeff in _monomial_sums(left, right, cap).items():
-            for _, _, me, ce, _ in ring_._entry(m) if any(coeff.values()) else ():
-                row = terms.setdefault(me, {})
-                for h, c in coeff.items():
-                    row[h] = row.get(h, 0) + c * ce
+        # numerators over Da*Db
+        terms = _table_rows(ring_, _monomial_sums(left, right, cap))
         # emitted in display order, as an element's product is:
         # grevlex_desc_key(me + (h,)) is (-(deg me + h), h, me reversed)
         out = sorted((-sum(me) - h, h, me[::-1], me, num)
@@ -229,8 +244,6 @@ class HbarFraction(Arithmetic):
         if other is None:
             return NotImplemented
         den = self.denom | other.denom
-        if not (self.denom <= den and other.denom <= den):
-            raise ValueError("denominator is not a sub-multiset")
         # a zero numerator stays zero over any denominator, and an operand
         # already over the lcm needs no atoms: expand nothing for either
         na, nb = (f.numer if f.is_zero() or f.denom == den
@@ -372,32 +385,24 @@ XYH = VariableSet(["x", "y", "hbar"])
 class _Substitution:
     """Q[x, y, hbar] -> HbarPoly over one ring, for one apply_difference call.
 
-    x^a*y^b*hbar^h goes to NF(x^a*y^b)*hbar^h, each normal form reduced
-    on first use; atom products over x, y and hbar are kept too.
+    x^a*y^b*hbar^h goes to NF(x^a*y^b)*hbar^h, the normal form read from
+    the ring's product table; atom products over x, y and hbar are kept.
     """
 
     def __init__(self, ring_: PresentedAlgebra):
         self.zero = HbarPoly.zero(ring_)  # refuses a ring with Novikov variables
+        # a table key (a, b) is x^a*y^b, as atom_unit reads it
+        ring_.series(Polynomial.zero(XY))  # refuses other generators
         self.ring = ring_
-        self._nf: Dict[Tuple[int, int], Dict[Mono, Coeff]] = {}
         self._atoms: Dict[frozenset, Polynomial] = {}
 
-    def _normal_form(self, a: int, b: int) -> Dict[Mono, Coeff]:
-        nf = self._nf.get((a, b))
-        if nf is None:  # the generators are XY, as atom_unit has them
-            nf = self._nf[(a, b)] = self.ring.reduce(Polynomial(XY, {(a, b): 1})).terms
-        return nf
-
     def __call__(self, p: Polynomial) -> HbarPoly:
-        terms: Dict[Mono, Coeff] = {}
+        by_xy: Dict[Mono, Dict[int, Coeff]] = {}  # (a, b) -> h -> coeff
         for (a, b, h), c in p.terms.items():
-            for m, v in self._normal_form(a, b).items():
-                key = m + (h,)
-                if s := terms.get(key, 0) + c * v:
-                    terms[key] = s
-                else:  # c*v is nonzero, so key was there
-                    del terms[key]
-        return self.zero._trusted(terms)
+            by_xy.setdefault((a, b), {})[h] = c
+        rows = _table_rows(self.ring, by_xy)
+        return self.zero._trusted({m + (h,): c for m, row in rows.items()
+                                   for h, c in row.items() if c})
 
     def atoms(self, atoms: Counter) -> Polynomial:
         """The product of the atoms over x, y and hbar, by the binomial theorem."""
@@ -416,6 +421,12 @@ class _Substitution:
 
 def apply_difference(expr: DifferenceExpression, J: JSeries) -> JSeries:
     R = J.context
+    # the sum over x, y and hbar reads every numerator as one over R, so a
+    # coefficient over another ring would be reduced in the wrong one
+    for (d1, d2), f in J.coeffs.items():
+        if f.ring is not R:
+            raise ValueError("coefficient at Q^(%d,%d) is over %r, not the series' ring %r"
+                             % (d1, d2, f.ring.label, R.label))
     sub = _Substitution(R)
     terms = [(term, _in_s(term.theta_poly)) for term in expr.terms]
     out: Dict[Tuple[int, int], HbarFraction] = {}
@@ -438,13 +449,14 @@ def apply_difference(expr: DifferenceExpression, J: JSeries) -> JSeries:
         den: Counter = Counter()
         for p in mults:
             den |= J.coeffs[p].denom
-        # every piece is over den already, so the sums expand no atoms
-        acc = HbarFraction.zero(R)
+        # the pieces are summed over x, y and hbar, where they mostly
+        # cancel; a numerator's keys are already (a, b, h) over XYH
+        total = Polynomial.zero(XYH)
         for p, mult in mults.items():
             src = J.coeffs[p]
-            factor = Polynomial(XYH, mult) * sub.atoms(den - src.denom)
-            acc = acc + HbarFraction(src.numer * sub(factor), den)
-        out[(d1, d2)] = acc
+            total = total + (Polynomial(XYH, mult) * sub.atoms(den - src.denom)
+                             * Polynomial(XYH, src.numer.terms))
+        out[(d1, d2)] = HbarFraction(sub(total), den)
     return JSeries(R, J.max_deg, out)
 
 

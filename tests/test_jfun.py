@@ -11,6 +11,7 @@ from qchar.catalog import THETA_VARS, DifferenceExpression, hypersurface_operato
 from qchar.core import NovikovSeries, Polynomial, VariableSet, binomial, evaluate
 from qchar.jfun import (
     _atoms_product,
+    _Substitution,
     HbarFraction,
     HbarPoly,
     JSeries,
@@ -80,14 +81,27 @@ def test_shift_below_hbar_zero_raises():
                                         Polynomial.const(THETA_VARS, 1))
 
 
+def _uv_ring():
+    uv, none = VariableSet(["u", "v"]), VariableSet([])
+    u, v = (NovikovSeries.gen(uv, none, 0, g) for g in ("u", "v"))
+    return PresentedAlgebra(Presentation("test-uv", uv, none,
+                                         [("ru", u ** 2), ("rv", v ** 2)]), 0)
+
+
 def test_difference_needs_the_xy_generators():
     # x and y are read as generators named x and y, as atom_unit reads them,
     # so a q-free ring over other generators is refused, not misread
-    uv, none = VariableSet(["u", "v"]), VariableSet([])
-    u, v = (NovikovSeries.gen(uv, none, 0, g) for g in ("u", "v"))
-    R = PresentedAlgebra(Presentation("test-uv", uv, none,
-                                      [("ru", u ** 2), ("rv", v ** 2)]), 0)
+    R = _uv_ring()
     J = JSeries(R, 0, {(0, 0): HbarFraction.one(R)})
+    with pytest.raises(ValueError, match="polynomial over wrong variable set"):
+        apply_difference(hypersurface_operator(1, 3, 3), J)
+
+
+def test_difference_refuses_other_generators_with_nothing_to_reduce():
+    # the generators are checked before any normal form is taken, so a
+    # series whose sums would all vanish is refused too
+    R = _uv_ring()
+    J = JSeries(R, 1, {(0, 0): HbarFraction.zero(R), (1, 0): HbarFraction.zero(R)})
     with pytest.raises(ValueError, match="polynomial over wrong variable set"):
         apply_difference(hypersurface_operator(1, 3, 3), J)
 
@@ -519,7 +533,7 @@ def test_operators_match_the_chained_sum_route(n, m, max_deg):
         _assert_same_series(apply_difference(op, J), _frozen_apply_difference(op, J))
 
 
-@pytest.mark.parametrize("n,m,max_deg", [(3, 3, 2), (4, 3, 3)])
+@pytest.mark.parametrize("n,m,max_deg", [(3, 3, 2), (4, 3, 3), (4, 4, 3), (5, 5, 2)])
 def test_perturbed_and_product_residuals_match_the_chained_sum_route(n, m, max_deg):
     ops = [hypersurface_operator(1, n, m), hypersurface_operator(2, n, m)]
     for J, exprs in ((j_milnor(n, m, max_deg), _perturbed_operators(m)),
@@ -540,18 +554,57 @@ def test_milnor_numerators_match_the_per_degree_product(n, m):
 
 
 def test_theorem56_product_count(monkeypatch):
-    # one product per j_milnor numerator and per (output, source) degree
-    calls = []
+    # one product per j_milnor numerator; apply_difference sums over x, y
+    # and hbar and reduces once per (operator, output degree)
+    calls, reductions = [], []
     real_mul = HbarPoly.__mul__
+    real_sub = _Substitution.__call__
 
     def spy(self, other):
         calls.append(1)
         return real_mul(self, other)
 
+    def sub_spy(self, p):
+        reductions.append(1)
+        return real_sub(self, p)
+
     monkeypatch.setattr(HbarPoly, "__mul__", spy)
+    monkeypatch.setattr(_Substitution, "__call__", sub_spy)
     checks = verify_theorem56(4, 4, 4)
     assert all(c.passed for c in checks)
-    assert len(calls) == 64
+    assert len(calls) == 4
+    assert len(reductions) == 30
+
+
+def test_difference_refuses_a_coefficient_over_another_ring():
+    # the sum over x, y and hbar would read a numerator over k_pnxpm as one
+    # over k_milnor, so such a coefficient is refused, not reduced
+    J = j_milnor(3, 3, 2)
+    coeffs = dict(J.coeffs)
+    coeffs[(0, 1)] = j_product(3, 3, 2).coeffs[(0, 1)]
+    mixed = JSeries(J.context, J.max_deg, coeffs)
+    for idx in (1, 2):
+        with pytest.raises(ValueError, match=r"Q\^\(0,1\) is over 'k_pnxpm"):
+            apply_difference(hypersurface_operator(idx, 3, 3), mixed)
+
+
+def test_difference_reads_normal_forms_from_the_ring_table(monkeypatch):
+    # each x^a*y^b is reduced into the ring's product table on first use,
+    # so applying an operator again reduces nothing
+    import qchar.quotient
+    J = j_milnor(4, 4, 3)
+    op = hypersurface_operator(2, 4, 4)
+    first = apply_difference(op, J)
+    calls = []
+    real_reduce = qchar.quotient._reduce
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real_reduce(*args, **kwargs)
+
+    monkeypatch.setattr(qchar.quotient, "_reduce", spy)
+    _assert_same_series(apply_difference(op, J), first.coeffs)
+    assert calls == []
 
 
 # ------------------------------------------------------ malformed operators
