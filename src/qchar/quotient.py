@@ -81,7 +81,7 @@ import math
 import random
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     Coeff,
@@ -100,7 +100,6 @@ from .groebner import (
     GroebnerData,
     _lead_row,
     _reduce,
-    divider,
     groebner,
     is_zero_dimensional,
     standard_monomials,
@@ -496,49 +495,113 @@ class PresentedAlgebra:
 # ------------------------------------------------------------------
 # the two determinant algorithms over polynomials in the q variables
 #
-# Each routine here skips zero entries, which changes no result, and the
-# two routes stay independent: Bareiss divides exactly over untruncated
-# polynomials, expansion never divides and works in truncated arithmetic.
+# The two routes stay independent.  Bareiss eliminates over Z at integer
+# points, dividing exactly at each step, and interpolates the exact
+# determinant from its values there; expansion never divides, skips zero
+# entries and works in truncated arithmetic.
 
 def det_bareiss(entries: List[List[Polynomial]]) -> Polynomial:
-    """Fraction-free determinant over an exact polynomial ring.
+    """Exact determinant, interpolated from fraction-free Bareiss runs over Z.
 
-    Divisions are exact at every step (Bareiss), which is sound here
-    because the entries live in an integral domain; truncate afterwards.
-    A remainder would break that invariant and raises InternalError.
-    A zero multiplier M[i][k] leaves the numerator M[i][j]*M[k][k], and
-    a zero numerator is stored without a division.  Each pivot step
-    builds its divisor's reducer row once (groebner.divider).
+    The entries are scaled to integers.  Each variable's side, the least
+    row or column sum of the entries' degrees in it, bounds the
+    determinant's degree; Kronecker substitution reads the grid of sides
+    as one variable t, Bareiss finds the value at each integer t with
+    exact divisions (a remainder raises InternalError), and Newton's
+    forward differences interpolate (von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 5).  When each nonzero entry (i, j) is
+    homogeneous of total degree col_j - row_i, the determinant is of
+    degree D = sum col - sum row, so the first variable is set to 1 and
+    no side exceeds D: qh_fl(n) takes n+1 points.
     """
     n = len(entries)
     if n == 0:
         raise ValueError("empty matrix")
     vars = entries[0][0].vars
-    M = [[p for p in row] for row in entries]
-    sign = 1
-    prev = Polynomial.const(vars, 1)
+    L = math.lcm(*(c.denominator for row in entries for p in row for c in p.terms.values()))
+    rows = [{j: [(m, int(c * L)) for m, c in p.terms.items()] for j, p in enumerate(row) if p.terms}
+            for row in entries]  # row i: {j: [(m, c * L)]}
+    if any(min(m, default=0) < 0 for row in rows for terms in row.values() for m, _ in terms):
+        raise ValueError("det_bareiss needs polynomial entries: clear denominators first")
+    D = _grade(rows) if all(rows) and len(set().union(*rows)) == n else -1
+    if D is not None and D < 0:  # a zero row or column, or no perfect matching
+        return Polynomial.zero(vars)
+    sides = [min(sum(max(m[v] for terms in row.values() for m, _ in terms) for row in rows),
+                 sum(max(m[v] for row in rows for m, _ in row.get(j, ())) for j in range(n)))
+             for v in range(len(vars))]
+    if D is not None and sides:
+        sides = [0] + [min(b, D) for b in sides[1:]]
+    K = [math.prod(a + 1 for a in sides[:v]) if b else 0 for v, b in enumerate(sides)]
+    F, coeffs = _interpolate([_int_det([[sum(c * t ** sum(map(mul, K, m)) for m, c in row[j])
+                                         if j in row else 0 for j in range(n)] for row in rows])
+                              for t in range(math.prod(b + 1 for b in sides))])
+    terms = {}
+    for e, c in enumerate(coeffs):
+        m = [e // k % (b + 1) if k else 0 for k, b in zip(K, sides)]
+        if D is not None and m:
+            m[0] = D - sum(m)
+        terms[tuple(m)] = Fraction(c, F * L ** n)
+    return Polynomial(vars, terms)
+
+
+def _grade(rows) -> Optional[int]:
+    """sum col - sum row when every nonzero entry (i, j) is homogeneous of
+    total degree col_j - row_i, else None; no row or column is zero."""
+    n, pot, edges = len(rows), {}, {}
+    for i, row in enumerate(rows):
+        for j, terms in row.items():
+            d = {sum(m) for m, _ in terms}
+            if len(d) > 1:
+                return None
+            edges.setdefault(i, []).append((n + j, min(d)))
+            edges.setdefault(n + j, []).append((i, -min(d)))
+    for start in range(n):  # each component's potentials from one of its rows
+        todo = [] if start in pot else [start]
+        pot.setdefault(start, 0)
+        while todo:
+            u = todo.pop()
+            for w, d in edges[u]:
+                if w not in pot:
+                    todo.append(w)
+                if pot.setdefault(w, pot[u] + d) != pot[u] + d:
+                    return None
+    return sum(pot[n + j] - pot[j] for j in range(n))
+
+
+def _interpolate(values: List[int]) -> Tuple[int, List[int]]:
+    """(F, F * coefficients) of the polynomial of degree < N with values[t]
+    at t = 0..N-1, F = (N-1)!: Newton's form, expanded by Horner's rule."""
+    N, diffs, newton, poly = len(values), values, [], []
+    F = math.factorial(N - 1)
+    for k in range(N):
+        newton.append(diffs[0] * (F // math.factorial(k)))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    for k in reversed(range(N)):  # poly * (x - k) + newton[k]
+        poly = [a - k * b for a, b in zip([0] + poly, poly + [0])]
+        poly[0] += newton[k]
+    return F, poly
+
+
+def _int_det(M: List[List[int]]) -> int:
+    """Fraction-free Bareiss over Z, in place: every division is exact."""
+    n, sign, prev = len(M), 1, 1
     for k in range(n - 1):
-        if M[k][k].is_zero():
-            swap = next((r for r in range(k + 1, n) if not M[r][k].is_zero()), None)
+        if not M[k][k]:
+            swap = next((r for r in range(k + 1, n) if M[r][k]), None)
             if swap is None:
-                return Polynomial.zero(vars)
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        pivot, top, by_prev = M[k][k], M[k], divider(prev)
-        for i in range(k + 1, n):
-            row, mult = M[i], M[i][k]
-            for j in range(k + 1, n):
-                num = row[j] * pivot
-                if mult.terms and top[j].terms:
-                    num = num - mult * top[j]
-                if num.terms:
-                    num, rem = by_prev(num)
-                    if rem.terms:
-                        raise InternalError("inexact Bareiss division by %s" % prev.render())
-                row[j] = num
-            row[k] = Polynomial.zero(vars)
+                return 0
+            M[k], M[swap], sign = M[swap], M[k], -sign
+        pivot, top = M[k][k], M[k][k + 1:]
+        for row in M[k + 1:]:
+            mult, out = row[k], []
+            for a, b in zip(row[k + 1:], top):
+                q, r = divmod(a * pivot - mult * b, prev)
+                if r:
+                    raise InternalError("inexact Bareiss division by %d" % prev)
+                out.append(q)
+            row[k + 1:] = out
         prev = pivot
-    return M[n - 1][n - 1].scale(sign)
+    return sign * M[n - 1][n - 1]
 
 
 def det_expansion(entries: List[List[Polynomial]], trunc: int) -> Polynomial:
@@ -573,18 +636,25 @@ def det_expansion(entries: List[List[Polynomial]], trunc: int) -> Polynomial:
 def mat_pow(A: List[List[Polynomial]], e: int, trunc: int) -> List[List[Polynomial]]:
     """A**e for e >= 1, entries truncated above total degree trunc.
 
-    Each product entry sums over the nonzero entries of A's column and
-    skips a zero left factor.
+    Binary powering from the top bit: e.bit_length() + popcount(e) - 2
+    products.  Truncating A first changes no truncated power.
     """
     if e < 1:
         raise ValueError("matrix power wants a positive exponent")
-    n = len(A)
-    if n == 0:
+    if not A:
         raise ValueError("empty matrix")
+    out = A = [[p.truncate(trunc) for p in row] for row in A]
+    for bit in bin(e)[3:]:
+        out = _mat_mul(out, out, trunc)
+        if bit == "1":
+            out = _mat_mul(out, A, trunc)
+    return out
+
+
+def _mat_mul(A: List[List[Polynomial]], B: List[List[Polynomial]],
+             trunc: int) -> List[List[Polynomial]]:
+    """A*B truncated, summing over the nonzero entries of B's columns."""
     zero = Polynomial.zero(A[0][0].vars)
-    cols = [[(k, A[k][j]) for k in range(n) if A[k][j].terms] for j in range(n)]
-    out = A
-    for _ in range(e - 1):
-        out = [[sum((row[k] * a for k, a in col if row[k].terms), zero).truncate(trunc)
-                for col in cols] for row in out]
-    return out if e > 1 else [[p.truncate(trunc) for p in row] for row in A]
+    cols = [[(k, b) for k, b in enumerate(col) if b.terms] for col in zip(*B)]
+    return [[sum((row[k] * b for k, b in col if row[k].terms), zero).truncate(trunc)
+             for col in cols] for row in A]

@@ -314,9 +314,7 @@ def test_det_bareiss_raises_internal_error_on_a_remainder(monkeypatch):
     entries = [[q, one], [one, q]]
     assert quotient.det_bareiss(entries) == q * q - one
 
-    def leaves_a_remainder(d):
-        return lambda p: (p, one)
-
-    monkeypatch.setattr(quotient, "divider", leaves_a_remainder)
+    # the integer elimination at each point leaves a remainder
+    monkeypatch.setattr(quotient, "divmod", lambda a, b: (a // b, 1), raising=False)
     with pytest.raises(InternalError, match="inexact Bareiss division"):
         quotient.det_bareiss(entries)

@@ -200,7 +200,7 @@ def _record_contexts(monkeypatch):
 # then A in B and B in A.  The full bases take 155 and 1,853 steps (Jacobi).
 EARLY_STEPS = {
     3: [[20, 20, 24], [0, 30, 31], [0, 20, 20]],
-    4: [[164, 366, 366], [0, 65, 65], [0, 131, 160]],
+    4: [[164, 366, 366], [0, 25, 25], [0, 89, 117]],
 }
 
 
@@ -223,6 +223,34 @@ def test_memberships_are_decided_early_and_agree_with_the_full_basis(n, monkeypa
         for p, _, _ in decided:
             assert normal_form(ctx._embed(clear_denominators(p)), gdata).is_zero()
     assert built[0].gdata.steps == {3: 155, 4: 1853}[n]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_memberships_over_the_occurring_variables_keep_their_verdicts(n, monkeypatch):
+    # the survivors' ring has x1, x_{n-1}, x_{2n-3}, q1 and q2 (all of the
+    # variables at n = 3); in the ring of all of them each membership has
+    # the same verdict, and a side-A generator plus 1 is in neither ideal of B
+    made = []
+
+    class Recording(MembershipContext):
+        def __init__(self, lvars, generators, step_cap):
+            super().__init__(lvars, generators, step_cap)
+            made.append((lvars, generators))
+
+    monkeypatch.setattr(mirror, "MembershipContext", Recording)
+    assert all(c.passed for c in ideal_equality_attempt(n))
+    (sub, side_b), (_, side_a) = made
+    assert list(sub.names) == ["x1", "x%d" % (n - 1), "x%d" % (2 * n - 3), "q1", "q2"]
+    full_vars = laurent_vars(n)
+    to_full = {v: Polynomial.var(full_vars, v) for v in sub.names}
+    assert side_b[0].substitute(to_full) == \
+        mono(full_vars, **{"x%d" % (n - 1): 1}) - mono(full_vars, x1=n - 1) + mono(full_vars, q2=1)
+    for gens, probes in ((side_b, side_a + [side_a[0] + 1]), (side_a, side_b)):
+        small = MembershipContext(sub, gens)
+        full = MembershipContext(full_vars, [g.substitute(to_full) for g in gens])
+        verdicts = [(small.contains(p)[0], full.contains(p.substitute(to_full))[0])
+                    for p in probes]
+        assert verdicts == [(True, True)] * 3 + [(False, False)] * (len(probes) - 3)
 
 
 def full_basis_normal_form(lvars, generators, p):
