@@ -16,7 +16,7 @@ import time
 from typing import Dict, List, Optional
 
 from . import analytic, chern, jfun, mirror, report
-from .catalog import FAMILIES, RingId, ring
+from .catalog import _CLASSICAL, FAMILIES, RingId, ring
 from .core import InternalError
 from .parse import parse_element
 from .report import Check
@@ -61,8 +61,17 @@ def _finish(args, command: str, params: Dict, truncation, checks: List[Check],
 # ----------------------------------------------------------------- ring
 
 
+def _ring(args, quantum_trunc: int = 2):
+    """The catalog ring the flags name.  Without --trunc a classical family
+    takes 0, the only truncation it accepts, and a quantum one quantum_trunc."""
+    trunc = args.trunc
+    if trunc is None:
+        trunc = 0 if args.family in _CLASSICAL else quantum_trunc
+    return ring(args.family, args.n, args.m, trunc)
+
+
 def _cmd_ring_show(args) -> int:
-    R = ring(args.family, args.n, args.m, args.trunc)
+    R = _ring(args)
     print(R.label)
     print("basis size %d" % len(R.basis_monos))
     for name, rel in zip(R.presentation.relation_names, R.relations):
@@ -71,14 +80,14 @@ def _cmd_ring_show(args) -> int:
 
 
 def _cmd_ring_basis(args) -> int:
-    R = ring(args.family, args.n, args.m, args.trunc)
+    R = _ring(args)
     for s in R.render_basis():
         print(s)
     return 0
 
 
 def _cmd_ring_mul(args) -> int:
-    R = ring(args.family, args.n, args.m, args.trunc)
+    R = _ring(args)
     product = parse_element(args.lhs, R) * parse_element(args.rhs, R)
     print(product.render())
     return 0
@@ -88,7 +97,7 @@ def _cmd_ring_table(args) -> int:
     if args.selfcheck_trials < 0:
         raise ValueError("selfcheck_trials must be at least 0, got %d"
                          % args.selfcheck_trials)
-    R = ring(args.family, args.n, args.m, args.trunc)
+    R = _ring(args)
     table = report.structure_table(R, R.label)
     import json
     _write(args.out, json.dumps(table, sort_keys=True, indent=2) + "\n")
@@ -164,7 +173,7 @@ def _cmd_todd_pn(args) -> int:
 
 
 def _cmd_todd_factor(args) -> int:
-    R = ring(args.family, args.n, args.m, args.trunc)
+    R = _ring(args, 4)
     elt = analytic.quantum_todd_factor(args.a, R, args.exponent)
     print(elt.render())
     return 0
@@ -262,11 +271,11 @@ def _cmd_classical_chern(args) -> int:
 # ------------------------------------------------------------- argparse
 
 
-def _ring_flags(p, trunc_default=2):
+def _ring_flags(p):
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--trunc", type=int, default=trunc_default)
+    p.add_argument("--trunc", type=int, default=None)  # _ring reads the family's default
 
 
 def _space_flags(p, trunc_default=4):
@@ -328,7 +337,7 @@ def _todd_verbs(verbs):
     p.add_argument("--trunc", type=int, default=4)
     p.set_defaults(handler=_cmd_todd_pn)
     p = verbs.add_parser("factor")
-    _ring_flags(p, trunc_default=4)
+    _ring_flags(p)
     p.add_argument("--a", type=int, required=True, choices=(1, 2))
     p.add_argument("--exponent", type=int, required=True)
     p.set_defaults(handler=_cmd_todd_factor)

@@ -13,14 +13,11 @@ another new pair's lcm properly divides (criterion M), and of those
 sharing an lcm keeps the oldest, or none if one is coprime (criterion F
 and the product criterion).  It drops an old pair whose lcm the new
 leading monomial divides, unless its lcm with either member equals that
-lcm (criterion B).  Without cofactors, new pairs and S-polynomial
-reductions take the active generators, those whose leading monomial no
-newer one properly divides.  Cofactor rows are not unique and the
-quotient rings build their rules from them, so with cofactors both take
-every generator, oldest first, which gives the rows of the plain
-chain-criterion Buchberger (the oracle of tests/test_masks.py).  Pairs
-are taken smallest lcm first (the normal strategy).  The update computes
-on exponent ints (below), taking new lcms in ascending int order, and
+lcm (criterion B).  New pairs and S-polynomial reductions take the
+active generators, those whose leading monomial no newer one properly
+divides; tracking cofactors only keeps the rows.  Pairs are taken
+smallest lcm first (the normal strategy).  The update computes on
+exponent ints (below), taking new lcms in ascending int order, and
 unpacks and packs only the lcms of the pairs it pushes; a pair's
 S-polynomial is summed from the two generators' packed rows.
 
@@ -394,12 +391,16 @@ class BuchbergerRun:
     pause between two pairs changes nothing, so the pairs popped, the
     steps and the basis are those of one uninterrupted loop.
 
-    `vars` and `lead_rows`, the rows the S-polynomial reductions take,
-    make a run a divisor set for normal_form.  Every generator is a monic
-    element of the ideal, so a zero remainder proves membership before
-    the basis is complete.  The step cap bounds the whole run; once a run
-    has exceeded it, every later advance or basis raises StepCapExceeded
-    again without spending a step.
+    New pairs and the S-polynomial reductions take `lead_rows`, the
+    active generators, so a run pops the same pairs, takes the same steps
+    and returns the same basis with or without cofactors.  Cofactor rows
+    are not unique; these are one valid choice, and on every catalog
+    presentation they are those of the chain-criterion oracle in
+    tests/test_masks.py.  `vars` and `lead_rows` make a run a divisor set
+    for normal_form.  Every generator is a monic element of the ideal, so
+    a zero remainder proves membership before the basis is complete.  The
+    step cap bounds the whole run; once a run has exceeded it, every later
+    advance or basis raises StepCapExceeded again without spending a step.
     """
 
     def __init__(self, relations: List[Polynomial], step_cap: Optional[int] = None,
@@ -416,9 +417,8 @@ class BuchbergerRun:
         self.rows: List[List[Polynomial]] = []  # one cofactor row per generator
         self.reducers: List[LeadRow] = []  # one reducer row per generator
         self.pairs: List[Tuple[int, int, int, Mono]] = []  # heap of (-pack(lcm), i, j, lcm)
-        self.active: List[LeadRow] = []  # generators no newer leading monomial properly divides
-        # what pairs and reductions take
-        self.lead_rows = self.reducers if track_cofactors else self.active
+        # the active generators: no newer leading monomial properly divides theirs
+        self.lead_rows: List[LeadRow] = []
         self._data: Optional[GroebnerData] = None
         for j, r in enumerate(rels):
             if not r.is_zero():
@@ -431,12 +431,12 @@ class BuchbergerRun:
 
     def _add(self, g: Polynomial, lm: Mono) -> None:
         """Append the monic generator g led by lm: the Gebauer-Moeller update."""
-        order, reducers, pairs, active = self.order, self.reducers, self.pairs, self.active
+        order, reducers, pairs, lead_rows = self.order, self.reducers, self.pairs, self.lead_rows
         C, H, low = order.C, order.guard, order.low
         k = len(self.gens)
         E = (row := _lead_row(lm, g.terms.items(), k))[3]
         # (lcm, pair, coprime), ascending, so a proper divisor comes first
-        new = sorted([(L := _lcm(r[3], E, H), r[2], L == r[3] + E) for r in self.lead_rows])
+        new = sorted([(L := _lcm(r[3], E, H), r[2], L == r[3] + E) for r in lead_rows])
         self.gens.append(g)
         reducers.append(row)
         # the survivors of M -> the oldest pair, None if one is coprime
@@ -454,8 +454,8 @@ class BuchbergerRun:
             if t is not None:
                 m = order.unpack(C + L)
                 heapq.heappush(pairs, (-order.pack(m), t, k, m))
-        active[:] = [r for r in active if (r[5] - E) & H != H or r[3] == E]
-        active.append(row)
+        lead_rows[:] = [r for r in lead_rows if (r[5] - E) & H != H or r[3] == E]
+        lead_rows.append(row)
 
     def advance(self) -> bool:
         """Reduce pairs until one yields a new generator; False once none is left."""
@@ -490,11 +490,11 @@ class BuchbergerRun:
         while self.advance():
             pass
         vars, gens, rows, reducers = self.vars, self.gens, self.rows, self.reducers
-        track_cofactors, active, H = self.track_cofactors, self.active, self.order.guard
+        track_cofactors, lead_rows, H = self.track_cofactors, self.lead_rows, self.order.guard
 
         # minimal set, oldest of equals kept: an input's leading monomial may be another's multiple
-        keep = [a[2] for a in active if not any((a[5] - b[3]) & H == H
-                                                and (b[3] != a[3] or b[2] < a[2]) for b in active)]
+        keep = [a[2] for a in lead_rows if not any(
+            (a[5] - b[3]) & H == H and (b[3] != a[3] or b[2] < a[2]) for b in lead_rows)]
 
         # tail reduction against the other survivors gives the reduced basis, in
         # ascending grevlex of the leading monomials (distinct, and kept by it)
@@ -511,13 +511,10 @@ class BuchbergerRun:
 
         basis = [g for g, _ in reduced]
         cofactors = [u for _, u in reduced] if track_cofactors else []
-
-        if track_cofactors:
-            # the cofactor identity is part of the construction contract
-            for g, row in zip(basis, cofactors):
-                if sum((u * r for u, r in zip(row, self.relations)), Polynomial.zero(vars)) != g:
-                    raise InternalError("cofactor identity failed for basis element %s"
-                                        % g.render())
+        # the cofactor identity is part of the construction contract
+        for g, row in zip(basis, cofactors):
+            if sum((u * r for u, r in zip(row, self.relations)), Polynomial.zero(vars)) != g:
+                raise InternalError("cofactor identity failed for basis element %s" % g.render())
 
         self._data = GroebnerData(vars=vars, basis=basis, cofactors=cofactors,
                                   relations=self.relations, steps=self.budget.steps)

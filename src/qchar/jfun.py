@@ -52,6 +52,8 @@ _UNIT_EXPONENTS = {"L1": (1, 0), "L2": (0, 1), "L1L2": (1, 1)}
 
 
 def atom_unit(ring_: PresentedAlgebra, kind: str) -> AlgebraElement:
+    if kind not in _UNIT_EXPONENTS:
+        raise ValueError("unknown atom kind %r: expected L1, L2 or L1L2" % (kind,))
     return ring_.reduce(Polynomial(XY, {_UNIT_EXPONENTS[kind]: 1}))
 
 
@@ -200,12 +202,27 @@ def atoms_degree(atoms: AtomSet) -> int:
 
 
 class HbarFraction(Arithmetic):
-    """Numerator over a formal product of atoms; exact, never expanded away."""
+    """Numerator over a formal product of atoms; exact, never expanded away.
+
+    A denominator atom is 1 - u*hbar^level with level an int of at least
+    1, which makes it a non-zero-divisor: so a fraction is zero exactly
+    when its numerator is, and its series inverts each atom.
+    """
 
     __slots__ = ("numer", "denom")
 
     def __init__(self, numer: HbarPoly, denom: Optional[AtomSet] = None):
         denom = Counter(denom)
+        for (kind, level), mult in denom.items():
+            if kind not in _UNIT_EXPONENTS:
+                problem = "unknown kind, expected L1, L2 or L1L2"
+            elif type(level) is not int or level < 1:
+                problem = "the level must be an int of at least 1"
+            elif type(mult) is not int:
+                problem = "the multiplicity %s is not an int" % (mult,)
+            else:
+                continue
+            raise ValueError("atom %r in the denominator: %s" % ((kind, level), problem))
         bad = sorted((kind, level, mult) for (kind, level), mult in denom.items()
                      if mult < 0)
         if bad:

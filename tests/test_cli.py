@@ -93,6 +93,29 @@ def test_ring_table_shape_and_selfcheck(capsys, tmp_path):
     assert {"i": 1, "j": 1, "coords": {"1": "-1 + Q", "x": "2"}} in table["table"]
 
 
+@pytest.mark.parametrize("family", ["k_milnor", "k_pnxpm"])
+@pytest.mark.parametrize("verb, extra", [("show", []), ("basis", []), ("table", []),
+                                         ("mul", ["--lhs", "x", "--rhs", "y"])])
+def test_ring_verbs_default_to_trunc_0_on_classical_families(verb, extra, family, capsys):
+    argv = ["ring", verb, "--family", family, "--n", "4", "--m", "3"] + extra
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    assert run(capsys, *argv, "--trunc", "0") == (0, out, "")
+    # an explicit nonzero truncation is still refused
+    code, _, err = run(capsys, *argv, "--trunc", "2")
+    assert code == 2 and "%s is classical; truncation must be 0" % family in err
+
+
+def test_ring_verbs_keep_their_default_trunc_on_quantum_families(capsys):
+    argv = ["ring", "table", "--family", "qk_pn", "--n", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["truncation"] == 2
+    assert run(capsys, *argv, "--trunc", "2") == (0, out, "")
+    argv = ["todd", "factor", "--family", "qh_fl", "--n", "3", "--a", "1", "--exponent", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and run(capsys, *argv, "--trunc", "4") == (0, out, "")
+
+
 def test_todd_render(capsys):
     code, out, _ = run(capsys, "todd", "pn", "--n", "1", "--trunc", "1")
     assert code == 0
@@ -340,11 +363,11 @@ def test_unknown_flag_rejected():
 # build_parser as it was when it built every group's verbs for every
 # command; the parser that builds only the chosen group's must answer
 # every help and usage error exactly as this one does
-def _frozen_ring_flags(p, trunc_default=2):
+def _frozen_ring_flags(p):
     p.add_argument("--family", required=True, choices=cli.FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--trunc", type=int, default=trunc_default)
+    p.add_argument("--trunc", type=int, default=None)  # the handler reads the family's
 
 
 def _frozen_space_flags(p, trunc_default=4):
@@ -414,7 +437,7 @@ def _frozen_build_parser():
     p.add_argument("--trunc", type=int, default=4)
     p.set_defaults(handler=cli._cmd_todd_pn)
     p = todd_sub.add_parser("factor")
-    _frozen_ring_flags(p, trunc_default=4)
+    _frozen_ring_flags(p)
     p.add_argument("--a", type=int, required=True, choices=(1, 2))
     p.add_argument("--exponent", type=int, required=True)
     p.set_defaults(handler=cli._cmd_todd_factor)

@@ -1,27 +1,30 @@
 """The Gebauer-Moeller pair update and the packed S-polynomials of groebner.
 
 groebner keeps its pairs by the Gebauer-Moeller update and sums each
-S-polynomial from the generators' packed rows.  Without cofactors it
-takes pairs and reducers from its active generators only, so it reduces
-other pairs than the frozen pre-mask Buchberger of test_masks
+S-polynomial from the generators' packed rows.  It takes pairs and
+reducers from its active generators only, with or without cofactors, so
+a tracked and an untracked run must pop the same pairs, take the same
+steps and return the same basis: on every catalog presentation up to
+n=6, on the Jacobi ideals at n=3 and n=4 and on random ideals.  It
+reduces other pairs than the frozen pre-mask Buchberger of test_masks
 (frozen_groebner, with the lazy chain criterion) and counts other steps;
 the reduced basis is unique, so it must come out the same, on the four
 bases of mirror's ideal_equality_attempt at n=3 and n=4 (runs paused at
 the memberships they decide early and completed afterwards) and on
-random ideals (against sympy).  With cofactors it takes every generator, and
-the cofactor rows, which the quotient rings build their rules from, must
-be the frozen ones: on the same random ideals, and with the frozen steps
-on the two largest catalog rings the tests build.  The track-free
-steps and bases of the Jacobi ideal at n=3..5 are pinned.  The update
-computes on exponent ints; frozen_mask_groebner keeps the tuple-and-mask
-update it replaced, and the live loop must pop the same pairs, (lcm, i,
-j) in the same sequence, on the Jacobi ideals at n=3 and n=4, on both
-ideal_equality_attempt ideals at n=3 (paused and completed, as above)
-and on random ideals, with and without cofactors.
+random ideals (against sympy).  The cofactor rows, which the quotient
+rings build their rules from, are one valid choice: on the two largest
+catalog rings the tests build they must be frozen_groebner's, with the
+untracked run's steps.  The track-free steps and bases of the Jacobi
+ideal at n=3..5 are pinned.  The update computes on exponent ints;
+frozen_mask_groebner keeps the tuple-and-mask update it replaced, over
+the same active pool, and the live loop must pop the same pairs, (lcm,
+i, j) in the same sequence, and return the same basis and rows, on the
+Jacobi ideals at n=3 and n=4, on both ideal_equality_attempt ideals at
+n=3 (paused and completed, as above) and on random ideals, with and
+without cofactors.
 Two broken internal invariants must raise InternalError, which the CLI
 reports with exit 1, not as bad input.
 """
-
 import hashlib
 import heapq
 import itertools
@@ -44,7 +47,13 @@ from qchar.core import (
     mono_divides,
 )
 from qchar.groebner import GroebnerData, _Budget, _lead_row, _reduce, groebner
-from test_masks import _assert_same_basis, frozen_apply_usage, frozen_groebner, frozen_lcm_mono
+from test_masks import (
+    PRESENTATIONS,
+    _assert_same_basis,
+    frozen_apply_usage,
+    frozen_groebner,
+    frozen_lcm_mono,
+)
 from test_mirror import _record_contexts
 
 
@@ -88,12 +97,14 @@ def test_track_free_jacobi_steps_and_bases_pinned(n, steps, size):
     assert hashlib.sha256(text.encode()).hexdigest() == JACOBI_BASIS_SHA256[n]
 
 
-@pytest.mark.parametrize("family,n,m,steps", [("qk_fl", 5, None, 8), ("k_milnor", 5, 5, 8)])
+@pytest.mark.parametrize("family,n,m,steps", [("qk_fl", 5, None, 10), ("k_milnor", 5, 5, 10)])
 def test_cofactor_rows_and_steps_match_frozen_on_larger_catalog_rings(family, n, m, steps):
+    # the frozen run reduces against every generator and takes 8 steps
     gdata = ring(family, n, m, 0).gdata
     old = frozen_groebner(gdata.relations)
     _assert_same_basis(gdata, old)
-    assert gdata.steps == old.steps == steps
+    assert (gdata.steps, old.steps) == (steps, 8)
+    assert gdata.steps == groebner(gdata.relations, track_cofactors=False).steps
 
 
 def _random_ideal(seed):
@@ -122,7 +133,9 @@ def test_random_ideals_match_sympy(seed):
     tracked, untracked = groebner(gens), groebner(gens, track_cofactors=False)
     assert {frozenset(g.terms.items()) for g in tracked.basis} == expected
     assert [g.terms for g in untracked.basis] == [g.terms for g in tracked.basis]
-    _assert_same_basis(tracked, frozen_groebner(gens))
+    assert [g.terms for g in frozen_groebner(gens).basis] == [g.terms for g in tracked.basis]
+    # the rows are those of the frozen update, which takes the same active pool
+    _assert_same_basis(tracked, frozen_mask_groebner(gens, True)[0])
 
 
 # ------------------------------------------------------- the pop order
@@ -142,8 +155,9 @@ def frozen_mono_mask(mono):
 def frozen_mask_groebner(relations, track_cofactors=True):
     """groebner as it was with the tuple-and-mask update, returning the data
     and the (lcm, i, j) of every pair popped, in order.  Each generator's mask
-    sits in `masks` (the rows' slot 3 holds the exponent int now); the rest is
-    verbatim."""
+    sits in `masks` (the rows' slot 3 holds the exponent int now), and pairs
+    and reductions take the active generators with or without cofactors;
+    the rest is verbatim."""
     rels = list(relations)
     vars = rels[0].vars
     budget = _Budget(None)
@@ -154,7 +168,7 @@ def frozen_mask_groebner(relations, track_cofactors=True):
     masks = []
     pairs = []
     active = []
-    pool = lead_rows if track_cofactors else active
+    pool = active
 
     def add(g):
         k, lm = len(gens), g.leading()[0]
@@ -266,10 +280,12 @@ def _assert_same_pops(relations, track_cofactors, monkeypatch):
     return len(pops)
 
 
-@pytest.mark.parametrize("n, popped", [(3, 59), (4, 488)])
-def test_jacobi_pops_match_the_frozen_mask_update(n, popped, monkeypatch):
+@pytest.mark.parametrize("n, popped, track_cofactors", [
+    pytest.param(3, 59, False, id="3-59"), pytest.param(4, 488, False, id="4-488"),
+    pytest.param(3, 59, True, id="3-59-tracked")])
+def test_jacobi_pops_match_the_frozen_mask_update(n, popped, track_cofactors, monkeypatch):
     rels = mirror.jacobi_context(n).gdata.relations
-    assert _assert_same_pops(rels, False, monkeypatch) == popped
+    assert _assert_same_pops(rels, track_cofactors, monkeypatch) == popped
 
 
 def test_ideal_equality_pops_match_the_frozen_mask_update(monkeypatch):
@@ -296,6 +312,40 @@ def test_ideal_equality_pops_match_the_frozen_mask_update(monkeypatch):
 def test_random_ideal_pops_match_the_frozen_mask_update(seed, track_cofactors, monkeypatch):
     _, gens = _random_ideal(seed)
     _assert_same_pops(gens, track_cofactors, monkeypatch)
+
+
+# ------------------------------------------------------- one pair pool
+
+
+def _pops_steps_basis(relations, track_cofactors, monkeypatch):
+    recorder = _PopRecorder()
+    with monkeypatch.context() as m:
+        m.setattr(groebner_module, "heapq", recorder)
+        gdata = groebner(relations, track_cofactors=track_cofactors)
+    return recorder.pops, gdata.steps, [g.terms for g in gdata.basis]
+
+
+def _assert_one_pool(relations, monkeypatch):
+    # tracking cofactors keeps the rows and changes nothing else
+    tracked = _pops_steps_basis(relations, True, monkeypatch)
+    assert tracked == _pops_steps_basis(relations, False, monkeypatch)
+    return tracked
+
+
+@pytest.mark.parametrize("family,n,m", PRESENTATIONS)
+def test_tracked_run_takes_the_untracked_pairs_on_the_catalog(family, n, m, monkeypatch):
+    _assert_one_pool(ring(family, n, m, 0).gdata.relations, monkeypatch)
+
+
+@pytest.mark.parametrize("n, popped, steps", [(3, 59, 155), (4, 488, 1853)])
+def test_tracked_run_takes_the_untracked_pairs_on_jacobi_ideals(n, popped, steps, monkeypatch):
+    pops, taken, _ = _assert_one_pool(mirror.jacobi_context(n).gdata.relations, monkeypatch)
+    assert (len(pops), taken) == (popped, steps)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tracked_run_takes_the_untracked_pairs_on_random_ideals(seed, monkeypatch):
+    _assert_one_pool(_random_ideal(seed)[1], monkeypatch)
 
 
 # ------------------------------------------------------- internal invariants

@@ -654,6 +654,46 @@ def test_negative_atom_multiplicity_raises():
     assert f.denom == {("L2", 2): 1}
 
 
+def test_denominator_atom_below_level_one_raises():
+    # 1 - x*hbar^-1 is no polynomial, and its series came out all zero
+    R = _kring()
+    with pytest.raises(ValueError, match=r"atom \('L1', -1\) .* at least 1"):
+        HbarFraction(HbarPoly.one(R), {("L1", -1): 1})
+
+
+def test_denominator_atom_at_level_zero_raises():
+    # 1 - x is a zero divisor in k_milnor(3,3), where (1 - x)^3 = 0: a zero
+    # numerator would not make the fraction zero, and its series divided by zero
+    R = _kring()
+    one_minus_x = R.one() - atom_unit(R, "L1")
+    assert not one_minus_x.is_zero() and (one_minus_x ** 3).is_zero()
+    with pytest.raises(ValueError, match=r"atom \('L1', 0\) .* at least 1"):
+        HbarFraction(HbarPoly.one(R), {("L1", 0): 1})
+
+
+def test_denominator_atom_of_unknown_kind_raises():
+    R = _kring()
+    with pytest.raises(ValueError, match=r"atom \('L3', 1\) .* unknown kind"):
+        HbarFraction(HbarPoly.one(R), {("L3", 1): 1})
+    with pytest.raises(ValueError, match="unknown atom kind 'L3'"):
+        atom_unit(R, "L3")
+    with pytest.raises(ValueError, match="unknown atom kind 'L3'"):
+        HbarPoly.atom(R, "L3", 1)
+
+
+def test_denominator_atom_at_a_fractional_level_raises():
+    # it rendered as hbar^1
+    R = _kring()
+    with pytest.raises(ValueError, match=r"atom \('L1', 1.5\) .* an int"):
+        HbarFraction(HbarPoly.one(R), {("L1", 1.5): 1})
+
+
+def test_denominator_atom_with_a_fractional_multiplicity_raises():
+    R = _kring()
+    with pytest.raises(ValueError, match=r"atom \('L2', 1\) .* multiplicity 1/2 is not an int"):
+        HbarFraction(HbarPoly.one(R), {("L2", 1): F(1, 2)})
+
+
 # ------------------------------------------------------------ degree counts
 
 

@@ -12,10 +12,11 @@ forms must come out of both, on the Jacobi ideals of mirror verify, on
 every catalog presentation, on random small ideals and in the quotient
 rings' capped rewriting under both strategies, where the alternate
 strategy's former pop order stays a second oracle of its normal forms.
-Without cofactors the
-live Buchberger takes its pairs and reducers from its active generators
-only and counts other steps; with them it counts the frozen steps on the
-Jacobi and catalog inputs, though not on every ideal.
+The live Buchberger takes its pairs and reducers from its active
+generators only, with or without cofactors, so its steps may differ
+from the frozen ones and its cofactor rows are one valid choice: on
+every catalog presentation up to n=6 they equal the frozen rows, and
+elsewhere each row must satisfy the cofactor identity.
 """
 
 import heapq
@@ -380,11 +381,20 @@ def test_map_helpers_match_frozen_generator_versions(ab):
 # ------------------------------------------------------- frozen oracles
 
 
+def assert_cofactor_identity(gdata):
+    """Each basis element equals the sum of its row times the relations."""
+    assert len(gdata.cofactors) == len(gdata.basis)
+    for g, row in zip(gdata.basis, gdata.cofactors):
+        assert len(row) == len(gdata.relations)
+        assert sum((u * r for u, r in zip(row, gdata.relations)), Polynomial.zero(g.vars)) == g
+
+
 def test_jacobi_n3_basis_matches_frozen_unmasked_groebner():
     rels = jacobi_context(3).gdata.relations
     new, old = groebner(rels), frozen_groebner(rels)
-    _assert_same_basis(new, old)
-    assert new.steps == old.steps == 154
+    assert [g.terms for g in new.basis] == [g.terms for g in old.basis]
+    assert_cofactor_identity(new)
+    assert (new.steps, old.steps) == (155, 154)
 
 
 def test_jacobi_n4_basis_matches_frozen_unmasked_groebner():
@@ -401,17 +411,33 @@ CATALOG = [(family, n, m) for family, sizes in [
     ("k_milnor", [(3, 3), (4, 3)]), ("k_pnxpm", [(1, 1), (2, 3)])]
     for n, m in sizes]
 
+# every catalog presentation up to n = 6, and m = 6 for k_pnxpm, whose m may exceed n
+PRESENTATIONS = ([(f, n, None) for f in ("qh_pn", "qk_pn") for n in range(1, 7)]
+                 + [(f, n, None) for f in ("qh_fl", "qk_fl") for n in range(3, 7)]
+                 + [(f, n, m) for f in ("k_milnor", "qk_milnor", "qh_milnor")
+                    for n in range(3, 7) for m in range(3, n + 1)]
+                 + [("k_pnxpm", n, m) for n in range(1, 7) for m in range(1, 7)])
+
+# (frozen steps, live steps) where the live run's active pool takes more
+ACTIVE_POOL_STEPS = {
+    ("qk_fl", 5, None): (8, 10), ("k_milnor", 5, 5): (8, 10), ("qk_milnor", 5, 5): (8, 10),
+    ("qk_fl", 6, None): (12, 14), ("k_milnor", 6, 5): (12, 14), ("k_milnor", 6, 6): (12, 14),
+    ("qk_milnor", 6, 5): (12, 14), ("qk_milnor", 6, 6): (12, 14)}
+
 
 def test_catalog_covers_every_family():
     assert {family for family, _, _ in CATALOG} == set(FAMILIES)
+    assert set(CATALOG) < set(PRESENTATIONS) and len(PRESENTATIONS) == 86
 
 
-@pytest.mark.parametrize("family,n,m", CATALOG)
+@pytest.mark.parametrize("family,n,m", PRESENTATIONS)
 def test_catalog_basis_matches_frozen_unmasked_groebner(family, n, m):
     R = ring(family, n, m, 0)
     old = frozen_groebner(R.gdata.relations)
     _assert_same_basis(R.gdata, old)
-    assert R.gdata.steps == old.steps
+    frozen, live = ACTIVE_POOL_STEPS.get((family, n, m), (old.steps, old.steps))
+    assert (old.steps, R.gdata.steps) == (frozen, live)
+    assert R.gdata.steps == groebner(R.gdata.relations, track_cofactors=False).steps
 
 
 XYZ = VariableSet(["x", "y", "z"])
@@ -439,7 +465,9 @@ def test_random_ideals_match_frozen_unmasked_groebner(rels):
         with pytest.raises(type(e)):
             groebner(rels, step_cap=cap)
         return
-    _assert_same_basis(groebner(rels, step_cap=cap), old)
+    new = groebner(rels, step_cap=cap)
+    assert [g.terms for g in new.basis] == [g.terms for g in old.basis]
+    assert_cofactor_identity(new)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
