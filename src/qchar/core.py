@@ -27,24 +27,24 @@ products and scalar multiples of valid terms are valid, and the code
 that builds them drops the coefficients that cancel, so they go through
 Polynomial._trusted instead, which keeps the operand's space and takes
 the term map as it is.  The zero polynomial / series is the one with an
-empty term map.  The monomial order is grevlex throughout; grevlex_key
-(ascending), grevlex_desc_key (descending) and NovikovSeries._order_key,
-which joins the two on the main and q slices of a key, are the only
-order keys.  MonomialOrder states the same orders as integer weight rows
-and packs a monomial into one int that compares as the row values do;
-the reduction loop (groebner._reduce) and the quotient rings' product
-kernel compute on those ints, and keys are tuples again at their
-boundary.  evaluate is the one substitution routine, for polynomials and
-for ring maps alike.
+empty term map.  A MonomialOrder, integer weight rows compared
+lexicographically (Robbiano, EUROCAL 1985), is the only statement of a
+monomial order, and display_order the one order that every sort, leading
+term and default rewrite reads.  Its sort_key is exact at any degree;
+its pack puts a monomial in one int of 16-bit fields, on which the
+reduction loop (groebner._reduce) and the quotient rings' product kernel
+compute, and keys are tuples again at their boundary.  evaluate is the
+one substitution routine, for polynomials and for ring maps alike.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import struct
 from fractions import Fraction
-from operator import add, le, mul, neg, sub
+from operator import add, le, mul, sub
 from typing import Dict, Iterable, Tuple, Union
 
 Rational = Fraction
@@ -68,24 +68,6 @@ def binomial(n: int, k: int) -> int:
     if n < 0:
         raise ValueError("binomial: upper index must be nonnegative")
     return math.comb(n, k) if k >= 0 else 0
-
-
-def grevlex_key(mono: Mono):
-    """Ascending sort key for graded reverse lexicographic order.
-
-    Total degree first; ties broken so that the monomial whose rightmost
-    nonzero exponent difference is negative compares larger.  max() over
-    these keys picks the grevlex leading monomial.
-    """
-    return (sum(mono), tuple(map(neg, reversed(mono))))
-
-
-def grevlex_desc_key(mono: Mono):
-    """Ascending sort key for descending grevlex: the negated grevlex_key.
-
-    The reversed-exponent tuple recovers the monomial.
-    """
-    return (-sum(mono), tuple(reversed(mono)))
 
 
 class MonomialOrder:
@@ -131,14 +113,14 @@ class MonomialOrder:
         self._fields = struct.Struct(">%dh" % len(fields)).unpack
         self._nbytes = 2 * len(fields)
         self._first = len(self.rows)
+        self._sort_keys: Dict[int, object] = {}  # bits of the largest |exponent| -> sort_key
 
     @classmethod
     def grevlex(cls, *blocks) -> "MonomialOrder":
         """Blocks compared in turn, grevlex inside each.
 
         A block is (size, descending): a descending block ranks its
-        grevlex-largest monomial first, as grevlex_desc_key does, an
-        ascending one its smallest, as grevlex_key does.
+        grevlex-largest monomial first, an ascending one its smallest.
         """
         n = sum(size for size, _ in blocks)
         rows, start = [], 0
@@ -163,11 +145,31 @@ class MonomialOrder:
             raise ValueError("monomials of total degree %d do not fit the %d-bit fields "
                              "of a packed monomial" % (total, self.WIDTH))
 
+    def sort_key(self, monos):
+        """An int key that sorts the monomials of `monos` in this order, at
+        any degree and on negative exponents.  It holds the row values
+        w_i . e alone, each in a signed field more than twice as wide as
+        sum_j |w_ij| * max |e| over `monos`: a field outweighs all below it."""
+        b = max(map(abs, set(itertools.chain.from_iterable(monos))), default=0).bit_length()
+        if b not in self._sort_keys:
+            cols, shift = [0] * len(self.cols), 0
+            for row in reversed(self.rows):
+                cols = [c + (w << shift) for c, w in zip(cols, row)]
+                shift += (sum(map(abs, row)) << b).bit_length() + 1
+            self._sort_keys[b] = lambda mono: sum(map(mul, mono, cols))
+        return self._sort_keys[b]
 
-@functools.lru_cache(maxsize=None)
-def grevlex_desc_order(n: int) -> MonomialOrder:
-    """Descending grevlex on n variables: rows -deg, then e_n, ..., e_1."""
-    return MonomialOrder.grevlex((n, True))
+
+_DISPLAY_ORDERS: Dict[Tuple[int, int], MonomialOrder] = {}
+
+
+def display_order(k: int, nq: int = 0) -> MonomialOrder:
+    """Descending grevlex on k main exponents, then ascending grevlex on nq
+    q exponents, one object per (k, nq): the order terms print by, leading
+    terms lead by and the quotient rings' default strategy rewrites by."""
+    if (k, nq) not in _DISPLAY_ORDERS:
+        _DISPLAY_ORDERS[(k, nq)] = MonomialOrder.grevlex((k, True), (nq, False))
+    return _DISPLAY_ORDERS[(k, nq)]
 
 
 def power_by_squaring(base, e: int, one):
@@ -296,6 +298,8 @@ class VariableSet:
         return (0,) * len(self.names)
 
     def unit_mono(self, name: str, power: int = 1) -> Mono:
+        if type(power) is not int:  # a bool is refused too
+            raise ValueError("an exponent must be an int, got %r" % (power,))
         m = [0] * len(self.names)
         m[self.index(name)] = power
         return tuple(m)
@@ -396,8 +400,8 @@ class Polynomial(Arithmetic):
     `terms` maps exponent vectors to nonzero ints and Fractions.  The
     operators that only walk that map go through _space() (what both
     operands must share), _new(terms) (a checked element of the same
-    space), _trusted (an unchecked one) and _order_key (ascending key of
-    display order), which NovikovSeries overrides.
+    space), _trusted (an unchecked one) and _display_order (the
+    display_order of the space), which NovikovSeries overrides.
     """
 
     __slots__ = ("vars", "terms")
@@ -424,10 +428,10 @@ class Polynomial(Arithmetic):
     # predicates and accessors
 
     def leading(self):
-        """(monomial, coefficient) maximal in grevlex; error on zero."""
+        """(monomial, coefficient) maximal in grevlex on all exponents; error on zero."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=grevlex_key)
+        m = min(self.terms, key=display_order(len(self.vars)).sort_key(self.terms))
         return m, self.terms[m]
 
     def coeff(self, mono: Mono) -> Coeff:
@@ -458,7 +462,8 @@ class Polynomial(Arithmetic):
         new.terms = terms
         return new
 
-    _order_key = staticmethod(grevlex_desc_key)
+    def _display_order(self) -> MonomialOrder:
+        return display_order(len(self.vars))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -498,7 +503,8 @@ class Polynomial(Arithmetic):
 
     def sorted_terms(self):
         """Terms in canonical display order."""
-        return [(k, self.terms[k]) for k in sorted(self.terms, key=self._order_key)]
+        key = self._display_order().sort_key(self.terms)
+        return [(k, self.terms[k]) for k in sorted(self.terms, key=key)]
 
     def render(self) -> str:
         return _render_terms([(c, self.vars.render_mono(k)) for k, c in self.sorted_terms()])
@@ -634,14 +640,8 @@ class NovikovSeries(Polynomial):
     def _new(self, terms) -> "NovikovSeries":
         return NovikovSeries(self.main_vars, self.q_vars, self.trunc, terms)
 
-    def _order_key(self, mono):
-        # main part by descending grevlex, then q part by ascending grevlex:
-        # grevlex_desc_key(main) + grevlex_key(q), which the quotient
-        # rings' default strategy packs as MonomialOrder.grevlex((k, True),
-        # (len(q), False))
-        k = len(self.main_vars)
-        mm, qm = mono[:k], mono[k:]
-        return (-sum(mm), mm[::-1], sum(qm), tuple(-e for e in reversed(qm)))
+    def _display_order(self) -> MonomialOrder:
+        return display_order(len(self.main_vars), len(self.q_vars))
 
     # arithmetic
 

@@ -33,7 +33,7 @@ A run's step cap bounds all the reductions it has made so far.
 
 _reduce is the one normal-form loop of the package.  It serves the
 S-polynomial and tail reductions of Buchberger, divide and normal_form
-under descending grevlex, and the rewriting of the quotient rings
+under core.display_order, and the rewriting of the quotient rings
 (quotient.PresentedAlgebra._reduce_terms), which passes its rule rows
 in its own order, its own order object and a q-degree cap.
 
@@ -93,9 +93,8 @@ from .core import (
     MonomialOrder,
     Polynomial,
     VariableSet,
+    display_order,
     exact_coeff,
-    grevlex_desc_order,
-    grevlex_key,
     mono_div,
     mono_divides,
 )
@@ -172,7 +171,7 @@ LeadRow = Tuple[Mono, List[Tuple[Mono, Coeff]], int, int,
 def _lead_row(lm: Mono, items: Iterable[Tuple[Mono, Coeff]], gid: int,
               order: Optional[MonomialOrder] = None, k: Optional[int] = None) -> LeadRow:
     """The reducer row of a monic element led by lm, packed once under `order`
-    (descending grevlex by default) with q-degrees from slot k on (none by
+    (core.display_order by default) with q-degrees from slot k on (none by
     default), each coefficient put in its exact_coeff form.
 
     No term may have less q-degree than lm, and a term of the same
@@ -181,7 +180,7 @@ def _lead_row(lm: Mono, items: Iterable[Tuple[Mono, Coeff]], gid: int,
     """
     items = [(m, exact_coeff(c)) for m, c in items]
     if order is None:
-        order = grevlex_desc_order(len(lm))
+        order = display_order(len(lm))
     if k is None:
         k = len(lm)
     order.check(max(sum(m) for m, _ in items))
@@ -223,7 +222,7 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
             degree: Optional[int] = None) -> Dict[Mono, Fraction]:
     """Full normal form of the term map `terms` against monic reducer rows.
 
-    `rows` are _lead_row tuples packed under `order` (descending grevlex
+    `rows` are _lead_row tuples packed under `order` (core.display_order
     by default) with the cap's k (the number of variables without a cap).
     A term is rewritten by the first row whose leading monomial divides
     it.  The scan for that row tests each row's exponent int against the
@@ -270,7 +269,7 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
     if not packed:
         n = len(next(iter(terms)))
         if order is None:
-            order = grevlex_desc_order(n)
+            order = display_order(n)
         if n and min(map(min, terms)) < 0:
             raise ValueError("negative exponent in a term to reduce")
         degree = max(map(sum, terms))
@@ -412,7 +411,7 @@ class BuchbergerRun:
         _check_operands(vars, *rels)
         self.vars, self.relations, self.track_cofactors = vars, rels, track_cofactors
         self.budget = _Budget(step_cap)
-        self.order = grevlex_desc_order(len(vars))
+        self.order = display_order(len(vars))
         self.gens: List[Polynomial] = []
         self.rows: List[List[Polynomial]] = []  # one cofactor row per generator
         self.reducers: List[LeadRow] = []  # one reducer row per generator
@@ -567,5 +566,5 @@ def standard_monomials(gdata: GroebnerData) -> List[Mono]:
         bounds.append(min(powers))
     monos = [m for m in product(*[range(b) for b in bounds])
              if not any(mono_divides(lm, m) for lm in lms)]
-    monos.sort(key=grevlex_key)
+    monos.sort(key=display_order(n).sort_key(monos), reverse=True)
     return monos

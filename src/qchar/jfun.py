@@ -95,7 +95,8 @@ class HbarPoly(Polynomial):
     @classmethod
     def lift(cls, element: AlgebraElement, level: int = 0) -> "HbarPoly":
         """element*hbar^level."""
-        return cls(element.ring, {m + (level,): c for m, c in element.terms.items()})
+        hb = HBAR.unit_mono("hbar", level)  # refuses a level that is not an int
+        return cls(element.ring, {m + hb: c for m, c in element.terms.items()})
 
     @classmethod
     def zero(cls, ring_: PresentedAlgebra) -> "HbarPoly":
@@ -130,6 +131,7 @@ class HbarPoly(Polynomial):
 
     def shift(self, p: int) -> "HbarPoly":
         """Multiply by hbar^p."""
+        p, = HBAR.unit_mono("hbar", p)  # refuses a p that is not an int
         return self._new({m[:-1] + (m[-1] + p,): c for m, c in self.terms.items()})
 
     def _space(self):
@@ -162,13 +164,9 @@ class HbarPoly(Polynomial):
         cap = sum(max((g[-1][1] for g in side.values()), default=0) for side in (left, right))
         # numerators over Da*Db
         terms = _table_rows(ring_, _monomial_sums(left, right, cap))
-        # emitted in display order, as an element's product is:
-        # grevlex_desc_key(me + (h,)) is (-(deg me + h), h, me reversed)
-        out = sorted((-sum(me) - h, h, me[::-1], me, num)
-                     for me, row in terms.items() for h, num in row.items() if num)
         D = Da * Db
-        return self._trusted({me + (h,): num for _, h, _, me, num in out} if D == 1 else
-                             {me + (h,): Fraction(num, D) for _, h, _, me, num in out})
+        out = {me + (h,): num for me, row in terms.items() for h, num in row.items() if num}
+        return self._trusted(out if D == 1 else {m: Fraction(c, D) for m, c in out.items()})
 
     __pow__ = Arithmetic.__pow__  # hbar is not Laurent
 

@@ -92,8 +92,8 @@ from .core import (
     Polynomial,
     VariableSet,
     _render_terms,
+    display_order,
     exact_coeff,
-    grevlex_key,
     mono_mul,
 )
 from .groebner import (
@@ -286,14 +286,9 @@ class PresentedAlgebra:
         self.basis_monos: List[Mono] = standard_monomials(self.gdata)
         self._basis_index = {m: i for i, m in enumerate(self.basis_monos)}
 
-        # the default strategy takes the first matching rule under the
-        # display order (NovikovSeries._order_key); the alternate one the
-        # last, lowest q-degree first, then the largest classical monomial:
-        # every rewrite lands above its monomial there, so each monomial is
-        # rewritten once.  With one rule per monomial rewriting is linear,
-        # so no pop order moves a normal form.  Each packs its rows once, here.
+        # the two strategies of the module docstring; each packs its rows once, here
         k, nq = len(self.gens), len(self.q_vars)
-        default = MonomialOrder.grevlex((k, True), (nq, False))
+        default = display_order(k, nq)
         alternate = MonomialOrder(([[0] * k + [1] * nq] if nq else [])
                                   + list(MonomialOrder.grevlex((k, True), (nq, True)).rows))
         # a product key is a standard monomial times a q-monomial in the cap
@@ -445,8 +440,9 @@ class PresentedAlgebra:
         return out
 
     def render_qpoly(self, qp: QPoly) -> str:
+        key = display_order(0, len(self.q_vars)).sort_key(qp)
         return _render_terms([(qp[qm], self.q_vars.render_mono(qm))
-                              for qm in sorted(qp, key=grevlex_key)])
+                              for qm in sorted(qp, key=key)])
 
     def random_series(self, rng: random.Random) -> NovikovSeries:
         """Random expression in generators and q variables, for self-checks.

@@ -4,6 +4,7 @@ Expected values below are frozen from hand expansion, never from the
 code under test.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,8 @@ from qchar.core import (
     VariableSet,
     _render_terms,
     binomial,
+    display_order,
     evaluate,
-    grevlex_key,
 )
 
 XY = VariableSet(["x", "y"])
@@ -53,12 +54,32 @@ def test_grevlex_order_three_variables():
     # Degree-2 monomials in x > y > z, ascending:
     # z^2 < yz < xz < y^2 < xy < x^2
     monos = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
-    ordered = sorted(monos, key=grevlex_key)
+    # the display order is descending grevlex: reversed, it ascends
+    ordered = sorted(monos, key=display_order(3).sort_key(monos), reverse=True)
     assert ordered == [(0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 2, 0), (1, 1, 0), (2, 0, 0)]
 
 
 def test_grevlex_grades_by_total_degree_first():
-    assert grevlex_key((0, 3)) > grevlex_key((2, 0))
+    # x3^3 outranks x1^2: it comes first in the display order
+    key = display_order(3).sort_key([(0, 0, 3), (2, 0, 0)])
+    assert key((0, 0, 3)) < key((2, 0, 0))
+
+
+def test_order_is_exact_beyond_the_packed_fields_and_on_laurent_monomials():
+    # degrees above 2^15 and negative exponents, which pack does not hold
+    L = VariableSet(["x", "y"], laurent=[True, True])
+    p = Polynomial(L, {(40000, 1): 1, (0, 40001): 1, (-40000, 0): 1, (0, 0): 3})
+    assert p.render() == "x^40000*y + y^40001 + 3 + x^-40000"
+    assert p.leading() == ((40000, 1), 1)
+
+
+def test_non_integer_exponents_are_refused():
+    for power in (1.5, Fraction(3, 2), True, "2"):
+        with pytest.raises(ValueError, match=re.escape("must be an int, got %r" % (power,))):
+            Polynomial.var(XY, "x", power)
+        with pytest.raises(ValueError, match="exponent must be an int"):
+            XY.unit_mono("y", power)
+    assert Polynomial.var(XY, "x", 2).terms == {(2, 0): 1}
 
 
 def test_square_of_one_plus_x():

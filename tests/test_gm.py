@@ -41,8 +41,7 @@ from qchar.core import (
     MonomialOrder,
     Polynomial,
     VariableSet,
-    grevlex_desc_order,
-    grevlex_key,
+    display_order,
     mono_div,
     mono_divides,
 )
@@ -51,6 +50,7 @@ from test_masks import (
     PRESENTATIONS,
     _assert_same_basis,
     frozen_apply_usage,
+    frozen_grevlex_key,
     frozen_groebner,
     frozen_lcm_mono,
 )
@@ -163,7 +163,7 @@ def frozen_mask_groebner(relations, track_cofactors=True):
     budget = _Budget(None)
     pops = []
 
-    order = grevlex_desc_order(len(vars))
+    order = display_order(len(vars))
     lead_rows = []
     masks = []
     pairs = []
@@ -242,7 +242,7 @@ def frozen_mask_groebner(relations, track_cofactors=True):
             nf, cof = gens[a], rows[a]
         reduced.append((nf, cof))
 
-    reduced.sort(key=lambda item: grevlex_key(item[0].leading()[0]))
+    reduced.sort(key=lambda item: frozen_grevlex_key(item[0].leading()[0]))
     basis = [g for g, _ in reduced]
     cofactors = [u for _, u in reduced] if track_cofactors else []
     return GroebnerData(vars=vars, basis=basis, cofactors=cofactors,

@@ -1,6 +1,7 @@
 """Series coefficients, fraction arithmetic, and difference operators."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,34 @@ def test_difference_refuses_other_generators_with_nothing_to_reduce():
 def test_atom_at_negative_level_raises(level):
     with pytest.raises(ValueError):
         HbarPoly.atom(_kring(), "L1", level)
+
+
+NON_INTEGERS = [1.5, Fraction(1, 2), True]
+
+
+@pytest.mark.parametrize("level", NON_INTEGERS)
+def test_lift_refuses_a_non_integer_level(level):
+    # a level of 1.5 used to print as hbar^1
+    R = _kring()
+    match = re.escape("must be an int, got %r" % (level,))
+    with pytest.raises(ValueError, match=match):
+        HbarPoly.lift(R.one(), level)
+    with pytest.raises(ValueError, match=match):
+        HbarPoly.atom(R, "L1", level)
+
+
+@pytest.mark.parametrize("power", NON_INTEGERS)
+def test_shift_refuses_a_non_integer_power(power):
+    # a shift by 0.5 used to print as hbar^0, and HbarPoly.var(R, "x", 1.5)
+    # failed with a TypeError inside the reduction
+    R = _kring()
+    match = re.escape("must be an int, got %r" % (power,))
+    with pytest.raises(ValueError, match=match):
+        HbarPoly.one(R).shift(power)
+    with pytest.raises(ValueError, match=match):
+        HbarPoly.var(R, "hbar", power)
+    with pytest.raises(ValueError, match=match):
+        HbarPoly.var(R, "x", power)
 
 
 def test_hbar_poly_generic_constructors_and_repr():

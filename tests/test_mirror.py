@@ -8,6 +8,7 @@ import pytest
 from qchar import mirror
 from qchar.core import Polynomial, VariableSet, mono_div, mono_divides, mono_mul
 from qchar.groebner import StepCapExceeded, groebner, normal_form
+from qchar.quotient import det_expansion
 from qchar.mirror import (
     MembershipContext,
     build_superpotential,
@@ -466,6 +467,27 @@ def test_direct_nzd_n3():
     # both determinant algorithms produce -(q1+q2)^3 in lowest order
     assert by_name["lowest-order term nonzero"].detail == \
         "order 3 witness -q1^3 - 3*q1^2*q2 - 3*q1*q2^2 - q2^3"
+
+
+def test_determinant_routes_below_the_witness_are_skipped_not_passed():
+    # det M(h1+h2) of qh_fl(4) starts at order 4: at truncation 3 both
+    # routes are 0, so they compare nothing about the witness
+    checks = {c.name: c for c in direct_nzd_check(4, 3)}
+    routes = checks["determinant routes agree"]
+    assert routes.status == "skipped"
+    assert routes.detail == ("the determinant starts at order 4, above truncation 3; "
+                             "a truncation of 4 or more compares the witness")
+    assert all(c.passed for name, c in checks.items() if name != "determinant routes agree")
+    assert {c.name: c for c in direct_nzd_check(3, 3)}["determinant routes agree"].passed
+
+
+def test_determinant_routes_that_disagree_below_the_witness_fail(monkeypatch):
+    def off_by_one(entries, trunc):
+        return det_expansion(entries, trunc) + 1
+
+    monkeypatch.setattr(mirror, "det_expansion", off_by_one)
+    routes = {c.name: c for c in direct_nzd_check(4, 3)}["determinant routes agree"]
+    assert (routes.status, routes.detail) == ("fail", "algorithms disagree")
 
 
 def test_direct_nzd_unstable_truncation_reported():

@@ -24,10 +24,7 @@ from qchar.catalog import ring
 from qchar.core import (
     InternalError,
     MonomialOrder,
-    NovikovSeries,
-    VariableSet,
-    grevlex_desc_key,
-    grevlex_desc_order,
+    display_order,
     mono_mul,
 )
 from qchar.groebner import _Budget, _lead_row, _reduce, groebner
@@ -35,17 +32,15 @@ from qchar.mirror import jacobi_context
 from test_masks import (
     CATALOG,
     frozen_alternate_key,
+    frozen_grevlex_desc_key,
     frozen_measure_key,
+    frozen_novikov_key,
     frozen_reduce,
     frozen_strategy_key,
     small_polys,
 )
 
 LIMIT = MonomialOrder.OFF - 1  # the largest total degree a packed field holds
-
-
-def _names(prefix, count):
-    return VariableSet(["%s%d" % (prefix, i) for i in range(count)])
 
 
 def _monos(n, rng):
@@ -68,11 +63,10 @@ def _ascending_order(k, l):
 
 
 def _orders(k, l):
-    """The orders in use, and the alternate's former one, packed and as the
-    tuple keys they replace."""
-    novikov = NovikovSeries.zero(_names("x", k), _names("q", l), 0)
-    return [(grevlex_desc_order(k + l), grevlex_desc_key),
-            (MonomialOrder.grevlex((k, True), (l, False)), novikov._order_key),
+    """The orders in use, and the alternate's former one, with the tuple
+    keys they replace."""
+    return [(display_order(k + l), frozen_grevlex_desc_key),
+            (display_order(k, l), frozen_novikov_key(k)),
             (_measure_order(k, l), frozen_measure_key(k)),
             (_ascending_order(k, l), frozen_alternate_key(k))]
 
@@ -81,7 +75,8 @@ def _orders(k, l):
 def test_packing_sorts_as_the_tuple_keys_and_round_trips(k, l):
     monos = _monos(k + l, random.Random(10 * k + l))
     for order, key in _orders(k, l):
-        assert sorted(monos, key=order.pack) == sorted(monos, key=key)
+        assert sorted(monos, key=order.sort_key(monos)) == sorted(monos, key=order.pack) \
+            == sorted(monos, key=key)
         assert [order.unpack(order.pack(m)) for m in monos] == monos
         for a, b in zip(monos, reversed(monos)):
             assert order.pack(mono_mul(a, b)) == order.pack(a) + order.pack(b) - order.C
@@ -98,6 +93,14 @@ def test_rings_pack_their_strategies_under_the_block_orders():
     assert [row[2] for row in alt_rows] == [row[2] for row in rows][::-1]
 
 
+@pytest.mark.parametrize("family,n,m", CATALOG)
+def test_rings_rewrite_and_print_by_one_display_order(family, n, m):
+    R = ring(family, n, m, 0 if family in ("k_milnor", "k_pnxpm") else 2)
+    order = display_order(len(R.gens), len(R.q_vars))
+    assert R._default[1] is order
+    assert R.one()._display_order() is order
+
+
 def test_an_order_needs_a_unit_row_per_variable():
     with pytest.raises(ValueError, match="unit vector on exponent 1"):
         MonomialOrder([[1, 1], [1, 0]])
@@ -107,7 +110,7 @@ def test_an_order_needs_a_unit_row_per_variable():
 
 
 def test_check_refuses_a_degree_the_fields_cannot_hold():
-    order = grevlex_desc_order(3)
+    order = display_order(3)
     order.check(LIMIT)
     with pytest.raises(ValueError, match="do not fit"):
         order.check(LIMIT + 1)
@@ -163,7 +166,7 @@ def _ordered_usage(usage):
     return None if usage is None else [(gid, list(slot.items())) for gid, slot in usage.items()]
 
 
-def _assert_matches_frozen(terms, rows, order=None, cap=None, key=grevlex_desc_key,
+def _assert_matches_frozen(terms, rows, order=None, cap=None, key=frozen_grevlex_desc_key,
                            with_usage=True):
     b_new, b_old = _Budget(None), _Budget(None)
     us_new, us_old = ({}, {}) if with_usage else (None, None)
@@ -184,7 +187,7 @@ def test_every_jacobi_3_reduction_matches_the_frozen_loop(monkeypatch):
             assert order is None
             _assert_matches_frozen(terms, rows)
         else:  # an S-polynomial, packed under descending grevlex
-            assert order is grevlex_desc_order(len(rows[0][0]))
+            assert order is display_order(len(rows[0][0]))
             unpacked = {order.unpack(P): c for P, c in terms.items()}
             assert max(map(sum, unpacked)) <= degree
             _assert_matches_frozen(unpacked, rows)

@@ -17,7 +17,6 @@ from qchar.core import (
     NovikovSeries,
     Polynomial,
     VariableSet,
-    grevlex_key,
     mono_div,
     mono_divides,
     mono_mul,
@@ -31,7 +30,7 @@ from qchar.quotient import (
     det_bareiss,
     det_expansion,
 )
-from test_masks import CATALOG
+from test_masks import CATALOG, frozen_grevlex_key
 
 X = VariableSet(["x"])
 Q = VariableSet(["Q"])
@@ -280,7 +279,7 @@ def scan_reduce_terms(ring, terms, strategy="default"):
 
     while work:
         if strategy == "default":
-            key = max(work, key=lambda k: (grevlex_key(k[:ng]),
+            key = max(work, key=lambda k: (frozen_grevlex_key(k[:ng]),
                                            (-sum(k[ng:]), tuple(e for e in reversed(k[ng:])))))
             mm, qm = key[:ng], key[ng:]
             rule = find_rule(mm)
@@ -292,7 +291,7 @@ def scan_reduce_terms(ring, terms, strategy="default"):
                     emit(k[:ng], k[ng:], c)
                 break
             key, rule = min(reducible,
-                            key=lambda kr: (grevlex_key(kr[0][:ng]),
+                            key=lambda kr: (frozen_grevlex_key(kr[0][:ng]),
                                             (-sum(kr[0][ng:]),
                                              tuple(e for e in reversed(kr[0][ng:])))))
             mm, qm = key[:ng], key[ng:]
