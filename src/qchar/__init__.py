@@ -16,7 +16,7 @@ from .parse import ParseError, parse_element
 def clear_caches() -> None:
     """Drop every cached ring, with its product table, and every Jacobi context.
 
-    The joined variable sets of the series types go too.  Rings and
+    The joined variable sets and the mirror's relation caches go too.  Rings and
     membership contexts are cached per process and never
     evicted; a long-running program calls this to free them.  Rings
     built afterwards are new objects; elements of a dropped ring keep
@@ -25,6 +25,8 @@ def clear_caches() -> None:
     from . import catalog, core, mirror
     catalog._RING_CACHE.clear()
     mirror._CONTEXT_CACHE.clear()
+    mirror.jacobi_relations.cache_clear()
+    mirror.flag_relation_images.cache_clear()
     core.joined_vars.cache_clear()
 
 

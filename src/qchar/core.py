@@ -47,7 +47,6 @@ from fractions import Fraction
 from operator import add, le, mul, sub
 from typing import Dict, Iterable, Tuple, Union
 
-Rational = Fraction
 Mono = Tuple[int, ...]
 Coeff = Union[int, Fraction]
 
@@ -88,7 +87,7 @@ class MonomialOrder:
     check(total) raises ValueError unless every nonnegative exponent
     vector of total degree at most `total` fits the fields: a caller
     checks the largest degree it can reach before it packs, so a field
-    never wraps.
+    never wraps.  Two orders with the same rows are equal.
     """
 
     WIDTH = 16  # one signed short per field: unpack reads them with struct
@@ -109,11 +108,16 @@ class MonomialOrder:
         self._maxw = max((abs(w) for row in self.rows for w in row), default=1)
         self.low = (1 << self.WIDTH * n) - 1  # the n exponent fields
         self.guard = self.C & self.low  # the top bit of each: see groebner
-        # P ^ C holds each field as a signed big-endian short
-        self._fields = struct.Struct(">%dh" % len(fields)).unpack
-        self._nbytes = 2 * len(fields)
-        self._first = len(self.rows)
+        # P ^ C holds each field as a signed big-endian short: unpack reads the low n
+        self._fields = struct.Struct(">%dh" % n).unpack
+        self._nbytes = 2 * n
         self._sort_keys: Dict[int, object] = {}  # bits of the largest |exponent| -> sort_key
+
+    def __eq__(self, other):
+        return isinstance(other, MonomialOrder) and self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
 
     @classmethod
     def grevlex(cls, *blocks) -> "MonomialOrder":
@@ -137,7 +141,7 @@ class MonomialOrder:
         return sum(map(mul, mono, self.cols), self.C)
 
     def unpack(self, packed: int) -> Mono:
-        return self._fields((packed ^ self.C).to_bytes(self._nbytes, "big"))[self._first:]
+        return self._fields(((packed & self.low) ^ self.guard).to_bytes(self._nbytes, "big"))
 
     def check(self, total: int) -> None:
         """Raise ValueError unless exponents of total degree <= total pack exactly."""

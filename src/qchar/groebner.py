@@ -49,9 +49,11 @@ monomial P adds pack(m) - pack(lm) to P and compares the q-degree
 difference with the room the cap leaves.  The coefficient c is an int
 wherever it is integral and a Fraction otherwise, so the loop computes
 in int wherever the data allow.  Every key stays a tuple of exponents at
-the boundary: a monomial is unpacked only when it is found irreducible
-or a cap needs its q-degree, and the result and usage come out as
-tuples.  The packing never wraps: _reduce bounds the total degree any
+the boundary: the result's nonzero terms and usage are unpacked once
+each, at the end.  A cap reads a monomial's q-degree off its packed int
+P: P ^ C, masked to the lowest fields, holds the q exponents, and as
+2^16 = 1 modulo 2^16 - 1, their sum (below 2^15) is that int modulo
+2^16 - 1.  The packing never wraps: _reduce bounds the total degree any
 call can reach before it starts (a grevlex rewrite never raises it; a
 quotient rewrite raises it only through a row term of positive q-degree,
 at most trunc times, each time by at most the rows' excess) and raises
@@ -227,8 +229,8 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
     A term is rewritten by the first row whose leading monomial divides
     it.  The scan for that row tests each row's exponent int against the
     term's packed key by the exact guard-bit test of the module docstring;
-    a key is unpacked only as a result key or, under a cap, for its
-    q-degree.  Exponents must be nonnegative.
+    under a cap its q-degree is read off the packed key too.  Exponents
+    must be nonnegative.
 
     Inside the loop a monomial is its packed int (core.MonomialOrder).
     The working terms live in a dict keyed by it, their order in a heap of
@@ -239,9 +241,9 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
     popped int and compares its q-degree difference with that room.  A
     term of a monomial already known irreducible goes straight to the
     result.  With cap = (k, trunc), a term whose exponents from slot k on
-    sum above trunc is dropped.  The result keys are the tuples the
-    irreducible monomials were unpacked to; `usage` is unpacked at the
-    end.
+    sum above trunc is dropped.  Irreducible terms stay keyed by packed
+    int, and at the end only the nonzero ones are unpacked, as the
+    result's keys; `usage` is unpacked at the end too.
 
     The packing is exact: before the loop, the largest total degree the
     call can reach is checked against the order's field width, and a
@@ -284,12 +286,13 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
     order.check(degree + trunc * excess)
 
     pack, unpack, C, H = order.pack, order.unpack, order.C, order.guard
+    # the q-degree of P is (P ^ C) & qmask modulo fold (module docstring)
+    qmask, fold = order.low >> order.WIDTH * qk, 2 * order.OFF - 1
     work = ({P: c for P, c in terms.items() if c} if packed
             else {pack(m): c for m, c in terms.items() if c})
     heap = list(work)
     heapq.heapify(heap)
-    # every monomial known irreducible -> [its exponent tuple, coefficient]
-    out: Dict[int, List] = {}
+    out: Dict[int, Coeff] = {}  # every monomial known irreducible -> coefficient
     # packed monomial -> (rel, room under the cap, reducer id, packed quotient)
     hits: Dict[int, Tuple[List[Tuple[int, int, Fraction]], int, int, int]] = {}
     packed_usage: Dict[int, Dict[int, Fraction]] = {}
@@ -305,11 +308,11 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
                 if (P - row[3]) & H == H:
                     if row[4] != packing:
                         raise InternalError("reducer row packed for another order or cap")
-                    room = 0 if cap is None else trunc - sum(unpack(P)[qk:])
+                    room = 0 if cap is None else trunc - ((P ^ C) & qmask) % fold
                     hit = hits[P] = (row[6], room, row[2], P - row[5] + C)
                     break
             else:
-                out[P] = [unpack(P), coeff]
+                out[P] = coeff
                 continue
         if budget is not None:
             budget.spend()
@@ -326,7 +329,7 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
                 else:
                     del work[P2]
             elif P2 in out:
-                out[P2][1] -= coeff * c
+                out[P2] -= coeff * c
             else:
                 work[P2] = -coeff * c
                 heappush(heap, P2)
@@ -338,7 +341,7 @@ def _reduce(terms: Dict[Mono, Fraction], rows: List[LeadRow],
         for pquot, s in packed.items():
             quot = unpack(pquot)
             slot[quot] = slot.get(quot, 0) + s
-    return {mono: c for mono, c in out.values() if c}
+    return {unpack(P): c for P, c in out.items() if c}
 
 
 def divider(d: Polynomial) -> Callable[[Polynomial], Tuple[Polynomial, Polynomial]]:

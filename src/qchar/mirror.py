@@ -27,6 +27,7 @@ it has not decided without being resumed or rebuilt.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .core import Mono, Polynomial, VariableSet, evaluate
@@ -62,9 +63,11 @@ def log_derivative(p: Polynomial, name: str) -> Polynomial:
     return Polynomial(p.vars, {m: c * m[idx] for m, c in p.terms.items()})
 
 
-def jacobi_relations(n: int) -> List[Polynomial]:
+@lru_cache(maxsize=None)
+def jacobi_relations(n: int) -> Tuple[Polynomial, ...]:
+    """The superpotential's log-derivatives, cached until qchar.clear_caches()."""
     f = build_superpotential(n)
-    return [log_derivative(f, "x%d" % a) for a in range(1, 2 * n - 2)]
+    return tuple(log_derivative(f, "x%d" % a) for a in range(1, 2 * n - 2))
 
 
 def clear_denominators(p: Polynomial) -> Polynomial:
@@ -156,9 +159,11 @@ def jacobi_context(n: int, step_cap: int = DEFAULT_STEP_CAP) -> MembershipContex
     return _CONTEXT_CACHE[key]
 
 
+@lru_cache(maxsize=None)
 def flag_relation_images(n: int) -> Dict[str, Polynomial]:
     """The two relations of the catalog's qh_fl presentation evaluated at
-    the mirror images, with q1 and q2 sent to themselves."""
+    the mirror images, with q1 and q2 sent to themselves: one shared dict
+    per n, not to be changed, cached until qchar.clear_caches()."""
     pres, vars = make_presentation("qh_fl", n), laurent_vars(n)
     values = dict(phi_images(n), q1=Polynomial.var(vars, "q1"), q2=Polynomial.var(vars, "q2"))
     names, one = pres.gens.names + pres.q_vars.names, Polynomial.const(vars, 1)

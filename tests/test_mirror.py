@@ -497,3 +497,35 @@ def test_direct_nzd_unstable_truncation_reported():
     assert "determinant routes agree" not in names
     # the control still runs
     assert checks[-1].name == "zero-element control"
+
+
+def test_mirror_verify_builds_its_relations_once(monkeypatch, capsys, tmp_path):
+    # jacobi_relations feeds three verifiers and flag_relation_images two;
+    # each is built once per command, and the outputs keep their bytes
+    import qchar
+    from qchar import catalog
+    from qchar.cli import main
+    from test_golden import GOLDEN, masked
+    monkeypatch.setattr(catalog, "_RING_CACHE", {})
+    monkeypatch.setattr(mirror, "_CONTEXT_CACHE", {})
+    builds = {"relations": 0, "images": 0}
+
+    def counted(name, build):
+        def wrapper(*args):
+            builds[name] += 1
+            return build(*args)
+        return wrapper
+    monkeypatch.setattr(mirror, "build_superpotential",
+                        counted("relations", mirror.build_superpotential))
+    monkeypatch.setattr(mirror, "make_presentation",
+                        counted("images", mirror.make_presentation))
+    out = tmp_path / "cert.json"
+    for run in (1, 2):
+        qchar.clear_caches()
+        assert main(["mirror", "verify", "--n", "3", "--trunc", "2", "--step-cap", "20",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().out == (GOLDEN / "mirror_verify_3.stdout").read_text()
+        assert masked(out.read_text()) == (GOLDEN / "mirror_verify_3.json").read_text()
+        # clear_caches dropped the first command's builds
+        assert builds == {"relations": run, "images": run}
+    qchar.clear_caches()

@@ -159,6 +159,55 @@ def test_reduce_refuses_rows_packed_for_another_order_or_cap():
         _reduce(terms, rows, order=order)
 
 
+def test_orders_with_equal_rows_are_equal():
+    # rows packed under an order built apart reduce under an equal one
+    built, shared = MonomialOrder.grevlex((2, True)), display_order(2)
+    assert built is not shared and built == shared and hash(built) == hash(shared)
+    assert built != display_order(1, 1) and built != built.rows
+    items = [((2, 0), 1), ((1, 1), 2), ((0, 1), -1)]  # x^2 -> -2*x*y + y
+    terms = {(5, 3): 1, (2, 2): 3, (0, 4): Fraction(1, 2)}
+    nf = _reduce(terms, [_lead_row((2, 0), items, 0)])
+    assert nf and _reduce(terms, [_lead_row((2, 0), items, 0, built)], order=shared) == nf
+
+
+# ------------------------------------------------------------- q-degree
+
+
+def _packed_qdeg(order, k, P):
+    """The q-degree that _reduce reads off a packed key under a cap with
+    q exponents from slot k on (groebner module docstring)."""
+    return ((P ^ order.C) & (order.low >> order.WIDTH * k)) % (2 * order.OFF - 1)
+
+
+@pytest.mark.parametrize("family,n,m", [("k_milnor", 3, 3), ("qk_pn", 3, None),
+                                        ("qk_milnor", 4, 3)])
+def test_the_packed_q_degree_is_the_q_exponent_sum(family, n, m):
+    R = ring(family, n, m, 0 if family == "k_milnor" else 2)
+    k, nq = len(R.gens), len(R.q_vars)
+    assert nq == {"k_milnor": 0, "qk_pn": 1, "qk_milnor": 2}[family]
+    rng = random.Random(nq)
+    for order in (display_order(k, nq), R._alternate[1]):
+        monos = [tuple(rng.randrange(top + 1) for _ in range(k + nq))
+                 for top in (3, 50, LIMIT // (k + nq)) for _ in range(300)]
+        if nq:  # q-degree LIMIT, the most a packed key holds
+            monos += [(0,) * k + (LIMIT - i,) + (i,) * (nq - 1) for i in (0, 1, LIMIT // 2)]
+        for mono in monos:
+            P = order.pack(mono)
+            assert _packed_qdeg(order, k, P) == sum(order.unpack(P)[k:]) == sum(mono[k:])
+
+
+@pytest.mark.parametrize("nq", [1, 2])
+def test_reduce_reads_the_cap_room_at_the_largest_packed_degree(nq):
+    # x -> q1 keeps a q-degree t - 1 term and drops a q-degree t one, at t
+    # near the field limit and with the q-degree spread over the q fields
+    order, t = MonomialOrder.grevlex((1, True), (nq, False)), LIMIT - 1
+    q1 = (0, 1) + (0,) * (nq - 1)
+    row = _lead_row((1,) + (0,) * nq, [((1,) + (0,) * nq, 1), (q1, -1)], 0, order, 1)
+    for qs in ([t - 1], [t]) if nq == 1 else ([t // 2, t - 1 - t // 2], [t // 2, t - t // 2]):
+        nf = _reduce({(1, *qs): 5}, [row], order=order, cap=(1, t))
+        assert nf == ({(0, qs[0] + 1, *qs[1:]): 5} if sum(qs) < t else {})
+
+
 # ---------------------------------------------------- against the oracle
 
 

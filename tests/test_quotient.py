@@ -243,6 +243,27 @@ def test_confluence_check_fails_on_a_corrupted_alternate_rule():
     check = bad.confluence_check(trials=20, seed=5)
     assert not check.passed
     assert "strategies disagree" in check.detail
+    # the int self-check fails on the same trials, with the same detail, as
+    # reducing each random series itself over Fraction
+    rng, details, fractional = random.Random(5), [], 0
+    for t in range(20):
+        s = bad.random_series(rng)
+        fractional += any(type(c) is Fraction for c in s.terms.values())
+        if bad.reduce(s, strategy="default") != bad.reduce(s, strategy="alternate"):
+            details.append("trial %d: strategies disagree on %s" % (t, s.render()))
+    assert fractional and 0 < len(details) < 20 and check.detail == "; ".join(details)
+
+
+@pytest.mark.parametrize("family,n,m,trunc,expected", [
+    ("k_milnor", 3, 3, 0, ["-5/3*x*y^3 + 2*y^2", "-2*y^4 + y"]),
+    ("qk_pn", 3, None, 2, ["-5/3*x*Q + 2*Q", "x"]),
+    ("qk_milnor", 4, 3, 3, ["-5/3*x*y^3 + 2*y^2 - 5/3*Q1^2*Q2",
+                            "x^5*y^4 + 3/2*x^2*y^3*Q1 - y^4 + 2*x^3*Q1"]),
+])
+def test_a_seed_pins_the_random_series(family, n, m, trunc, expected):
+    # a self-check names its failing trials by seed, so the draws must not move
+    R, rng = catalog_ring(family, n, m, trunc), random.Random(7)
+    assert [R.random_series(rng).render() for _ in expected] == expected
 
 
 def scan_reduce_terms(ring, terms, strategy="default"):
